@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from .mc import McConfig, estimate_er
 from .model import ChannelParams, derive, preset, resolve_shadowing
 from .poles import build_pole_set, residues
-from .rate import expectation_closed_form, expectation_quadrature
+from .rate import CROSS_REL_TOL, expectation_closed_form, expectation_quadrature
 
-CROSS_REL_TOL = 1e-6
 MC_Z_LIMIT = 4.0
 MC_PASS_FRACTION = 0.95
 

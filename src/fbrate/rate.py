@@ -1,23 +1,22 @@
 """Effective rate: J = E[(1+gamma)^-A] and R = -log2(J)/A, by two exact routes.
 
 The quadrature route integrates the MGF against the weight s**(A-1) e**(-s)
-(generalized Gauss-Laguerre ladder, with a split adaptive fallback for the
-hard high-SNR corners where the integrand develops a second scale at
-s ~ 1/gamma_bar).  The closed-form route expands the rational MGF into
-partial fractions and pays one Tricomi-U evaluation per residue term.  Both
-compute the identical scalar; ``er_auto`` dispatches and cross-checks.
+(generalized Gauss-Laguerre ladder, with a nested double-exponential rule in
+log s as the fallback for the high-SNR corners where the integrand develops a
+second scale at s ~ 1/gamma_bar; both stop at the caller's ``rel_tol``).
+The closed-form route expands the rational MGF into partial fractions and
+pays one Tricomi-U evaluation per residue term.  Both compute the identical
+scalar; ``er_auto`` dispatches and cross-checks.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mgf import log_mgf
 from .model import (ChannelParams, DerivedParams, derive, resolve_shadowing,
                     validate, DEFAULT_M_LARGE)
@@ -30,6 +29,14 @@ LN2 = math.log(2.0)
 #: Gauss-Laguerre order ladder; two successive orders agreeing within the
 #: requested tolerance ends the climb.
 ORDER_LADDER = (32, 64, 128, 256)
+
+#: Deepest level of the double-exponential fallback (step 2**-(DE_LEVELS+1)).
+DE_LEVELS = 10
+_HALF_PI = 0.5 * math.pi
+
+#: Largest relative disagreement between the quadrature and closed-form
+#: engines that ``auto`` (and the cross-engine validation grid) accepts.
+CROSS_REL_TOL = 1e-6
 
 _METHODS = ("auto", "quadrature", "closed_form", "monte_carlo")
 _INT_TOL = 1e-9
@@ -83,54 +90,60 @@ def effective_rate(j: float, a_exponent: float) -> float:
     return -math.log2(j) / a_exponent
 
 
-def _mgf_knees(params: ChannelParams, derived: DerivedParams) -> list[float]:
-    """Scales where the MGF factors bend; used as split points by the fallback."""
-    g = params.gamma_bar
-    knees = {abs(derived.c1) / g, abs(derived.c2) / g,
-             derived.omega_cap / g, derived.omega_cap / (params.eta * g)}
-    return sorted(k for k in knees if 1e-12 < k < 1.0)
-
-
 def _adaptive_quadrature(params: ChannelParams, derived: DerivedParams,
-                         a_exponent: float, rel_tol: float) -> tuple[float, float]:
-    """Split adaptive integration of s^(A-1) e^-s M(s) / Gamma(A).
+                         a_exponent: float, rel_tol: float) -> tuple[float, float, int]:
+    """Nested exp-sinh trapezoid rule for s^(A-1) e^-s M(s) / Gamma(A).
 
-    The [0, first-knee] piece folds the s**(A-1) endpoint behavior into a
-    QUADPACK algebraic weight (exact even for A < 1); the remaining pieces and
-    the infinite tail integrate the plain log-space integrand.
+    With x = ln s = (pi/2) sinh t the integrand decays double-exponentially
+    in t at both ends, and the two scales s ~ 1/gamma_bar and s ~ A become
+    smooth bumps that the trapezoid rule resolves at geometric speed.  Each
+    level halves the step from h = 1/2, reuses the previous sum and samples
+    the log integrand with one vectorized ``log_mgf`` call.  The x-window
+    drops under 1e-19 of J: the mass below x_lo is at most
+    e^(-45-5A)/Gamma(A+1) of J by the Jensen bound J >= (1+gamma_bar)^-A, and
+    the mass above s = 60 + 2A at most Q(A, s)/P(A, A) of J, since M(s)
+    decreases.
+
+    Returns (value, relative difference of the last two levels, level) once
+    that difference is within ``rel_tol``; raises :class:`ConvergenceError`
+    otherwise.
     """
-    lg = ln_gamma(a_exponent)
+    a = a_exponent
+    lg = ln_gamma(a)
+    x_lo = -45.0 / a - 5.0 - math.log1p(params.gamma_bar)
+    x_hi = math.log(60.0 + 2.0 * a)
+    t_lo = math.asinh(x_lo / _HALF_PI)
+    t_hi = math.asinh(x_hi / _HALF_PI)
 
-    def bare(s):
-        return math.exp(-s + float(log_mgf(params, derived, s)) - lg)
+    def node_sum(h: float, step: int) -> float:
+        # integrand summed over t = k*h in the window; step 2 keeps the odd k,
+        # the nodes the previous level lacks
+        k0 = math.ceil(t_lo / h)
+        if step == 2:
+            k0 |= 1
+        t = h * np.arange(k0, math.floor(t_hi / h) + 1, step)
+        x = _HALF_PI * np.sinh(t)
+        s = np.exp(x)
+        log_f = (a * x - s + log_mgf(params, derived, s) - lg
+                 + np.log(_HALF_PI * np.cosh(t)))
+        return float(np.sum(np.exp(log_f)))
 
-    def full(s):
-        return math.exp((a_exponent - 1.0) * math.log(s)
-                        - s + float(log_mgf(params, derived, s)) - lg)
-
-    pieces = _mgf_knees(params, derived) + [1.0, 10.0]
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lo = pieces[0]
-        v, e = quad(bare, 0.0, lo, weight="alg", wvar=(a_exponent - 1.0, 0.0),
-                    epsabs=0.0, epsrel=1e-11, limit=200)
-        total += v
-        err += abs(e)
-        for hi in pieces[1:]:
-            v, e = quad(full, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)
-            total += v
-            err += abs(e)
-            lo = hi
-        v, e = quad(full, lo, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
-        total += v
-        err += abs(e)
-    if not math.isfinite(total) or total <= 0.0:
-        raise ConvergenceError(
-            f"adaptive quadrature failed for A={a_exponent}, params={params}",
-            achieved=err)
-    return total, err / total
+    h = 0.5
+    total = h * node_sum(h, 1)
+    diff = math.inf
+    for level in range(1, DE_LEVELS + 1):
+        h /= 2.0
+        prev, total = total, 0.5 * total + h * node_sum(h, 2)
+        if not (math.isfinite(total) and total > 0.0):
+            break
+        diff = abs(total - prev) / total
+        if diff <= rel_tol:
+            return total, diff, level
+    raise ConvergenceError(
+        f"double-exponential quadrature reached rel diff {diff:.2e} on value "
+        f"{total!r} at level {level} (target {rel_tol:.1e}) for A={a_exponent}, "
+        f"params={params}",
+        achieved=diff)
 
 
 def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
@@ -140,8 +153,13 @@ def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
 
     Climbs the Gauss-Laguerre order ladder with alpha = A - 1 (the monomial
     times exponential is the rule's weight, so only the MGF is sampled, in
-    log space) until two successive orders agree within ``rel_tol``; otherwise
-    falls back to split adaptive quadrature and records that in diagnostics.
+    log space) until two successive orders agree within ``rel_tol``.  When the
+    ladder stalls (high mean SNR, where the integrand gains a second scale at
+    s ~ 1/gamma_bar) it falls back to a nested double-exponential rule in
+    log s, which also stops once two levels agree within ``rel_tol`` and
+    raises :class:`ConvergenceError` if none do; the fallback and the level
+    it reached are recorded in diagnostics.  Either way the error estimate is
+    the last difference between successive results.
     """
     if a_exponent <= 0:
         raise ValueError(f"A must be > 0, got {a_exponent!r}")
@@ -157,10 +175,11 @@ def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
             if diff <= rel_tol:
                 return value, diff
         prev = value
-    value, err = _adaptive_quadrature(params, derived, a_exponent, rel_tol)
+    value, err, level = _adaptive_quadrature(params, derived, a_exponent, rel_tol)
     if diagnostics is not None:
         diagnostics.append(("quadrature_fallback",
-                            f"order ladder stalled at rel diff {best_diff:.2e}"))
+                            f"order ladder stalled at rel diff {best_diff:.2e}; "
+                            f"double-exponential rule converged at level {level}"))
     return value, err
 
 
@@ -168,6 +187,9 @@ def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
 #: beyond it the double path cannot certify the 1e-6 cross-engine target
 #: (per-term accuracy ~1e-13 times the cancellation ratio).
 CLOSED_FORM_COND_LIMIT = 1e6
+
+#: Error estimate reported for a closed-form value: the per-term U accuracy target.
+_CLOSED_FORM_ERR = 1e-10
 
 
 def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
@@ -212,6 +234,13 @@ def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
     return min(value, 1.0)
 
 
+def _closed_form(params: ChannelParams, derived: DerivedParams, a_exponent: float,
+                 diagnostics: list) -> float:
+    """J by the partial-fraction route: build the expansion, then sum it."""
+    expansion = residues(params, derived, build_pole_set(params, derived))
+    return expectation_closed_form(params, derived, expansion, a_exponent, diagnostics)
+
+
 def closed_form_applies(params: ChannelParams, tol: float = _INT_TOL) -> bool:
     """True when the pole/residue route exists for these parameters."""
     mu = params.mu
@@ -231,9 +260,13 @@ def er_auto(request: ErRequest, mc_config=None,
 
     ``method="auto"`` runs the closed form whenever the parameters admit it
     and cross-evaluates the quadrature route, recording the relative
-    discrepancy under the ``cross_check_rel_diff`` diagnostic.  The explicit
-    methods run exactly what was asked for (raising if unavailable);
-    ``monte_carlo`` delegates to the sampling engine.
+    discrepancy under the ``cross_check_rel_diff`` diagnostic.  It returns
+    the quadrature value instead when the closed form raises (recorded as
+    ``closed_form_failed``) or when the engines differ by more than
+    ``CROSS_REL_TOL`` (recorded as ``engines_disagree``, with the difference
+    folded into the error estimate).  The explicit methods run exactly what
+    was asked for (raising if unavailable); ``monte_carlo`` delegates to the
+    sampling engine.
     """
     validate(request.params)
     params = resolve_shadowing(request.params, m_large)
@@ -253,27 +286,31 @@ def er_auto(request: ErRequest, mc_config=None,
                         error_estimate=estimate.j_stderr,
                         diagnostics=tuple(diagnostics))
 
-    derived = derive(params)
-    use_closed = closed_form_applies(params)
+    def result(j: float, method: str, err: float) -> ErResult:
+        return ErResult(expectation_j=j, rate=effective_rate(j, a), method_used=method,
+                        error_estimate=err, diagnostics=tuple(diagnostics))
 
-    if request.method == "closed_form" or (request.method == "auto" and use_closed):
-        expansion = residues(params, derived, build_pole_set(params, derived))
-        j_closed = expectation_closed_form(params, derived, expansion, a,
-                                           diagnostics)
-        err = 1e-10  # per-term U accuracy target
-        if request.method == "auto":
-            j_quad, q_err = expectation_quadrature(params, derived, a,
-                                                   request.rel_tol, diagnostics)
-            diff = abs(j_quad - j_closed) / j_closed
-            diagnostics.append(("cross_check_rel_diff", f"{diff:.3e}"))
-            err = max(err, diff)
-        return ErResult(expectation_j=j_closed,
-                        rate=effective_rate(j_closed, a),
-                        method_used="closed_form", error_estimate=err,
-                        diagnostics=tuple(diagnostics))
+    derived = derive(params)
+    if request.method == "closed_form":
+        return result(_closed_form(params, derived, a, diagnostics), "closed_form",
+                      _CLOSED_FORM_ERR)
+
+    j_closed = None
+    if request.method == "auto" and closed_form_applies(params):
+        try:
+            j_closed = _closed_form(params, derived, a, diagnostics)
+        except (ConvergenceError, ClosedFormUnavailableError, ArithmeticError) as exc:
+            diagnostics.append(("closed_form_failed", f"{type(exc).__name__}: {exc}"))
 
     j_quad, err = expectation_quadrature(params, derived, a,
                                          request.rel_tol, diagnostics)
-    return ErResult(expectation_j=j_quad, rate=effective_rate(j_quad, a),
-                    method_used="quadrature", error_estimate=err,
-                    diagnostics=tuple(diagnostics))
+    if j_closed is not None:
+        diff = abs(j_quad - j_closed) / j_closed
+        diagnostics.append(("cross_check_rel_diff", f"{diff:.3e}"))
+        if diff <= CROSS_REL_TOL:
+            return result(j_closed, "closed_form", max(_CLOSED_FORM_ERR, diff))
+        diagnostics.append(("engines_disagree",
+                            f"closed form {j_closed:.9e} rejected "
+                            f"(limit {CROSS_REL_TOL:.0e})"))
+        err = max(err, diff)
+    return result(j_quad, "quadrature", err)

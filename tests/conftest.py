@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -66,6 +67,14 @@ J_RAYLEIGH_G2_A1 = 0.46145531624186523442
 # merged double pole: mu=2, m=2, eta=1, kappa=0, gamma_bar=3, A=0.5
 J_MERGED_G3_A05 = 0.55005758560518021080
 
+# high-multiplicity defects of the auto dispatcher (kappa=3, eta=rho2=0.3):
+# (mu, m, snr_db, A) -> J by 30-digit mpmath quadrature of the physical-form
+# MGF, tanh-sinh and Gauss-Legendre agreeing to 1e-17
+HIGH_MULT = dict(kappa=3.0, eta=0.3, rho2=0.3)
+HIGH_MULT_J = {(2.0, 40.0, 20.0, 5.0): 3.3049440292117800540e-6,
+               (2.0, 40.0, 30.0, 2.0): 4.8493483720980410715e-6,
+               (20.0, 200.0, 20.0, 5.0): 1.5536533120170195049e-10}
+
 
 def fig1_params(gamma_bar: float = 1.0, mu: float = 2.0) -> ChannelParams:
     return ChannelParams(mu=mu, m=1.0, kappa=1.0, eta=0.1, rho2=0.1,
@@ -119,6 +128,23 @@ def cluster_model_mgf(params: ChannelParams, s):
     g2 = 1.0 + 2.0 * t * sy2
     u = p2 * t / g1 + q2 * t / g2
     return g1 ** (-params.mu / 2.0) * g2 ** (-params.mu / 2.0) * (1.0 + u / params.m) ** -params.m
+
+
+def cluster_model_j(params: ChannelParams, a_exponent: float) -> float:
+    """J = Gamma(A)^-1 int exp(A x - e^x) M(e^x) dx by mpmath tanh-sinh in x = ln s.
+
+    Integrates ``cluster_model_mgf`` over half-unit panels in x from below
+    the lower MGF knee (s ~ 1/gamma_bar) to s = e^6, where the e^-s factor has
+    buried the rest; uses neither the MGF form nor the nodes of the package.
+    """
+    def integrand(x):
+        s = mp.exp(x)
+        return mp.exp(a_exponent * x - s) * float(cluster_model_mgf(params, float(s)))
+
+    norm = (1.0 + params.kappa) * params.mu * (1.0 + params.eta)
+    knee = math.log(norm / (2.0 * max(params.eta, 1.0) * params.gamma_bar))
+    panels = [0.5 * k for k in range(2 * math.floor(knee) - 16, 13)]
+    return float(mp.quad(integrand, [-mp.inf, *panels]) / mp.gamma(a_exponent))
 
 
 def expansion_cdf(expansion, gamma_bar):

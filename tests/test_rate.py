@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbrate import (ChannelParams, ClosedFormUnavailableError, ErRequest,
-                    ParameterError, closed_form_applies, decompose, derive,
-                    effective_rate, er_auto, expectation_closed_form,
+import fbrate.rate
+from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
+                    ErRequest, ParameterError, closed_form_applies, decompose,
+                    derive, effective_rate, er_auto, expectation_closed_form,
                     expectation_quadrature, preset, resolve_shadowing)
 
 from conftest import (FIG1_J_A2, FIG1_J_MU1, FIG1_J_MU4, FIG1_R_A2, FIG1_R_MU1,
-                      FIG1_R_MU4, FIG2_J_BY_M, J_MERGED_G3_A05, J_NAKAGAMI_MU2,
-                      J_RAYLEIGH, J_RAYLEIGH_G2_A1, R_RAYLEIGH, fig1_params,
+                      FIG1_R_MU4, FIG2_J_BY_M, HIGH_MULT, HIGH_MULT_J,
+                      J_MERGED_G3_A05, J_NAKAGAMI_MU2, J_RAYLEIGH,
+                      J_RAYLEIGH_G2_A1, R_RAYLEIGH, cluster_model_j, fig1_params,
                       unit_eta_shadowed_j)
 
 
@@ -71,6 +73,49 @@ class TestQuadrature:
         p = fig1_params()
         with pytest.raises(ValueError):
             expectation_quadrature(p, derive(p), 0.0)
+
+    @pytest.mark.parametrize("mu", [1.5, 2.0, 6.0])
+    def test_fallback_matches_mpmath_cluster_model(self, mu):
+        # 20-50 dB, where the ladder stalls: the double-exponential rule must
+        # meet rel_tol against an independent quadrature of the physical MGF
+        for snr_db in (20.0, 35.0, 50.0):
+            for a in (0.5, 2.0, 5.0):
+                p = ChannelParams(mu=mu, m=1.0, kappa=1.0, eta=0.1, rho2=0.1,
+                                  gamma_bar=10.0 ** (snr_db / 10.0))
+                diagnostics = []
+                j, err = expectation_quadrature(p, derive(p), a, 1e-10, diagnostics)
+                assert diagnostics and diagnostics[0][0] == "quadrature_fallback"
+                assert "level" in diagnostics[0][1]
+                assert err <= 1e-10
+                assert j == pytest.approx(cluster_model_j(p, a), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [20.0, 40.0])
+    def test_fallback_window_follows_snr(self, mu):
+        # A=20 at 42 dB with mu > A: the mass sits near s ~ 1/gamma_bar, far
+        # below where a window fixed by A alone would start
+        p = ChannelParams(mu=mu, m=40.0, gamma_bar=10.0 ** 4.2, **HIGH_MULT)
+        diagnostics = []
+        j, _ = expectation_quadrature(p, derive(p), 20.0, 1e-10, diagnostics)
+        assert diagnostics and diagnostics[0][0] == "quadrature_fallback"
+        assert j == pytest.approx(cluster_model_j(p, 20.0), rel=1e-10, abs=0.0)
+
+    def test_fallback_honours_rel_tol(self):
+        # a loose tolerance stops at a shallower level, still within its bound
+        p = fig1_params(gamma_bar=1e4)
+        d = derive(p)
+        loose = fbrate.rate._adaptive_quadrature(p, d, 2.0, 1e-4)
+        tight = fbrate.rate._adaptive_quadrature(p, d, 2.0, 1e-12)
+        assert loose[2] < tight[2]
+        assert loose[1] <= 1e-4 and tight[1] <= 1e-12
+        assert loose[0] == pytest.approx(tight[0], rel=1e-4, abs=0.0)
+
+    def test_fallback_nan_integrand_raises(self, monkeypatch):
+        monkeypatch.setattr(fbrate.rate, "log_mgf",
+                            lambda params, derived, s: np.full(np.shape(s), np.nan))
+        p = fig1_params(gamma_bar=1000.0)
+        with pytest.raises(ConvergenceError) as info:
+            expectation_quadrature(p, derive(p), 2.0)
+        assert info.value.achieved is not None
 
 
 class TestClosedForm:
@@ -155,6 +200,32 @@ class TestDispatch:
                                                  rho2=2.0), a_exponent=2.0))
         assert result.method_used == "quadrature"
         assert dict(result.diagnostics)["m_sentinel_resolved"] == "10000"
+
+    @pytest.mark.parametrize("mu, m, snr_db, a, reason", [
+        (2.0, 40.0, 20.0, 5.0, "engines_disagree"),
+        (2.0, 40.0, 30.0, 2.0, "closed_form_failed"),
+        (20.0, 200.0, 20.0, 5.0, "closed_form_failed"),
+    ])
+    def test_auto_falls_back_to_quadrature_at_high_multiplicity(
+            self, mu, m, snr_db, a, reason):
+        # a 0.5%-wrong double-precision residue table, an uncertified U, and
+        # an overflow in the residues: auto must return the quadrature value
+        p = ChannelParams(mu=mu, m=m, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
+        assert closed_form_applies(p)
+        result = er_auto(ErRequest(params=p, a_exponent=a))
+        assert result.method_used == "quadrature"
+        assert reason in dict(result.diagnostics)
+        assert result.expectation_j == pytest.approx(HIGH_MULT_J[mu, m, snr_db, a],
+                                                     rel=1e-8, abs=0.0)
+        if reason == "engines_disagree":
+            diff = float(dict(result.diagnostics)["cross_check_rel_diff"])
+            assert diff > 1e-6
+            assert result.error_estimate >= diff
+
+    def test_explicit_closed_form_still_raises_when_uncertified(self):
+        p = ChannelParams(mu=2.0, m=40.0, gamma_bar=1000.0, **HIGH_MULT)
+        with pytest.raises(ConvergenceError):
+            er_auto(ErRequest(params=p, a_exponent=2.0, method="closed_form"))
 
     def test_closed_form_applies_predicate(self):
         assert closed_form_applies(fig1_params())
