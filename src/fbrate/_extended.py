@@ -4,109 +4,56 @@ At high mean SNR with a large QoS exponent the partial-fraction terms of the
 expectation sum cancel down by many orders of magnitude (the residues encode
 the vanishing of the density and its derivatives at zero), so no double
 precision evaluation of the sum can reach the cross-engine target no matter
-how accurately each Tricomi-U value is computed.  This module re-runs the
-whole chain (derived constants, pole merging, residue recursion, U by
-quadrature of its defining integral) in mpmath when the double-precision
-path reports conditioning beyond its trust limit.
+how accurately each Tricomi-U value is computed.  This module recomputes the
+derived constants in mpmath, runs them through the same pole and residue code
+as the double-precision path (it is written over any scalar type), and sums
+the terms with U from ``mpmath.hyperu``, all at 30 digits.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 
-from .model import ROOT_MERGE_RTOL, ChannelParams
+from .errors import ConvergenceError
+from .model import ChannelParams
+from .poles import partial_fractions, pole_exponents, pole_structure
 
 #: Working precision: enough to absorb the worst observed conditioning
 #: (~1e12 on the validation grids) with double-target digits to spare.
 _DPS = 30
 
 
-def _tricomi_u_mp(j: int, b, z):
-    f = lambda t: t ** (j - 1) * (1 + t) ** (b - j - 1) * mp.exp(-z * t)
-    points = sorted({mp.mpf(1), 1 / z, 10 / z})
-    return mp.quad(f, [0, *points, mp.inf]) / mp.gamma(j)
-
-
 def expectation_closed_form_mp(params: ChannelParams, a_exponent: float) -> float:
     """J = E[(1+gamma)^-A] through the residue route, in working precision.
 
-    Mirrors the double-precision pipeline exactly (same merge tolerance and
-    zero-LoS shortcut); callers are expected to have checked the closed-form
-    regime already.
+    Shares the pole merging (same tolerance, same zero-LoS shortcut) and the
+    residue recursion with the double-precision pipeline; callers are
+    expected to have checked the closed-form regime already.  Raises
+    :class:`ConvergenceError` when an mpmath U evaluation does not converge.
     """
     with mp.workdps(_DPS):
-        mu = mp.mpf(params.mu)
-        m = mp.mpf(params.m)
-        kappa = mp.mpf(params.kappa)
-        eta = mp.mpf(params.eta)
-        rho2 = mp.mpf(params.rho2)
-        gbar = mp.mpf(params.gamma_bar)
-        a_exp = mp.mpf(a_exponent)
-
+        mu, m, kappa, eta, rho2 = (mp.mpf(x) for x in (
+            params.mu, params.m, params.kappa, params.eta, params.rho2))
         omega = mu * (1 + eta) * (1 + kappa) / 2
         alpha1 = eta / omega**2
         if kappa > 0:
             alpha1 += kappa * (rho2 + eta) / (m * omega * (1 + rho2) * (1 + kappa))
         beta = -(2 / mu + kappa / m) / (1 + kappa)
         root_q = (-beta + mp.sqrt(beta * beta - 4 * alpha1)) / 2
-        c1 = root_q / alpha1
-        c2 = 1 / root_q
+        expansion = partial_fractions(pole_structure(
+            root_q / alpha1, 1 / root_q, omega, eta, *pole_exponents(params)))
 
-        mu_half = int(round(params.mu)) // 2
-        m_eff = mu_half if params.kappa == 0 else int(round(params.m))
-        pole_points = [(c1, m_eff), (c2, m_eff)]
-        numerator = []
-        if mu_half > m_eff:
-            pole_points += [(omega / eta, mu_half - m_eff), (omega, mu_half - m_eff)]
-        elif mu_half < m_eff:
-            numerator = [(omega / eta, m_eff - mu_half), (omega, m_eff - mu_half)]
-
-        merged: list[list] = []
-        for theta, mult in pole_points:
-            for entry in merged:
-                if abs(theta - entry[0]) <= ROOT_MERGE_RTOL * max(abs(theta), abs(entry[0])):
-                    entry[1] += mult
-                    break
-            else:
-                merged.append([theta, mult])
-
+        gbar = mp.mpf(params.gamma_bar)
+        a_exp = mp.mpf(a_exponent)
         total = mp.mpf(0)
-        for i, (theta_i, w) in enumerate(merged):
-            factors = []
-            shift = 0
-            scale = mp.mpf(1)
-            others = [(t, -mm) for k, (t, mm) in enumerate(merged) if k != i]
-            others += numerator
-            for theta_k, expo in others:
-                b = theta_i / theta_k
-                a = 1 - b
-                if abs(a) <= ROOT_MERGE_RTOL * abs(b):
-                    shift += expo
-                    scale *= b**expo
-                else:
-                    factors.append((a, b, expo))
-
-            n_terms = w - shift
-            taylor = []
-            if n_terms > 0:
-                t0 = mp.mpf(1)
-                ratios = []
-                for a, b, e in factors:
-                    t0 *= a**e
-                    ratios.append((b / a, e))
-                taylor = [t0]
-                series = [mp.mpf(0)]
-                for r in range(1, n_terms):
-                    sign = 1 if (r % 2) else -1
-                    series.append(sign * sum(e * rho**r for rho, e in ratios))
-                for n in range(1, n_terms):
-                    taylor.append(
-                        sum(series[r] * taylor[n - r] for r in range(1, n + 1)) / n)
-
-            z = theta_i / gbar
-            for j in range(1, w + 1):
-                idx = w - j - shift
-                if 0 <= idx < len(taylor):
-                    a_ij = scale * taylor[idx]
-                    total += a_ij * z**j * _tricomi_u_mp(j, j - a_exp + 1, z)
+        try:
+            for theta, _, coeffs in expansion.terms:
+                z = theta / gbar
+                for j, a_ij in enumerate(coeffs, start=1):
+                    if a_ij:
+                        total += a_ij * z**j * mp.hyperu(j, j - a_exp + 1, z)
+        except mp.libmp.NoConvergence as exc:
+            raise ConvergenceError(
+                f"extended-precision U did not converge for A={a_exponent}, "
+                f"params={params}: {exc}") from exc
         return float(total)

@@ -47,10 +47,11 @@ _INT_TOL = 1e-9
 class PoleSet:
     """Merged poles of the MGF plus the numerator factors the residues need.
 
-    ``poles``: tuple of (location, multiplicity); locations have positive
-    real part and complex entries come in conjugate pairs (for every valid
-    parameter set they are in fact real).  ``group_count`` is the pre-merge
-    structural count: 2 when the omega points are not poles, 4 when they are.
+    ``poles``: tuple of (location, multiplicity); locations are complex in
+    double precision (with positive real part, and in fact real for every
+    valid parameter set) and mpf in the extended path.  ``group_count`` is
+    the pre-merge structural count: 2 when the omega points are not poles,
+    4 when they are.
     ``numerator``: tuple of (location, positive integer exponent) for
     first-order numerator factors, present only when mu/2 < m.
     """
@@ -79,7 +80,7 @@ def _as_int(x: float, what: str) -> int:
     return int(n)
 
 
-def _merge(points: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
+def _merge(points):
     """Sum multiplicities of points closer than the root-merge tolerance."""
     merged: list[list] = []
     for theta, mult in points:
@@ -92,8 +93,8 @@ def _merge(points: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
     return [(t, m) for t, m in merged]
 
 
-def build_pole_set(params: ChannelParams, derived: DerivedParams) -> PoleSet:
-    """Construct the pole/numerator structure of the rational MGF.
+def pole_exponents(params: ChannelParams) -> tuple[int, int]:
+    """(mu/2, effective m): the integer exponents of the rational MGF.
 
     Requires integer m and even integer mu, except that kappa = 0 removes the
     LoS fluctuation from the MGF altogether (the m-dependent factors cancel
@@ -104,58 +105,61 @@ def build_pole_set(params: ChannelParams, derived: DerivedParams) -> PoleSet:
     if abs(params.mu - mu_int) > _INT_TOL or mu_int < 2 or mu_int % 2:
         raise ClosedFormUnavailableError(
             f"closed form requires a positive even integer mu, got {params.mu!r}")
-    mu_half2 = int(mu_int)
-    mu_half = mu_half2 // 2
-
-    omega = derived.omega_cap
+    mu_half = int(mu_int) // 2
     if params.kappa == 0.0:
         # The c-roots coincide with the omega points and every m cancels;
         # equivalent to m = mu/2, which zeroes the numerator exponents.
-        m_eff = mu_half
-    else:
-        m_eff = _as_int(params.m, "m")
-        if 2 * m_eff + mu_half2 > MAX_TOTAL_MULTIPLICITY:
-            raise ClosedFormUnavailableError(
-                f"total multiplicity 2*m + mu = {2 * m_eff + mu_half2} exceeds "
-                f"{MAX_TOTAL_MULTIPLICITY}; use the quadrature engine")
+        return mu_half, mu_half
+    m_eff = _as_int(params.m, "m")
+    if 2 * m_eff + 2 * mu_half > MAX_TOTAL_MULTIPLICITY:
+        raise ClosedFormUnavailableError(
+            f"total multiplicity 2*m + mu = {2 * m_eff + 2 * mu_half} exceeds "
+            f"{MAX_TOTAL_MULTIPLICITY}; use the quadrature engine")
+    return mu_half, m_eff
 
-    pole_points: list[tuple[complex, int]] = [(derived.c1, m_eff), (derived.c2, m_eff)]
-    numerator: list[tuple[complex, int]] = []
+
+def pole_structure(c1, c2, omega, eta, mu_half: int, m_eff: int) -> PoleSet:
+    """Merged poles and numerator factors for any scalar type (complex or mpf).
+
+    The roots c1, c2 carry multiplicity m_eff; the omega points omega/eta and
+    omega join them as poles of order mu/2 - m_eff, or become numerator
+    factors of power m_eff - mu/2.
+    """
+    points = [(c1, m_eff), (c2, m_eff)]
+    numerator = ()
     if mu_half > m_eff:
-        order = mu_half - m_eff
-        pole_points.append((complex(omega / params.eta), order))
-        pole_points.append((complex(omega), order))
-        group_count = 4
-    else:
-        group_count = 2
-        if mu_half < m_eff:
-            power = m_eff - mu_half
-            numerator.append((complex(omega / params.eta), power))
-            numerator.append((complex(omega), power))
+        points += [(omega / eta, mu_half - m_eff), (omega, mu_half - m_eff)]
+    elif mu_half < m_eff:
+        numerator = ((omega / eta, m_eff - mu_half), (omega, m_eff - mu_half))
+    return PoleSet(poles=tuple(_merge(points)),
+                   group_count=4 if mu_half > m_eff else 2, numerator=numerator)
 
-    merged = _merge(pole_points)
-    if any(p.real <= 0 for p, _ in merged):  # pragma: no cover - defensive
+
+def build_pole_set(params: ChannelParams, derived: DerivedParams) -> PoleSet:
+    """Construct the pole/numerator structure of the rational MGF."""
+    pole_set = pole_structure(derived.c1, derived.c2, complex(derived.omega_cap),
+                              complex(params.eta), *pole_exponents(params))
+    if any(p.real <= 0 for p, _ in pole_set.poles):  # pragma: no cover - defensive
         raise ClosedFormUnavailableError("pole with nonpositive real part")
-    return PoleSet(poles=tuple(merged), group_count=group_count,
-                   numerator=tuple(numerator))
+    return pole_set
 
 
-def _taylor_coefficients(factors: list[tuple[complex, complex, int]], n_terms: int
-                         ) -> list[complex]:
+def _taylor_coefficients(factors, n_terms: int) -> list:
     """Taylor coefficients around u = 0 of prod_k (a_k + b_k u)**e_k.
 
     Uses T_0 = prod a_k**e_k and the logarithmic-derivative recursion
     n*T_n = sum_{r=1..n} c_r T_{n-r} with c_r = (-1)^{r-1} sum_k e_k (b_k/a_k)^r.
     All a_k must be nonzero (coincident factors are stripped beforehand).
+    Works in the scalar type of the factors (complex or mpf).
     """
-    t0 = complex(1.0)
-    ratios: list[tuple[complex, int]] = []
+    t0 = 1
+    ratios = []
     for a, b, e in factors:
         t0 *= a**e
         ratios.append((b / a, e))
     coeffs = [t0]
     if n_terms > 1:
-        c = [0.0j]
+        c = [0]
         for r in range(1, n_terms):
             sign = 1.0 if (r % 2) else -1.0  # (-1)^(r-1)
             c.append(sign * sum(e * rho**r for rho, e in ratios))
@@ -164,9 +168,8 @@ def _taylor_coefficients(factors: list[tuple[complex, complex, int]], n_terms: i
     return coeffs
 
 
-def residues(params: ChannelParams, derived: DerivedParams,
-             pole_set: PoleSet) -> PartialFractionExpansion:
-    """Exact partial-fraction coefficients of the MGF over the pole set.
+def partial_fractions(pole_set: PoleSet) -> PartialFractionExpansion:
+    """Exact partial-fraction coefficients over a pole set of any scalar type.
 
     For pole theta_i of multiplicity w, substitute u = 1 + g*s/theta_i; each
     remaining factor (1 + g*s/theta_k)^e becomes (a + b*u)^e with
@@ -176,11 +179,11 @@ def residues(params: ChannelParams, derived: DerivedParams,
     """
     terms = []
     for i, (theta_i, w) in enumerate(pole_set.poles):
-        factors: list[tuple[complex, complex, int]] = []
+        factors = []
         shift = 0
-        scale = complex(1.0)
+        scale = 1
         others = [(t, -m) for k, (t, m) in enumerate(pole_set.poles) if k != i]
-        others.extend((t, e) for t, e in pole_set.numerator)
+        others.extend(pole_set.numerator)
         for theta_k, expo in others:
             b = theta_i / theta_k
             a = 1.0 - b
@@ -196,9 +199,19 @@ def residues(params: ChannelParams, derived: DerivedParams,
         coeffs = []
         for j in range(1, w + 1):
             idx = w - j - shift
-            coeffs.append(scale * taylor[idx] if 0 <= idx < len(taylor) else 0.0j)
+            coeffs.append(scale * taylor[idx] if 0 <= idx < len(taylor) else 0)
         terms.append((theta_i, w, tuple(coeffs)))
     return PartialFractionExpansion(terms=tuple(terms))
+
+
+def residues(params: ChannelParams, derived: DerivedParams,
+             pole_set: PoleSet) -> PartialFractionExpansion:
+    """Partial-fraction coefficients of the MGF (see :func:`partial_fractions`).
+
+    The coefficients depend on the pole-location ratios alone, so neither the
+    parameters nor the derived constants enter beyond the pole set.
+    """
+    return partial_fractions(pole_set)
 
 
 def reconstruct(expansion: PartialFractionExpansion, gamma_bar: float, s):

@@ -183,9 +183,12 @@ def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
     return value, err
 
 
-#: Switch to extended precision when the term sum cancels by more than this:
-#: beyond it the double path cannot certify the 1e-6 cross-engine target
-#: (per-term accuracy ~1e-13 times the cancellation ratio).
+#: Switch to extended precision when the term sum cancels by more than this.
+#: The sum's relative error is the per-term U error times the cancellation
+#: ratio.  U is certified only to ``specfun._U_TOL`` = 1e-10 (a 1e-4 bound at
+#: this limit); the limit relies on the 1e-13 its quadrature aims at (1e-14
+#: for the asymptotic series), which keeps the error near 1e-7, under the
+#: 1e-6 cross-engine target.
 CLOSED_FORM_COND_LIMIT = 1e6
 
 #: Error estimate reported for a closed-form value: the per-term U accuracy target.

@@ -2,9 +2,7 @@
 
 Provides log-gamma, the Tricomi confluent hypergeometric function U(a; b; z)
 for positive integer a, and generalized Gauss-Laguerre rules (weight
-``s**alpha * exp(-s)`` on [0, inf)).  An exponential-integral E1 evaluator is
-kept module-private: it exists only as an independent oracle for the tests
-and is deliberately not exported.
+``s**alpha * exp(-s)`` on [0, inf)).
 """
 
 from __future__ import annotations
@@ -173,49 +171,3 @@ def tricomi_u_int_a(a: int, b: float, z: float, rel_tol: float = _U_TOL) -> floa
             f"U({a}; {b}; {z}) quadrature achieved {err:.2e} (abs) on value {total:.6e}, "
             f"target {rel_tol:.1e} relative", achieved=err)
     return total / math.gamma(a)
-
-
-# --- exponential integral E1: module-private test oracle ---------------------
-
-
-def _exp1(z: float) -> float:
-    """E1(z) for z > 0 by power series (z <= 1) or continued fraction.
-
-    Independent oracle for the U identities U(1;1;z) = e^z E1(z) and
-    U(1;0;z) = 1 - z e^z E1(z); not exported.
-    """
-    if z <= 0:
-        raise ValueError("E1 requires z > 0")
-    if z <= 1.0:
-        # E1 = -euler_gamma - ln z + sum_{k>=1} (-1)^{k+1} z^k / (k k!)
-        total = -0.57721566490153286060651209 - math.log(z)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -z / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < 1e-18 * abs(total):
-                break
-        return total
-    # modified Lentz continued fraction: E1(z) = e^-z / (z + 1/(1 + 1/(z + 2/(1 + ...))))
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    for i in range(1, 300):
-        if i == 1:
-            an, bn = 1.0, z
-        elif i % 2 == 0:
-            an, bn = (i // 2), 1.0
-        else:
-            an, bn = (i // 2), z
-        d = bn + an * d
-        d = tiny if d == 0.0 else d
-        c = bn + an / c
-        c = tiny if c == 0.0 else c
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-z) * f

@@ -147,6 +147,61 @@ def cluster_model_j(params: ChannelParams, a_exponent: float) -> float:
     return float(mp.quad(integrand, [-mp.inf, *panels]) / mp.gamma(a_exponent))
 
 
+def exp1(z: float) -> float:
+    """E1(z) for z > 0 by power series (z <= 1) or continued fraction.
+
+    Independent oracle for the U identities U(1;1;z) = e^z E1(z) and
+    U(1;0;z) = 1 - z e^z E1(z).
+    """
+    if z <= 0:
+        raise ValueError("E1 requires z > 0")
+    if z <= 1.0:
+        # E1 = -euler_gamma - ln z + sum_{k>=1} (-1)^{k+1} z^k / (k k!)
+        total = -0.57721566490153286060651209 - math.log(z)
+        term = 1.0
+        for k in range(1, 60):
+            term *= -z / k
+            contrib = -term / k
+            total += contrib
+            if abs(contrib) < 1e-18 * abs(total):
+                break
+        return total
+    # modified Lentz continued fraction: E1(z) = e^-z / (z + 1/(1 + 1/(z + 2/(1 + ...))))
+    tiny = 1e-300
+    f = tiny
+    c = f
+    d = 0.0
+    for i in range(1, 300):
+        if i == 1:
+            an, bn = 1.0, z
+        elif i % 2 == 0:
+            an, bn = (i // 2), 1.0
+        else:
+            an, bn = (i // 2), z
+        d = bn + an * d
+        d = tiny if d == 0.0 else d
+        c = bn + an / c
+        c = tiny if c == 0.0 else c
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return math.exp(-z) * f
+
+
+def tricomi_u_integral_mp(j: int, b, z):
+    """U(j; b; z) by mpmath quadrature of its defining Laplace integral.
+
+    U = Gamma(j)^-1 int_0^inf t^(j-1) (1+t)^(b-j-1) e^(-z t) dt, split at
+    t = 1, 1/z and 10/z; shares nothing with ``mpmath.hyperu``.  Runs at the
+    caller's working precision.
+    """
+    f = lambda t: t ** (j - 1) * (1 + t) ** (b - j - 1) * mp.exp(-z * t)
+    points = sorted({mp.mpf(1), 1 / z, 10 / z})
+    return mp.quad(f, [0, *points, mp.inf]) / mp.gamma(j)
+
+
 def expansion_cdf(expansion, gamma_bar):
     """CDF from a partial-fraction expansion (real poles), for KS tests."""
     terms = []

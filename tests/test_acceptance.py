@@ -22,10 +22,11 @@ from fbrate.crosscheck import (closed_form_grid, mc_grid, run_cross_check,
 from fbrate.mc import McConfig
 from fbrate.poles import reconstruction_error
 from fbrate.rate import effective_rate
-from fbrate.specfun import _exp1, gauss_laguerre, ln_gamma, tricomi_u_int_a
+from fbrate.specfun import gauss_laguerre, ln_gamma, tricomi_u_int_a
 
 from conftest import (FIG1_J_A2, FIG1_R_A2, J_RAYLEIGH, R_RAYLEIGH, fig1_params,
                       unit_eta_shadowed_j)
+from conftest import exp1 as _exp1
 
 
 def _report(n, ok, detail):

@@ -140,7 +140,7 @@ class TestClosedForm:
     def test_unit_exponent_identity(self):
         # A = 1 reduces every simple-pole term to A_i * z_i e^{z_i} E1(z_i);
         # checked against the exponential-integral oracle directly
-        from fbrate.specfun import _exp1
+        from conftest import exp1 as _exp1
 
         p = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=0.4, rho2=1.0, gamma_bar=2.0)
         d = derive(p)

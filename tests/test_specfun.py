@@ -6,9 +6,9 @@ import pytest
 from scipy.special import exp1 as scipy_exp1
 
 from fbrate import gauss_laguerre, ln_gamma, tricomi_u_int_a
-from fbrate.specfun import _RULE_CACHE, _exp1
+from fbrate.specfun import _RULE_CACHE
 
-from conftest import E1_AT_1, U_2_1_2, U_3_HALF_2
+from conftest import E1_AT_1, U_2_1_2, U_3_HALF_2, exp1 as _exp1
 
 
 class TestLnGamma:
