@@ -8,29 +8,29 @@ physical cluster channel.
 
 from .errors import (ClosedFormUnavailableError, ConvergenceError, FbrateError,
                      ParameterError)
-from .mc import ClusterGeometry, McConfig, McEstimate, estimate_er, geometry_from_params, sample_snr
-from .mgf import MgfPoint, log_mgf, mgf, mgf_mean_check
+from .mc import ClusterGeometry, McConfig, McEstimate, estimate_er, geometry_from_params
+from .mgf import MgfPoint, log_mgf, mgf
 from .model import (DEFAULT_M_LARGE, ChannelParams, DerivedParams, PRESET_NAMES,
                     derive, preset, resolve_shadowing, validate)
 from .poles import (PartialFractionExpansion, PoleSet, build_pole_set, decompose,
                     pdf, reconstruct, residues)
 from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
                    er_auto, expectation_closed_form, expectation_quadrature)
-from .specfun import QuadratureRule, gauss_laguerre, ln_gamma, tricomi_u_int_a
+from .specfun import ln_gamma, tricomi_u_int_a
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams", "DerivedParams", "MgfPoint", "PoleSet",
-    "PartialFractionExpansion", "QuadratureRule", "ErRequest", "ErResult",
+    "PartialFractionExpansion", "ErRequest", "ErResult",
     "ClusterGeometry", "McConfig", "McEstimate",
     "validate", "derive", "preset", "resolve_shadowing", "DEFAULT_M_LARGE",
-    "PRESET_NAMES", "mgf", "log_mgf", "mgf_mean_check",
+    "PRESET_NAMES", "mgf", "log_mgf",
     "build_pole_set", "residues", "decompose", "pdf", "reconstruct",
-    "ln_gamma", "tricomi_u_int_a", "gauss_laguerre",
+    "ln_gamma", "tricomi_u_int_a",
     "effective_rate", "expectation_quadrature", "expectation_closed_form",
     "er_auto", "closed_form_applies",
-    "geometry_from_params", "sample_snr", "estimate_er",
+    "geometry_from_params", "estimate_er",
     "FbrateError", "ParameterError", "ClosedFormUnavailableError",
     "ConvergenceError",
 ]

@@ -128,12 +128,6 @@ def _sample_block(geometry: ClusterGeometry, params: ChannelParams,
     return params.gamma_bar * w / geometry.normalization
 
 
-def sample_snr(geometry: ClusterGeometry, params: ChannelParams,
-               rng: np.random.Generator) -> float:
-    """Draw one SNR realization from the physical channel."""
-    return float(_sample_block(geometry, params, rng, 1)[0])
-
-
 def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
                 n_workers: int = 1) -> McEstimate:
     """Sample-mean estimate of J = E[(1+gamma)^-A] with its standard error.

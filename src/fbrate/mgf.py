@@ -48,15 +48,3 @@ def mgf(params: ChannelParams, derived: DerivedParams, s: float) -> MgfPoint:
         raise ValueError(f"transform argument must be >= 0, got {s!r}")
     lv = float(log_mgf(params, derived, s))
     return MgfPoint(s=float(s), value=math.exp(lv), log_value=lv)
-
-
-def mgf_mean_check(params: ChannelParams, derived: DerivedParams) -> float:
-    """Analytic -dM/ds at s = 0; algebra forces this to equal gamma_bar.
-
-    Useful as a self-consistency probe: any mismatch flags a bug in the
-    derived constants rather than a property of the parameters.
-    """
-    e_neg = params.mu / 2.0 - params.m  # -(m - mu/2)
-    return params.gamma_bar * (
-        e_neg * (1.0 + params.eta) / derived.omega_cap - params.m * derived.beta
-    )

@@ -72,14 +72,6 @@ class PartialFractionExpansion:
     terms: tuple[tuple[complex, int, tuple[complex, ...]], ...]
 
 
-def _as_int(x: float, what: str) -> int:
-    n = round(x)
-    if abs(x - n) > _INT_TOL:
-        raise ClosedFormUnavailableError(
-            f"{what} must be an integer for the closed form, got {x!r}")
-    return int(n)
-
-
 def _merge(points):
     """Sum multiplicities of points closer than the root-merge tolerance."""
     merged: list[list] = []
@@ -96,10 +88,12 @@ def _merge(points):
 def pole_exponents(params: ChannelParams) -> tuple[int, int]:
     """(mu/2, effective m): the integer exponents of the rational MGF.
 
-    Requires integer m and even integer mu, except that kappa = 0 removes the
-    LoS fluctuation from the MGF altogether (the m-dependent factors cancel
-    exactly), so only even integer mu is required there and m may be anything,
-    including the resolved no-fluctuation sentinel.
+    Requires a positive integer m and an even integer mu, except that
+    kappa = 0 removes the LoS fluctuation from the MGF altogether (the
+    m-dependent factors cancel exactly), so only even integer mu is required
+    there and m may be anything, including the resolved no-fluctuation
+    sentinel.  Raises :class:`ClosedFormUnavailableError` outside this regime,
+    which is the one test of whether the closed form applies.
     """
     mu_int = round(params.mu)
     if abs(params.mu - mu_int) > _INT_TOL or mu_int < 2 or mu_int % 2:
@@ -110,7 +104,10 @@ def pole_exponents(params: ChannelParams) -> tuple[int, int]:
         # The c-roots coincide with the omega points and every m cancels;
         # equivalent to m = mu/2, which zeroes the numerator exponents.
         return mu_half, mu_half
-    m_eff = _as_int(params.m, "m")
+    m_eff = round(params.m) if math.isfinite(params.m) else 0
+    if abs(params.m - m_eff) > _INT_TOL or m_eff < 1:
+        raise ClosedFormUnavailableError(
+            f"closed form requires a positive integer m, got {params.m!r}")
     if 2 * m_eff + 2 * mu_half > MAX_TOTAL_MULTIPLICITY:
         raise ClosedFormUnavailableError(
             f"total multiplicity 2*m + mu = {2 * m_eff + 2 * mu_half} exceeds "

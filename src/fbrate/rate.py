@@ -1,9 +1,9 @@
 """Effective rate: J = E[(1+gamma)^-A] and R = -log2(J)/A, by two exact routes.
 
 The quadrature route integrates the MGF against the weight s**(A-1) e**(-s)
-(generalized Gauss-Laguerre ladder, with a nested double-exponential rule in
-log s as the fallback for the high-SNR corners where the integrand develops a
-second scale at s ~ 1/gamma_bar; both stop at the caller's ``rel_tol``).
+with one nested double-exponential rule in log s, centred on the weight's
+peak; it resolves the second scale the integrand gains at s ~ 1/gamma_bar at
+high SNR and stops at the caller's ``rel_tol``.
 The closed-form route expands the rational MGF into partial fractions and
 pays one Tricomi-U evaluation per residue term.  Both compute the identical
 scalar; ``er_auto`` dispatches and cross-checks.
@@ -20,17 +20,13 @@ from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mgf import log_mgf
 from .model import (ChannelParams, DerivedParams, derive, resolve_shadowing,
                     validate, DEFAULT_M_LARGE)
-from .poles import (MAX_TOTAL_MULTIPLICITY, PartialFractionExpansion, _require_real,
-                    build_pole_set, residues)
-from .specfun import gauss_laguerre, ln_gamma, tricomi_u_int_a
+from .poles import (PartialFractionExpansion, _require_real, build_pole_set,
+                    pole_exponents, residues)
+from .specfun import ln_gamma, tricomi_u_int_a
 
 LN2 = math.log(2.0)
 
-#: Gauss-Laguerre order ladder; two successive orders agreeing within the
-#: requested tolerance ends the climb.
-ORDER_LADDER = (32, 64, 128, 256)
-
-#: Deepest level of the double-exponential fallback (step 2**-(DE_LEVELS+1)).
+#: Deepest level of the double-exponential rule (step 2**-(DE_LEVELS+1)).
 DE_LEVELS = 10
 _HALF_PI = 0.5 * math.pi
 
@@ -39,7 +35,6 @@ _HALF_PI = 0.5 * math.pi
 CROSS_REL_TOL = 1e-6
 
 _METHODS = ("auto", "quadrature", "closed_form", "monte_carlo")
-_INT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,30 +85,50 @@ def effective_rate(j: float, a_exponent: float) -> float:
     return -math.log2(j) / a_exponent
 
 
+def _log_peak(a: float) -> float:
+    """K = A ln A - A - ln Gamma(A), the log of the weight's peak s^A e^-s / Gamma(A).
+
+    Past A = 30 the two terms cancel to ~0.5 ln A, so K comes from the
+    Stirling remainder, whose first omitted term is under 1e-16 there.
+    """
+    if a < 30.0:
+        return a * math.log(a) - a - ln_gamma(a)
+    r = 1.0 / (a * a)
+    return (0.5 * math.log(a / (2.0 * math.pi))
+            - (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a)
+
+
 def _adaptive_quadrature(params: ChannelParams, derived: DerivedParams,
                          a_exponent: float, rel_tol: float) -> tuple[float, float, int]:
     """Nested exp-sinh trapezoid rule for s^(A-1) e^-s M(s) / Gamma(A).
 
-    With x = ln s = (pi/2) sinh t the integrand decays double-exponentially
-    in t at both ends, and the two scales s ~ 1/gamma_bar and s ~ A become
-    smooth bumps that the trapezoid rule resolves at geometric speed.  Each
-    level halves the step from h = 1/2, reuses the previous sum and samples
-    the log integrand with one vectorized ``log_mgf`` call.  The x-window
-    drops under 1e-19 of J: the mass below x_lo is at most
-    e^(-45-5A)/Gamma(A+1) of J by the Jensen bound J >= (1+gamma_bar)^-A, and
-    the mass above s = 60 + 2A at most Q(A, s)/P(A, A) of J, since M(s)
-    decreases.
+    With x = ln s = c + w (pi/2) sinh t the integrand decays double-
+    exponentially in t at both ends, and the two scales s ~ 1/gamma_bar and
+    s ~ A become smooth bumps that the trapezoid rule resolves at geometric
+    speed.  For A > 1 the map is centred on the weight's peak, c = ln A, and
+    narrowed to its width, w = min(1, 2/sqrt(A)); for A <= 1, c = 0 and
+    w = 1.  The log integrand is written about the peak,
+    A (y - expm1 y) + K with y = x - ln A (see :func:`_log_peak`), so that
+    nothing of size A ln A cancels at large A.  Each level halves the step
+    from h = 1/2, reuses the previous sum and samples the log integrand with
+    one vectorized ``log_mgf`` call.  The x-window drops under 1e-19 of J:
+    the mass below x_lo is at most e^(-45-5A)/Gamma(A+1) of J by the Jensen
+    bound J >= (1+gamma_bar)^-A, and the mass above s = 60 + 2A at most
+    Q(A, s)/P(A, A) of J, since M(s) decreases.
 
     Returns (value, relative difference of the last two levels, level) once
     that difference is within ``rel_tol``; raises :class:`ConvergenceError`
     otherwise.
     """
     a = a_exponent
-    lg = ln_gamma(a)
+    log_a = math.log(a)
+    c = max(log_a, 0.0)
+    scale = min(1.0, 2.0 / math.sqrt(a)) * _HALF_PI
+    log_peak = _log_peak(a)
     x_lo = -45.0 / a - 5.0 - math.log1p(params.gamma_bar)
     x_hi = math.log(60.0 + 2.0 * a)
-    t_lo = math.asinh(x_lo / _HALF_PI)
-    t_hi = math.asinh(x_hi / _HALF_PI)
+    t_lo = math.asinh((x_lo - c) / scale)
+    t_hi = math.asinh((x_hi - c) / scale)
 
     def node_sum(h: float, step: int) -> float:
         # integrand summed over t = k*h in the window; step 2 keeps the odd k,
@@ -122,10 +137,11 @@ def _adaptive_quadrature(params: ChannelParams, derived: DerivedParams,
         if step == 2:
             k0 |= 1
         t = h * np.arange(k0, math.floor(t_hi / h) + 1, step)
-        x = _HALF_PI * np.sinh(t)
-        s = np.exp(x)
-        log_f = (a * x - s + log_mgf(params, derived, s) - lg
-                 + np.log(_HALF_PI * np.cosh(t)))
+        u = scale * np.sinh(t)
+        y = u + (c - log_a)
+        log_f = (a * (y - np.expm1(y)) + log_peak
+                 + log_mgf(params, derived, np.exp(c + u))
+                 + np.log(scale * np.cosh(t)))
         return float(np.sum(np.exp(log_f)))
 
     h = 0.5
@@ -151,35 +167,17 @@ def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
                            diagnostics: list | None = None) -> tuple[float, float]:
     """J by the MGF integral; returns (value, relative error estimate).
 
-    Climbs the Gauss-Laguerre order ladder with alpha = A - 1 (the monomial
-    times exponential is the rule's weight, so only the MGF is sampled, in
-    log space) until two successive orders agree within ``rel_tol``.  When the
-    ladder stalls (high mean SNR, where the integrand gains a second scale at
-    s ~ 1/gamma_bar) it falls back to a nested double-exponential rule in
-    log s, which also stops once two levels agree within ``rel_tol`` and
-    raises :class:`ConvergenceError` if none do; the fallback and the level
-    it reached are recorded in diagnostics.  Either way the error estimate is
-    the last difference between successive results.
+    Runs the nested double-exponential rule in log s
+    (:func:`_adaptive_quadrature`), which stops once two levels agree within
+    ``rel_tol`` and raises :class:`ConvergenceError` if none do.  The error
+    estimate is that last difference; the level reached is recorded in
+    diagnostics as ``quadrature_level``.
     """
     if a_exponent <= 0:
         raise ValueError(f"A must be > 0, got {a_exponent!r}")
-    prev = None
-    best_diff = math.inf
-    for order in ORDER_LADDER:
-        rule = gauss_laguerre(order, a_exponent - 1.0)
-        value = float(np.sum(rule.normalized_weights
-                             * np.exp(log_mgf(params, derived, rule.nodes))))
-        if prev is not None and value > 0.0:
-            diff = abs(value - prev) / value
-            best_diff = min(best_diff, diff)
-            if diff <= rel_tol:
-                return value, diff
-        prev = value
     value, err, level = _adaptive_quadrature(params, derived, a_exponent, rel_tol)
     if diagnostics is not None:
-        diagnostics.append(("quadrature_fallback",
-                            f"order ladder stalled at rel diff {best_diff:.2e}; "
-                            f"double-exponential rule converged at level {level}"))
+        diagnostics.append(("quadrature_level", str(level)))
     return value, err
 
 
@@ -244,17 +242,13 @@ def _closed_form(params: ChannelParams, derived: DerivedParams, a_exponent: floa
     return expectation_closed_form(params, derived, expansion, a_exponent, diagnostics)
 
 
-def closed_form_applies(params: ChannelParams, tol: float = _INT_TOL) -> bool:
+def closed_form_applies(params: ChannelParams) -> bool:
     """True when the pole/residue route exists for these parameters."""
-    mu = params.mu
-    if abs(mu - round(mu)) > tol or round(mu) <= 0 or round(mu) % 2:
+    try:
+        pole_exponents(params)
+    except ClosedFormUnavailableError:
         return False
-    if params.kappa == 0.0:
-        return True
-    m = params.m
-    if not math.isfinite(m) or abs(m - round(m)) > tol or round(m) <= 0:
-        return False
-    return 2 * round(m) + round(mu) <= MAX_TOTAL_MULTIPLICITY
+    return True
 
 
 def er_auto(request: ErRequest, mc_config=None,

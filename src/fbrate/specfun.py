@@ -1,103 +1,19 @@
-"""Special functions and quadrature rules backing the rate computation.
+"""Special functions backing the rate computation.
 
-Provides log-gamma, the Tricomi confluent hypergeometric function U(a; b; z)
-for positive integer a, and generalized Gauss-Laguerre rules (weight
-``s**alpha * exp(-s)`` on [0, inf)).
+Provides log-gamma and the Tricomi confluent hypergeometric function
+U(a; b; z) for positive integer a.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError
 
 ln_gamma = math.lgamma  # C library lgamma: relative error well under 1e-14 for x > 0
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes/weights for integrating f(s) * s**alpha * exp(-s) over [0, inf).
-
-    ``weights`` carry the full weight-function mass (they sum to
-    Gamma(alpha + 1)); ``normalized_weights`` sum to one and are what the
-    rate pipeline uses so that large alpha never overflows.
-    """
-
-    order: int
-    alpha_exponent: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    normalized_weights: np.ndarray
-
-    def integrate(self, f) -> float:
-        """Integral of f against the full weight s**alpha * exp(-s)."""
-        return float(np.sum(self.weights * f(self.nodes)))
-
-
-_RULE_CACHE: dict[tuple[int, float], QuadratureRule] = {}
-_RULE_LOCK = threading.Lock()
-
-
-def gauss_laguerre(order: int, alpha: float) -> QuadratureRule:
-    """Generalized Gauss-Laguerre rule (Golub-Welsch with Newton refinement).
-
-    For moderate alpha the nodes and weights come from the classical
-    Jacobi-matrix eigenproblem with Newton polishing (scipy's generalized
-    Laguerre roots); for alpha large enough that Gamma(alpha + 1) is not
-    representable, the symmetric tridiagonal eigen-decomposition is used
-    directly and only unit-mass weights are kept finite.  Rules are cached
-    (thread-safe) since the rate engine requests the same (order, alpha)
-    ladder repeatedly.
-    """
-    if not 1 <= order <= 512:
-        raise ValueError(f"order must be in [1, 512], got {order!r}")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha!r}")
-
-    key = (int(order), float(alpha))
-    with _RULE_LOCK:
-        rule = _RULE_CACHE.get(key)
-    if rule is not None:
-        return rule
-
-    log_mass = ln_gamma(alpha + 1.0)
-    if alpha <= 150.0:
-        from scipy.special import roots_genlaguerre
-
-        nodes, weights = roots_genlaguerre(order, alpha)
-        nodes = np.asarray(nodes, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        normalized = weights / weights.sum()
-    else:
-        # weights would overflow; build unit-mass weights from the squared
-        # first eigenvector components of the Jacobi matrix
-        k = np.arange(order, dtype=float)
-        diag = 2.0 * k + alpha + 1.0
-        off = np.sqrt(k[1:] * (k[1:] + alpha))
-        try:
-            nodes, vecs = eigh_tridiagonal(diag, off)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise ConvergenceError(
-                f"node finding failed for order={order}, alpha={alpha}") from exc
-        normalized = vecs[0] ** 2
-        normalized = normalized / normalized.sum()
-        weights = normalized * (math.exp(log_mass) if log_mass < 709.0 else math.inf)
-
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    normalized.setflags(write=False)
-    rule = QuadratureRule(order=int(order), alpha_exponent=float(alpha),
-                          nodes=nodes, weights=weights, normalized_weights=normalized)
-    with _RULE_LOCK:
-        _RULE_CACHE.setdefault(key, rule)
-    return rule
 
 
 # --- Tricomi U for positive integer first argument ---------------------------

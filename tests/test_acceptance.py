@@ -22,10 +22,10 @@ from fbrate.crosscheck import (closed_form_grid, mc_grid, run_cross_check,
 from fbrate.mc import McConfig
 from fbrate.poles import reconstruction_error
 from fbrate.rate import effective_rate
-from fbrate.specfun import gauss_laguerre, ln_gamma, tricomi_u_int_a
+from fbrate.specfun import tricomi_u_int_a
 
 from conftest import (FIG1_J_A2, FIG1_R_A2, J_RAYLEIGH, R_RAYLEIGH, fig1_params,
-                      unit_eta_shadowed_j)
+                      rayleigh_j, unit_eta_shadowed_j)
 from conftest import exp1 as _exp1
 
 
@@ -218,17 +218,13 @@ def test_criterion_8_special_function_suite():
                   epsabs=1e-14, epsrel=1e-12)[0]
     checks.append(("U(1;2-A;z) bridge integral",
                    abs(tricomi_u_int_a(1, 0.3, 0.8) - bridge) <= 1e-9 * bridge))
-    # Gauss-Laguerre moment and exactness checks
-    rule = gauss_laguerre(64, 1.5)
-    gamma_25 = math.exp(ln_gamma(2.5))
-    checks.append(("order-64 alpha=1.5 mass = Gamma(2.5)",
-                   abs(rule.weights.sum() - gamma_25) <= 1e-12 * gamma_25))
-    rule8 = gauss_laguerre(8, 0.7)
-    exact_ok = all(
-        abs(rule8.integrate(lambda s, d=d: s**d) - math.exp(ln_gamma(0.7 + d + 1)))
-        <= 1e-12 * math.exp(ln_gamma(0.7 + d + 1))
-        for d in range(10))
-    checks.append(("order-8 polynomial exactness deg 0..9", exact_ok))
+    # quadrature rule against the exact Rayleigh expectation z e^z E_A(z)
+    for a, gbar in ((0.05, 1e8), (20.0, 1.0), (1e5, 1e-3)):
+        p = ChannelParams(mu=1.0, m=0.5, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=gbar)
+        j, err = expectation_quadrature(p, derive(p), a, 1e-12)
+        exact = rayleigh_j(gbar, a)
+        checks.append((f"quadrature A={a:g} gbar={gbar:g} vs exact Rayleigh",
+                       abs(j - exact) <= 1e-12 * exact and err <= 1e-12))
     ok = all(flag for _, flag in checks)
     _report(8, ok, "; ".join(f"{name}: {'ok' if flag else 'FAIL'}"
                              for name, flag in checks))

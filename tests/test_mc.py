@@ -5,10 +5,10 @@ import pytest
 
 from fbrate import (ChannelParams, McConfig, ParameterError, decompose, derive,
                     estimate_er, expectation_quadrature, geometry_from_params,
-                    mgf, preset, resolve_shadowing, sample_snr)
+                    mgf, preset, resolve_shadowing)
 from fbrate.mc import _chunk_rng, _sample_block
 
-from conftest import J_RAYLEIGH, expansion_cdf, fig1_params, ks_distance
+from conftest import J_RAYLEIGH, expansion_cdf, fig1_params, ks_distance, sample_snr
 
 KS_CRIT_1PCT = 1.6276  # asymptotic two-sided 1% critical coefficient / sqrt(n)
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fbrate import ChannelParams, derive, log_mgf, mgf, mgf_mean_check, preset, resolve_shadowing
+from fbrate import ChannelParams, derive, log_mgf, mgf, preset, resolve_shadowing
 
-from conftest import (FIG1_MGF_AT_1, cluster_model_mgf, fig1_params,
+from conftest import (FIG1_MGF_AT_1, cluster_model_mgf, fig1_params, mgf_mean_check,
                       random_valid_params, unit_eta_shadowed_mgf)
 
 

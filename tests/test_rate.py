@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbrate.rate
+from fbrate.poles import pole_exponents
+from fbrate.rate import DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
                     ErRequest, ParameterError, closed_form_applies, decompose,
                     derive, effective_rate, er_auto, expectation_closed_form,
@@ -14,7 +16,7 @@ from conftest import (FIG1_J_A2, FIG1_J_MU1, FIG1_J_MU4, FIG1_R_A2, FIG1_R_MU1,
                       FIG1_R_MU4, FIG2_J_BY_M, HIGH_MULT, HIGH_MULT_J,
                       J_MERGED_G3_A05, J_NAKAGAMI_MU2, J_RAYLEIGH,
                       J_RAYLEIGH_G2_A1, R_RAYLEIGH, cluster_model_j, fig1_params,
-                      unit_eta_shadowed_j)
+                      rayleigh_j, unit_eta_shadowed_j)
 
 
 class TestEffectiveRate:
@@ -64,7 +66,8 @@ class TestQuadrature:
         p = fig1_params(gamma_bar=1000.0)
         diagnostics = []
         j, err = expectation_quadrature(p, derive(p), 2.0, 1e-8, diagnostics)
-        assert diagnostics and diagnostics[0][0] == "quadrature_fallback"
+        assert diagnostics and diagnostics[0][0] == "quadrature_level"
+        assert 1 <= int(diagnostics[0][1]) <= DE_LEVELS
         # cross-check against the closed form, which is fully independent here
         j_closed = expectation_closed_form(p, derive(p), decompose(p, derive(p)), 2.0)
         assert j == pytest.approx(j_closed, rel=1e-8)
@@ -84,8 +87,8 @@ class TestQuadrature:
                                   gamma_bar=10.0 ** (snr_db / 10.0))
                 diagnostics = []
                 j, err = expectation_quadrature(p, derive(p), a, 1e-10, diagnostics)
-                assert diagnostics and diagnostics[0][0] == "quadrature_fallback"
-                assert "level" in diagnostics[0][1]
+                assert diagnostics and diagnostics[0][0] == "quadrature_level"
+                assert 1 <= int(diagnostics[0][1]) <= DE_LEVELS
                 assert err <= 1e-10
                 assert j == pytest.approx(cluster_model_j(p, a), rel=1e-10, abs=0.0)
 
@@ -96,7 +99,8 @@ class TestQuadrature:
         p = ChannelParams(mu=mu, m=40.0, gamma_bar=10.0 ** 4.2, **HIGH_MULT)
         diagnostics = []
         j, _ = expectation_quadrature(p, derive(p), 20.0, 1e-10, diagnostics)
-        assert diagnostics and diagnostics[0][0] == "quadrature_fallback"
+        assert diagnostics and diagnostics[0][0] == "quadrature_level"
+        assert 1 <= int(diagnostics[0][1]) <= DE_LEVELS
         assert j == pytest.approx(cluster_model_j(p, 20.0), rel=1e-10, abs=0.0)
 
     def test_fallback_honours_rel_tol(self):
@@ -108,6 +112,17 @@ class TestQuadrature:
         assert loose[2] < tight[2]
         assert loose[1] <= 1e-4 and tight[1] <= 1e-12
         assert loose[0] == pytest.approx(tight[0], rel=1e-4, abs=0.0)
+
+    @pytest.mark.parametrize("a", [1e-6, 0.05, 2.0, 20.0, 1000.0, 1e5])
+    @pytest.mark.parametrize("gamma_bar", [1e-3, 1.0, 1e4, 1e8])
+    def test_exact_rayleigh(self, a, gamma_bar):
+        # mu=1, eta=1, kappa=0 with m=mu/2 is exactly M(s) = 1/(1+gamma_bar s);
+        # the peak-centred map and the Stirling form of K carry A up to 1e5
+        p = ChannelParams(mu=1.0, m=0.5, kappa=0.0, eta=1.0, rho2=1.0,
+                          gamma_bar=gamma_bar)
+        j, err = expectation_quadrature(p, derive(p), a, 1e-12)
+        assert err <= 1e-12
+        assert j == pytest.approx(rayleigh_j(gamma_bar, a), rel=1e-12, abs=0.0)
 
     def test_fallback_nan_integrand_raises(self, monkeypatch):
         monkeypatch.setattr(fbrate.rate, "log_mgf",
@@ -166,7 +181,7 @@ class TestClosedForm:
         j_closed = expectation_closed_form(p, d, decompose(p, d), 5.0, diagnostics)
         assert diagnostics and diagnostics[0][0] == "closed_form_extended_precision"
         j_quad, _ = expectation_quadrature(p, d, 5.0, 1e-10)
-        assert j_closed == pytest.approx(j_quad, rel=1e-8)
+        assert j_closed == pytest.approx(j_quad, rel=1e-8, abs=0.0)
         assert j_closed < 1e-11  # deep in the cancellation regime
 
 
@@ -235,6 +250,20 @@ class TestDispatch:
                                                      eta=0.3, rho2=1.0))
         assert not closed_form_applies(ChannelParams(mu=2.0, m=400.0, kappa=1.0,
                                                      eta=0.3, rho2=1.0))
+
+    def test_closed_form_rejects_infinite_m_with_los(self):
+        # the sentinel must be resolved first; before that it is no integer
+        p = ChannelParams(mu=2.0, m=math.inf, kappa=1.0, eta=0.5, rho2=1.0)
+        with pytest.raises(ClosedFormUnavailableError, match="m"):
+            pole_exponents(p)
+        assert not closed_form_applies(p)
+
+    def test_closed_form_rejects_m_rounding_below_one(self):
+        # m = 1e-10 is within the integer tolerance of 0, which has no poles
+        p = ChannelParams(mu=2.0, m=1e-10, kappa=1.0, eta=0.5, rho2=1.0)
+        assert not closed_form_applies(p)
+        with pytest.raises(ClosedFormUnavailableError, match="m"):
+            er_auto(ErRequest(params=p, a_exponent=2.0, method="closed_form"))
 
     def test_request_validation(self):
         with pytest.raises(ParameterError):

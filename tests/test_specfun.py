@@ -1,12 +1,10 @@
 import math
-import threading
 
 import numpy as np
 import pytest
 from scipy.special import exp1 as scipy_exp1
 
-from fbrate import gauss_laguerre, ln_gamma, tricomi_u_int_a
-from fbrate.specfun import _RULE_CACHE
+from fbrate import ln_gamma, tricomi_u_int_a
 
 from conftest import E1_AT_1, U_2_1_2, U_3_HALF_2, exp1 as _exp1
 
@@ -88,82 +86,3 @@ class TestTricomiU:
                 tight = tricomi_u_int_a(j, b, z, rel_tol=1e-12)
                 assert loose == pytest.approx(tight, rel=1e-9)
 
-
-class TestGaussLaguerre:
-    def test_order_one_plain(self):
-        rule = gauss_laguerre(1, 0.0)
-        np.testing.assert_allclose(rule.nodes, [1.0], rtol=1e-14)
-        np.testing.assert_allclose(rule.weights, [1.0], rtol=1e-14)
-
-    def test_order_two_closed_form(self):
-        rule = gauss_laguerre(2, 0.0)
-        np.testing.assert_allclose(rule.nodes, [2.0 - math.sqrt(2.0), 2.0 + math.sqrt(2.0)],
-                                   rtol=1e-14)
-        np.testing.assert_allclose(rule.weights,
-                                   [(2.0 + math.sqrt(2.0)) / 4.0, (2.0 - math.sqrt(2.0)) / 4.0],
-                                   rtol=1e-13)
-
-    def test_moment_identity_generalized(self):
-        rule = gauss_laguerre(64, 1.5)
-        assert rule.weights.sum() == pytest.approx(math.exp(ln_gamma(2.5)), rel=1e-13)
-        assert rule.normalized_weights.sum() == pytest.approx(1.0, rel=1e-14)
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, 4.0])
-    def test_first_two_moments(self, alpha):
-        rule = gauss_laguerre(16, alpha)
-        g1 = math.exp(ln_gamma(alpha + 1.0))
-        assert rule.integrate(lambda s: np.ones_like(s)) == pytest.approx(g1, rel=1e-12)
-        assert rule.integrate(lambda s: s) == pytest.approx(g1 * (alpha + 1.0), rel=1e-12)
-
-    @pytest.mark.parametrize("degree", range(10))
-    def test_polynomial_exactness_order8(self, degree):
-        # an order-n rule is exact through degree 2n-1 = 15 >= 9
-        alpha = 0.7
-        rule = gauss_laguerre(8, alpha)
-        exact = math.exp(ln_gamma(alpha + degree + 1.0))
-        assert rule.integrate(lambda s: s**degree) == pytest.approx(exact, rel=1e-12)
-
-    def test_nodes_increasing_positive(self):
-        rule = gauss_laguerre(128, 0.25)
-        assert np.all(rule.nodes > 0)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all(rule.weights > 0)
-
-    def test_extreme_order_weights_representable_part(self):
-        # at order 256 the smallest true weights sit below the double floor
-        # (~e^-1000) and underflow to zero; everything representable is positive
-        rule = gauss_laguerre(256, 0.0)
-        assert np.all(rule.weights >= 0)
-        assert rule.weights.sum() == pytest.approx(1.0, rel=1e-13)
-
-    def test_large_alpha_normalized_only(self):
-        rule = gauss_laguerre(32, 200.0)
-        assert np.all(np.isinf(rule.weights))  # full mass not representable
-        assert rule.normalized_weights.sum() == pytest.approx(1.0, rel=1e-13)
-        # first normalized moment: integral of s equals alpha + 1 in unit mass
-        assert float(rule.normalized_weights @ rule.nodes) == pytest.approx(
-            201.0, rel=1e-12)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            gauss_laguerre(0, 0.0)
-        with pytest.raises(ValueError):
-            gauss_laguerre(600, 0.0)
-        with pytest.raises(ValueError):
-            gauss_laguerre(8, -1.0)
-
-    def test_cache_is_thread_safe_and_stable(self):
-        _RULE_CACHE.clear()
-        results = []
-
-        def worker():
-            results.append(gauss_laguerre(96, 0.33))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        first = results[0]
-        assert all(r is first or np.array_equal(r.nodes, first.nodes) for r in results)
-        assert gauss_laguerre(96, 0.33) is _RULE_CACHE[(96, 0.33)]
