@@ -10,10 +10,8 @@ from .errors import (ClosedFormUnavailableError, ConvergenceError, FbrateError,
                      ParameterError)
 from .mc import ClusterGeometry, McConfig, McEstimate, estimate_er, geometry_from_params
 from .mgf import MgfPoint, log_mgf, mgf
-from .model import (DEFAULT_M_LARGE, ChannelParams, DerivedParams, PRESET_NAMES,
-                    derive, preset, resolve_shadowing, validate)
-from .poles import (PartialFractionExpansion, PoleSet, build_pole_set, decompose,
-                    pdf, reconstruct, residues)
+from .model import ChannelParams, DerivedParams, PRESET_NAMES, derive, preset, validate
+from .poles import PartialFractionExpansion, PoleSet, build_pole_set, decompose, pdf
 from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
                    er_auto, expectation_closed_form, expectation_quadrature)
 from .specfun import ln_gamma, tricomi_u_int_a
@@ -24,9 +22,8 @@ __all__ = [
     "ChannelParams", "DerivedParams", "MgfPoint", "PoleSet",
     "PartialFractionExpansion", "ErRequest", "ErResult",
     "ClusterGeometry", "McConfig", "McEstimate",
-    "validate", "derive", "preset", "resolve_shadowing", "DEFAULT_M_LARGE",
-    "PRESET_NAMES", "mgf", "log_mgf",
-    "build_pole_set", "residues", "decompose", "pdf", "reconstruct",
+    "validate", "derive", "preset", "PRESET_NAMES", "mgf", "log_mgf",
+    "build_pole_set", "decompose", "pdf",
     "ln_gamma", "tricomi_u_int_a",
     "effective_rate", "expectation_quadrature", "expectation_closed_form",
     "er_auto", "closed_form_applies",

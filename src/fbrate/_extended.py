@@ -5,9 +5,9 @@ expectation sum cancel down by many orders of magnitude (the residues encode
 the vanishing of the density and its derivatives at zero), so no double
 precision evaluation of the sum can reach the cross-engine target no matter
 how accurately each Tricomi-U value is computed.  This module recomputes the
-derived constants in mpmath, runs them through the same pole and residue code
-as the double-precision path (it is written over any scalar type), and sums
-the terms with U from ``mpmath.hyperu``, all at 30 digits.
+derived constants in mpmath and runs them through the same constant, pole and
+residue code as the double-precision path (it is written over any scalar
+type), and sums the terms with U from ``mpmath.hyperu``, all at 30 digits.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import mpmath as mp
 
 from .errors import ConvergenceError
-from .model import ChannelParams
+from .model import ChannelParams, channel_constants
 from .poles import partial_fractions, pole_exponents, pole_structure
 
 #: Working precision: enough to absorb the worst observed conditioning
@@ -32,16 +32,12 @@ def expectation_closed_form_mp(params: ChannelParams, a_exponent: float) -> floa
     :class:`ConvergenceError` when an mpmath U evaluation does not converge.
     """
     with mp.workdps(_DPS):
-        mu, m, kappa, eta, rho2 = (mp.mpf(x) for x in (
-            params.mu, params.m, params.kappa, params.eta, params.rho2))
-        omega = mu * (1 + eta) * (1 + kappa) / 2
-        alpha1 = eta / omega**2
-        if kappa > 0:
-            alpha1 += kappa * (rho2 + eta) / (m * omega * (1 + rho2) * (1 + kappa))
-        beta = -(2 / mu + kappa / m) / (1 + kappa)
-        root_q = (-beta + mp.sqrt(beta * beta - 4 * alpha1)) / 2
+        eta = mp.mpf(params.eta)
+        omega, _, _, _, c1, c2 = channel_constants(
+            mp.mpf(params.mu), mp.mpf(params.m), mp.mpf(params.kappa), eta,
+            mp.mpf(params.rho2), lib=mp)
         expansion = partial_fractions(pole_structure(
-            root_q / alpha1, 1 / root_q, omega, eta, *pole_exponents(params)))
+            c1, c2, omega, eta, *pole_exponents(params)))
 
         gbar = mp.mpf(params.gamma_bar)
         a_exp = mp.mpf(a_exponent)

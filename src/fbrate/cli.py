@@ -23,9 +23,8 @@ from .crosscheck import (CROSS_REL_TOL, MC_Z_LIMIT, closed_form_grid, db_to_line
 from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mc import McConfig
 from .mgf import mgf
-from .model import (DEFAULT_M_LARGE, ChannelParams, PRESET_NAMES, derive, preset,
-                    resolve_shadowing, validate)
-from .poles import build_pole_set, pdf, residues
+from .model import ChannelParams, PRESET_NAMES, derive, preset, validate
+from .poles import decompose, pdf
 from .rate import LN2, ErRequest, er_auto
 
 SEED_ENV_VAR = "FBRATE_SEED"
@@ -82,8 +81,6 @@ def _add_channel_flags(p: argparse.ArgumentParser):
     p.add_argument("--kappa", type=float, help="LoS-to-scatter power ratio")
     p.add_argument("--eta", type=float, help="in-phase/quadrature scatter variance ratio")
     p.add_argument("--rho2", type=float, help="in-phase/quadrature LoS power ratio")
-    p.add_argument("--m-large", type=float, default=DEFAULT_M_LARGE,
-                   help="finite stand-in for m=inf (default %(default)g)")
 
 
 def _build_params(args, gamma_bar: float) -> ChannelParams:
@@ -147,7 +144,7 @@ def cmd_er(args) -> int:
                 validate(params)
             request = ErRequest(params=params, a_exponent=a, method=method,
                                 rel_tol=args.rel_tol)
-            result = er_auto(request, mc_config=mc_config, m_large=args.m_large)
+            result = er_auto(request, mc_config=mc_config)
             rows.append((float(snr_db), "" if vary is None else vary,
                          result.rate, result.expectation_j, result.method_used,
                          result.error_estimate))
@@ -157,7 +154,7 @@ def cmd_er(args) -> int:
 
 
 def cmd_mgf(args) -> int:
-    params = resolve_shadowing(_build_params(args, args.gamma_bar), args.m_large)
+    params = _build_params(args, args.gamma_bar)
     derived = derive(params)
     grid = _parse_grid(args.s, "--s")
     rows = [(float(s), mgf(params, derived, float(s)).value) for s in grid]
@@ -166,11 +163,10 @@ def cmd_mgf(args) -> int:
 
 
 def cmd_pdf(args) -> int:
-    params = resolve_shadowing(_build_params(args, args.gamma_bar), args.m_large)
+    params = _build_params(args, args.gamma_bar)
     derived = derive(params)
-    expansion = residues(params, derived, build_pole_set(params, derived))
     grid = _parse_grid(args.gamma, "--gamma")
-    values = pdf(params, derived, expansion, grid)
+    values = pdf(params, derived, decompose(params, derived), grid)
     rows = list(zip((float(x) for x in grid), (float(v) for v in values)))
     _emit(rows, ("x", "value"), args.format)
     return 0

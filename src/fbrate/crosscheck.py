@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .mc import McConfig, estimate_er
-from .model import ChannelParams, derive, preset, resolve_shadowing
-from .poles import build_pole_set, residues
+from .model import ChannelParams, derive, preset
+from .poles import decompose
 from .rate import CROSS_REL_TOL, expectation_closed_form, expectation_quadrature
 
 MC_Z_LIMIT = 4.0
@@ -74,8 +74,7 @@ def run_cross_check(grid=None, rel_tol: float = 1e-8) -> CrossCheckReport:
     max_diff = 0.0
     for params, a in grid:
         derived = derive(params)
-        expansion = residues(params, derived, build_pole_set(params, derived))
-        j_closed = expectation_closed_form(params, derived, expansion, a)
+        j_closed = expectation_closed_form(params, derived, decompose(params, derived), a)
         j_quad, _ = expectation_quadrature(params, derived, a, rel_tol)
         diff = abs(j_quad - j_closed) / j_closed
         if diff > max_diff:
@@ -164,9 +163,8 @@ def run_mc_check(grid=None, n_samples: int = 1_000_000, seed: int = 42,
     config = McConfig(n_samples=n_samples, seed=seed)
     results = []
     for params, a in grid:
-        resolved = resolve_shadowing(params)
-        j_quad, _ = expectation_quadrature(resolved, derive(resolved), a)
-        estimate = estimate_er(resolved, a, config, n_workers=n_workers)
+        j_quad, _ = expectation_quadrature(params, derive(params), a)
+        estimate = estimate_er(params, a, config, n_workers=n_workers)
         results.append(McCheckResult(params=params, a_exponent=a, j_quad=j_quad,
                                      j_hat=estimate.j_hat,
                                      j_stderr=estimate.j_stderr))

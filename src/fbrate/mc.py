@@ -4,8 +4,8 @@ The channel is built from its cluster geometry: each of the mu clusters
 contributes an in-phase Gaussian (variance sigma_x2, mean sqrt(xi) * p_i) and
 a quadrature Gaussian (variance sigma_y2, mean sqrt(xi) * q_i), where a
 single unit-mean gamma variate xi with shape m modulates the whole LoS field
-per realization.  The received power is normalized by its mean so that the
-sampled SNR averages gamma_bar.
+per realization (xi = 1 at m = inf).  The received power is normalized by its
+mean so that the sampled SNR averages gamma_bar.
 
 Determinism: samples are generated in fixed-size chunks, each from its own
 counter-based Philox stream keyed by (seed, chunk index), and per-chunk
@@ -116,8 +116,10 @@ def _sample_block(geometry: ClusterGeometry, params: ChannelParams,
                   rng: np.random.Generator, n: int) -> np.ndarray:
     """n SNR realizations as an ndarray (vectorized across clusters)."""
     m = params.m
-    xi = rng.gamma(shape=m, scale=1.0 / m, size=n)
-    root_xi = np.sqrt(xi)
+    if math.isinf(m):
+        root_xi = 1.0  # no LoS fluctuation: xi = 1 exactly, no gamma draws
+    else:
+        root_xi = np.sqrt(rng.gamma(shape=m, scale=1.0 / m, size=n))
     sx = math.sqrt(geometry.sigma_x2)
     sy = math.sqrt(geometry.sigma_y2)
     w = np.zeros(n)
@@ -137,8 +139,6 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
     does not depend on ``n_workers``.
     """
     validate(params)
-    if not math.isfinite(params.m):
-        raise ParameterError("resolve the infinite-m sentinel before sampling")
     if not a_exponent > 0:
         raise ParameterError(f"A must be > 0, got {a_exponent!r}")
     geometry = geometry_from_params(params)

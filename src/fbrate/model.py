@@ -4,7 +4,7 @@ The fading model is parameterized by five shape parameters plus the mean SNR:
 
 * ``mu``      -- number of multipath clusters (real-valued extension allowed),
 * ``m``       -- severity of the gamma fluctuation of the LoS power
-  (``math.inf`` is accepted as a sentinel for the non-fluctuating limit),
+  (``math.inf`` is the exact non-fluctuating limit),
 * ``kappa``   -- total LoS power over total scattered power,
 * ``eta``     -- in-phase over quadrature scattered variance ratio,
 * ``rho2``    -- in-phase over quadrature LoS power ratio,
@@ -12,22 +12,17 @@ The fading model is parameterized by five shape parameters plus the mean SNR:
 
 Everything the MGF needs beyond the raw parameters (the power normalization
 ``omega_cap``, the quadratic coefficients ``alpha1``/``beta`` and its roots
-``c1``/``c2``) is computed once by :func:`derive` and carried around in an
-immutable :class:`DerivedParams`.
+``c1``/``c2``) is computed once by :func:`channel_constants`, in real
+arithmetic over any scalar type, and carried around in an immutable
+:class:`DerivedParams`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParameterError
-
-#: Default finite stand-in for ``m = inf``.  Relative error of MGF/rate
-#: results versus the true limit scales like 1/m; 1e4 keeps it below ~1e-4,
-#: and the test suite checks 1e4 vs 2e4 agreement.
-DEFAULT_M_LARGE = 1.0e4
 
 #: Roots (and pole candidates) closer than this, relatively, are treated as
 #: one higher-multiplicity point.  Exact degeneracies (eta = 1, kappa = 0)
@@ -52,25 +47,25 @@ class DerivedParams:
     """Constants derived from :class:`ChannelParams` for MGF evaluation.
 
     ``c1`` and ``c2`` are the roots of ``alpha1 * z**2 + beta * z + 1``,
-    ordered so that ``|c1| >= |c2|``.  They are stored as complex for a
-    single code path, but for every valid parameter set the discriminant
-    is provably nonnegative, so both roots are real and positive.
+    ordered so that ``c1 >= c2 > 0``.  The discriminant ``beta**2 - 4*alpha1``
+    is a sum of squares (see :func:`channel_constants`), so both roots are
+    real and positive for every valid parameter set.
     """
 
     omega_cap: float
     alpha1: float
     beta: float
     discriminant: float
-    c1: complex
-    c2: complex
+    c1: float
+    c2: float
     exponent_e: float  # m - mu/2, shared exponent of the two omega factors
 
 
 def validate(params: ChannelParams) -> None:
     """Raise :class:`ParameterError` naming the first offending field.
 
-    ``m = math.inf`` is accepted as the no-fluctuation sentinel; every other
-    field must be finite and inside its range.
+    ``m = math.inf`` is accepted as the exact no-fluctuation limit; every
+    other field must be finite and inside its range.
     """
     def _finite(name, value):
         if not math.isfinite(value):
@@ -98,59 +93,45 @@ def validate(params: ChannelParams) -> None:
             f"gamma_bar out of range: must be > 0, got {params.gamma_bar!r}")
 
 
-def resolve_shadowing(params: ChannelParams,
-                      m_large: float = DEFAULT_M_LARGE) -> ChannelParams:
-    """Replace the ``m = inf`` sentinel with a large finite value.
+def channel_constants(mu, m, kappa, eta, rho2, lib=math):
+    """(omega, alpha1, beta, sqrt(beta**2 - 4*alpha1), c1, c2) over any scalar type.
 
-    This is an approximation of the non-fluctuating-LoS limit; doubling
-    ``m_large`` must leave rate results unchanged at the pipeline tolerance
-    (checked in the test suite).  Finite ``m`` passes through untouched.
+    ``lib`` supplies ``sqrt`` and ``hypot`` for the scalar type (``math`` for
+    floats, ``mpmath`` for mpf).  With the physical LoS powers
+    q^2 = kappa mu (1+eta)/(1+rho2) and p^2 = rho2 q^2 the discriminant is the
+    sum of squares [(2(eta-1) + (p^2-q^2)/m)^2 + 4 p^2 q^2/m^2] / (2 omega)^2:
+    it never goes negative and is exactly 0 at the double root kappa = 0,
+    eta = 1.  The larger root comes from the non-cancelling branch
+    (beta < 0 always), the other from the product of roots, 1/alpha1.  Every
+    kappa/m term vanishes at m = inf, which is the exact no-fluctuation limit.
     """
-    if params.m == math.inf:
-        return replace(params, m=float(m_large))
-    return params
+    omega = mu * (1 + eta) * (1 + kappa) / 2
+    alpha1 = eta / omega**2
+    if kappa > 0:
+        # kappa = 0 makes this term vanish, leaving rho2 irrelevant (0/0 in
+        # its physical definition); any rho2 >= 0 is accepted for that case.
+        alpha1 += kappa * (rho2 + eta) / (m * omega * (1 + rho2) * (1 + kappa))
+    beta = -(2 / mu + kappa / m) / (1 + kappa)
+    q2 = kappa * mu * (1 + eta) / (1 + rho2)
+    root_disc = lib.hypot(2 * (eta - 1) + (rho2 - 1) * q2 / m,
+                          2 * lib.sqrt(rho2) * q2 / m) / (2 * omega)
+    root_q = (root_disc - beta) / 2
+    return omega, alpha1, beta, root_disc, root_q / alpha1, 1 / root_q
 
 
 def derive(params: ChannelParams) -> DerivedParams:
-    """Compute the MGF constants; requires finite ``m`` (resolve the sentinel first).
-
-    The roots are extracted with the numerically stable quadratic formula:
-    the larger-magnitude root comes from the non-cancelling branch, the other
-    from the product of roots (which equals ``1/alpha1``).
-    """
+    """Validate the parameters and compute the MGF constants (m = inf included)."""
     validate(params)
-    if not math.isfinite(params.m):
-        raise ParameterError(
-            "m is infinite; call resolve_shadowing() before derive()")
-    mu, m, kappa, eta, rho2 = params.mu, params.m, params.kappa, params.eta, params.rho2
-
-    omega = mu * (1.0 + eta) * (1.0 + kappa) / 2.0
-    alpha1 = eta / omega**2
-    if kappa > 0.0:
-        # kappa = 0 makes this term vanish, leaving rho2 irrelevant (0/0 in
-        # its physical definition); any rho2 >= 0 is accepted for that case.
-        alpha1 += kappa * (rho2 + eta) / (m * omega * (1.0 + rho2) * (1.0 + kappa))
-    beta = -(2.0 / mu + kappa / m) / (1.0 + kappa)
-    disc = beta * beta - 4.0 * alpha1
-
-    if disc >= 0.0:
-        # beta < 0 always, so -beta + sqrt(disc) never cancels.
-        q = (-beta + math.sqrt(disc)) / 2.0
-        c1 = complex(q / alpha1)
-        c2 = complex(1.0 / q)
-    else:
-        half = cmath.sqrt(complex(disc)) / 2.0
-        c1 = (-beta / 2.0 + half) / alpha1
-        c2 = c1.conjugate()
-
+    omega, alpha1, beta, root_disc, c1, c2 = channel_constants(
+        params.mu, params.m, params.kappa, params.eta, params.rho2)
     return DerivedParams(
         omega_cap=omega,
         alpha1=alpha1,
         beta=beta,
-        discriminant=disc,
+        discriminant=root_disc * root_disc,
         c1=c1,
         c2=c2,
-        exponent_e=m - mu / 2.0,
+        exponent_e=params.m - params.mu / 2.0,
     )
 
 

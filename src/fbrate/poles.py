@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosedFormUnavailableError
-from .mgf import log_mgf
 from .model import ROOT_MERGE_RTOL, ChannelParams, DerivedParams
 
 #: Reject closed forms whose total pole multiplicity explodes (factorials in
@@ -47,18 +46,14 @@ _INT_TOL = 1e-9
 class PoleSet:
     """Merged poles of the MGF plus the numerator factors the residues need.
 
-    ``poles``: tuple of (location, multiplicity); locations are complex in
-    double precision (with positive real part, and in fact real for every
-    valid parameter set) and mpf in the extended path.  ``group_count`` is
-    the pre-merge structural count: 2 when the omega points are not poles,
-    4 when they are.
+    ``poles``: tuple of (location, multiplicity); locations are positive
+    reals, float in double precision and mpf in the extended path.
     ``numerator``: tuple of (location, positive integer exponent) for
     first-order numerator factors, present only when mu/2 < m.
     """
 
-    poles: tuple[tuple[complex, int], ...]
-    group_count: int
-    numerator: tuple[tuple[complex, int], ...] = ()
+    poles: tuple[tuple[float, int], ...]
+    numerator: tuple[tuple[float, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -66,10 +61,10 @@ class PartialFractionExpansion:
     """Coefficient table A_ij of M(s) = sum_i sum_j A_ij (1 + g*s/theta_i)^-j.
 
     ``terms``: tuple of (theta_i, multiplicity_i, coeffs) with
-    coeffs[j-1] = A_ij for j = 1..multiplicity_i.
+    coeffs[j-1] = A_ij for j = 1..multiplicity_i, all real (float or mpf).
     """
 
-    terms: tuple[tuple[complex, int, tuple[complex, ...]], ...]
+    terms: tuple[tuple[float, int, tuple[float, ...]], ...]
 
 
 def _merge(points):
@@ -91,8 +86,8 @@ def pole_exponents(params: ChannelParams) -> tuple[int, int]:
     Requires a positive integer m and an even integer mu, except that
     kappa = 0 removes the LoS fluctuation from the MGF altogether (the
     m-dependent factors cancel exactly), so only even integer mu is required
-    there and m may be anything, including the resolved no-fluctuation
-    sentinel.  Raises :class:`ClosedFormUnavailableError` outside this regime,
+    there and m may be anything, including the no-fluctuation limit m = inf.
+    Raises :class:`ClosedFormUnavailableError` outside this regime,
     which is the one test of whether the closed form applies.
     """
     mu_int = round(params.mu)
@@ -116,7 +111,7 @@ def pole_exponents(params: ChannelParams) -> tuple[int, int]:
 
 
 def pole_structure(c1, c2, omega, eta, mu_half: int, m_eff: int) -> PoleSet:
-    """Merged poles and numerator factors for any scalar type (complex or mpf).
+    """Merged poles and numerator factors for any real scalar type (float or mpf).
 
     The roots c1, c2 carry multiplicity m_eff; the omega points omega/eta and
     omega join them as poles of order mu/2 - m_eff, or become numerator
@@ -128,17 +123,13 @@ def pole_structure(c1, c2, omega, eta, mu_half: int, m_eff: int) -> PoleSet:
         points += [(omega / eta, mu_half - m_eff), (omega, mu_half - m_eff)]
     elif mu_half < m_eff:
         numerator = ((omega / eta, m_eff - mu_half), (omega, m_eff - mu_half))
-    return PoleSet(poles=tuple(_merge(points)),
-                   group_count=4 if mu_half > m_eff else 2, numerator=numerator)
+    return PoleSet(poles=tuple(_merge(points)), numerator=numerator)
 
 
 def build_pole_set(params: ChannelParams, derived: DerivedParams) -> PoleSet:
     """Construct the pole/numerator structure of the rational MGF."""
-    pole_set = pole_structure(derived.c1, derived.c2, complex(derived.omega_cap),
-                              complex(params.eta), *pole_exponents(params))
-    if any(p.real <= 0 for p, _ in pole_set.poles):  # pragma: no cover - defensive
-        raise ClosedFormUnavailableError("pole with nonpositive real part")
-    return pole_set
+    return pole_structure(derived.c1, derived.c2, derived.omega_cap, params.eta,
+                          *pole_exponents(params))
 
 
 def _taylor_coefficients(factors, n_terms: int) -> list:
@@ -147,7 +138,7 @@ def _taylor_coefficients(factors, n_terms: int) -> list:
     Uses T_0 = prod a_k**e_k and the logarithmic-derivative recursion
     n*T_n = sum_{r=1..n} c_r T_{n-r} with c_r = (-1)^{r-1} sum_k e_k (b_k/a_k)^r.
     All a_k must be nonzero (coincident factors are stripped beforehand).
-    Works in the scalar type of the factors (complex or mpf).
+    Works in the scalar type of the factors (float, complex or mpf).
     """
     t0 = 1
     ratios = []
@@ -183,7 +174,7 @@ def partial_fractions(pole_set: PoleSet) -> PartialFractionExpansion:
         others.extend(pole_set.numerator)
         for theta_k, expo in others:
             b = theta_i / theta_k
-            a = 1.0 - b
+            a = (theta_k - theta_i) / theta_k  # exact difference: no 1 - b cancellation
             if abs(a) <= ROOT_MERGE_RTOL * abs(b):
                 if expo < 0:  # pragma: no cover - poles were merged already
                     raise ClosedFormUnavailableError("unmerged coincident poles")
@@ -201,43 +192,9 @@ def partial_fractions(pole_set: PoleSet) -> PartialFractionExpansion:
     return PartialFractionExpansion(terms=tuple(terms))
 
 
-def residues(params: ChannelParams, derived: DerivedParams,
-             pole_set: PoleSet) -> PartialFractionExpansion:
-    """Partial-fraction coefficients of the MGF (see :func:`partial_fractions`).
-
-    The coefficients depend on the pole-location ratios alone, so neither the
-    parameters nor the derived constants enter beyond the pole set.
-    """
-    return partial_fractions(pole_set)
-
-
-def reconstruct(expansion: PartialFractionExpansion, gamma_bar: float, s):
-    """Evaluate sum_ij A_ij (1 + g*s/theta_i)^-j (should reproduce the MGF)."""
-    s = np.asarray(s, dtype=float)
-    total = np.zeros(s.shape, dtype=complex)
-    for theta, _, coeffs in expansion.terms:
-        base = 1.0 / (1.0 + gamma_bar * s / theta)
-        powered = np.ones_like(total)
-        for a_ij in coeffs:
-            powered = powered * base
-            total = total + a_ij * powered
-    return total
-
-
 def decompose(params: ChannelParams, derived: DerivedParams) -> PartialFractionExpansion:
-    """Pole set + residues in one step."""
-    return residues(params, derived, build_pole_set(params, derived))
-
-
-_IMAG_RTOL = 1e-10
-_IMAG_FLOOR = 1e-300
-
-
-def _require_real(value: complex, what: str) -> float:
-    if abs(value.imag) >= _IMAG_RTOL * abs(value.real) + _IMAG_FLOOR:
-        raise ArithmeticError(
-            f"{what} has non-cancelling imaginary part: {value!r}")
-    return value.real
+    """The partial-fraction expansion of the MGF: pole set, then residues."""
+    return partial_fractions(build_pole_set(params, derived))
 
 
 def pdf(params: ChannelParams, derived: DerivedParams,
@@ -245,45 +202,24 @@ def pdf(params: ChannelParams, derived: DerivedParams,
     """SNR density f(gamma) from the partial-fraction expansion.
 
     f(g) = sum_ij A_ij (theta_i/gbar)^j g^{j-1} e^{-theta_i g/gbar} / (j-1)!
-    Conjugate-pole imaginary parts must cancel; a tiny negative excursion is
-    clipped, anything beyond -1e-12 signals a residue bug and raises.
+    A tiny negative excursion is clipped; anything beyond -1e-12 signals an
+    inconsistent residue table and raises.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be >= 0")
     gbar = params.gamma_bar
-    total = np.zeros(g.shape, dtype=complex)
+    total = np.zeros(g.shape)
     for theta, _, coeffs in expansion.terms:
         z = theta / gbar
         decay = np.exp(-z * g)
-        poly = np.zeros(g.shape, dtype=complex)
+        poly = np.zeros(g.shape)
         for j in range(len(coeffs), 0, -1):  # Horner in g
             a_ij = coeffs[j - 1] * z**j / math.factorial(j - 1)
             poly = poly * g + a_ij
         total = total + decay * poly
-    scale = float(np.max(np.abs(total))) if total.size else 0.0
-    if float(np.max(np.abs(total.imag), initial=0.0)) >= _IMAG_RTOL * scale + _IMAG_FLOOR:
-        raise ArithmeticError("density has non-cancelling imaginary part")
-    real = total.real
-    if np.any(real < -1e-12):
+    if np.any(total < -1e-12):
         raise ArithmeticError(
-            f"density went negative ({real.min():.3e}); residue table is inconsistent")
-    result = np.maximum(real, 0.0)
+            f"density went negative ({total.min():.3e}); residue table is inconsistent")
+    result = np.maximum(total, 0.0)
     return result if result.shape else float(result)
-
-
-def reconstruction_error(params: ChannelParams, derived: DerivedParams,
-                         expansion: PartialFractionExpansion,
-                         n_points: int = 32, seed: int = 0) -> float:
-    """Max relative error of the expansion against the MGF at random s points.
-
-    Points are drawn on the transform's own scale (gamma_bar * s up to 10):
-    far beyond it the MGF underflows through cancellation of the
-    partial-fraction terms, which no double-precision evaluation of the sum
-    can represent, while the expansion coefficients themselves stay exact.
-    """
-    rng = np.random.default_rng(seed)
-    s = rng.uniform(0.0, 10.0, size=n_points) / params.gamma_bar
-    truth = np.exp(log_mgf(params, derived, s))
-    approx = reconstruct(expansion, params.gamma_bar, s)
-    return float(np.max(np.abs(approx - truth) / truth))

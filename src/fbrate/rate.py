@@ -18,10 +18,8 @@ import numpy as np
 
 from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mgf import log_mgf
-from .model import (ChannelParams, DerivedParams, derive, resolve_shadowing,
-                    validate, DEFAULT_M_LARGE)
-from .poles import (PartialFractionExpansion, _require_real, build_pole_set,
-                    pole_exponents, residues)
+from .model import ChannelParams, DerivedParams, derive, validate
+from .poles import PartialFractionExpansion, decompose, pole_exponents
 from .specfun import ln_gamma, tricomi_u_int_a
 
 LN2 = math.log(2.0)
@@ -210,17 +208,14 @@ def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
         raise ValueError(f"A must be > 0, got {a_exponent!r}")
     contributions = []
     for theta, mult, coeffs in expansion.terms:
-        z = _require_real(complex(theta), "pole location") / params.gamma_bar
+        z = theta / params.gamma_bar
         for j in range(1, mult + 1):
             a_ij = coeffs[j - 1]
             if a_ij == 0:
                 continue
             u_val = tricomi_u_int_a(j, j - a_exponent + 1.0, z)
             contributions.append(a_ij * z**j * u_val)
-    value = _require_real(
-        complex(math.fsum(c.real for c in contributions),
-                math.fsum(c.imag for c in contributions)),
-        "closed-form expectation")
+    value = math.fsum(contributions)
     magnitude = math.fsum(abs(c) for c in contributions)
     if value <= 0.0 or magnitude > CLOSED_FORM_COND_LIMIT * value:
         from ._extended import expectation_closed_form_mp
@@ -238,8 +233,8 @@ def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
 def _closed_form(params: ChannelParams, derived: DerivedParams, a_exponent: float,
                  diagnostics: list) -> float:
     """J by the partial-fraction route: build the expansion, then sum it."""
-    expansion = residues(params, derived, build_pole_set(params, derived))
-    return expectation_closed_form(params, derived, expansion, a_exponent, diagnostics)
+    return expectation_closed_form(params, derived, decompose(params, derived),
+                                   a_exponent, diagnostics)
 
 
 def closed_form_applies(params: ChannelParams) -> bool:
@@ -251,8 +246,7 @@ def closed_form_applies(params: ChannelParams) -> bool:
     return True
 
 
-def er_auto(request: ErRequest, mc_config=None,
-            m_large: float = DEFAULT_M_LARGE) -> ErResult:
+def er_auto(request: ErRequest, mc_config=None) -> ErResult:
     """Dispatching front end: closed form when available, else quadrature.
 
     ``method="auto"`` runs the closed form whenever the parameters admit it
@@ -265,12 +259,10 @@ def er_auto(request: ErRequest, mc_config=None,
     was asked for (raising if unavailable); ``monte_carlo`` delegates to the
     sampling engine.
     """
-    validate(request.params)
-    params = resolve_shadowing(request.params, m_large)
+    params = request.params
+    validate(params)
     a = request.a_exponent
     diagnostics: list[tuple[str, str]] = []
-    if params is not request.params:
-        diagnostics.append(("m_sentinel_resolved", f"{m_large:g}"))
 
     if request.method == "monte_carlo":
         from .mc import McConfig, estimate_er  # local import to avoid cycles
@@ -303,7 +295,8 @@ def er_auto(request: ErRequest, mc_config=None,
                                          request.rel_tol, diagnostics)
     if j_closed is not None:
         diff = abs(j_quad - j_closed) / j_closed
-        diagnostics.append(("cross_check_rel_diff", f"{diff:.3e}"))
+        # unrounded, so that the error estimate below bounds the reported value
+        diagnostics.append(("cross_check_rel_diff", repr(diff)))
         if diff <= CROSS_REL_TOL:
             return result(j_closed, "closed_form", max(_CLOSED_FORM_ERR, diff))
         diagnostics.append(("engines_disagree",

@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from fbrate import ChannelParams
+from fbrate import ChannelParams, log_mgf
 from fbrate.mc import _sample_block
 
 # --- frozen goldens ----------------------------------------------------------
@@ -117,7 +117,8 @@ def cluster_model_mgf(params: ChannelParams, s):
     """Analytic MGF straight from the physical cluster geometry.
 
     Chains the Gaussian MGF of each squared component with the gamma mixing
-    of the LoS field; independent of the quadratic-root formulation.
+    of the LoS field; independent of the quadratic-root formulation.  At
+    m = inf the mixing factor (1 + u/m)^-m is its limit exp(-u).
     """
     sx2 = params.eta
     sy2 = 1.0
@@ -128,7 +129,8 @@ def cluster_model_mgf(params: ChannelParams, s):
     g1 = 1.0 + 2.0 * t * sx2
     g2 = 1.0 + 2.0 * t * sy2
     u = p2 * t / g1 + q2 * t / g2
-    return g1 ** (-params.mu / 2.0) * g2 ** (-params.mu / 2.0) * (1.0 + u / params.m) ** -params.m
+    los = np.exp(-u) if math.isinf(params.m) else (1.0 + u / params.m) ** -params.m
+    return g1 ** (-params.mu / 2.0) * g2 ** (-params.mu / 2.0) * los
 
 
 def cluster_model_j(params: ChannelParams, a_exponent: float) -> float:
@@ -152,8 +154,13 @@ def mgf_mean_check(params: ChannelParams, derived) -> float:
     """Analytic -dM/ds at s = 0; algebra forces this to equal gamma_bar.
 
     Useful as a self-consistency probe: any mismatch flags a bug in the
-    derived constants rather than a property of the parameters.
+    derived constants rather than a property of the parameters.  At m = inf
+    the LoS factor exp(-u) contributes u'(0) = kappa/(1+kappa) instead of the
+    m-weighted terms.
     """
+    if math.isinf(params.m):
+        return params.gamma_bar * (0.5 * params.mu * (1.0 + params.eta) / derived.omega_cap
+                                   + params.kappa / (1.0 + params.kappa))
     e_neg = params.mu / 2.0 - params.m  # -(m - mu/2)
     return params.gamma_bar * (
         e_neg * (1.0 + params.eta) / derived.omega_cap - params.m * derived.beta
@@ -235,6 +242,35 @@ def tricomi_u_integral_mp(j: int, b, z):
     f = lambda t: t ** (j - 1) * (1 + t) ** (b - j - 1) * mp.exp(-z * t)
     points = sorted({mp.mpf(1), 1 / z, 10 / z})
     return mp.quad(f, [0, *points, mp.inf]) / mp.gamma(j)
+
+
+def reconstruct(expansion, gamma_bar: float, s):
+    """Evaluate sum_ij A_ij (1 + g*s/theta_i)^-j (should reproduce the MGF)."""
+    s = np.asarray(s, dtype=float)
+    total = np.zeros(s.shape)
+    for theta, _, coeffs in expansion.terms:
+        base = 1.0 / (1.0 + gamma_bar * s / theta)
+        powered = np.ones_like(total)
+        for a_ij in coeffs:
+            powered = powered * base
+            total = total + a_ij * powered
+    return total
+
+
+def reconstruction_error(params: ChannelParams, derived, expansion,
+                         n_points: int = 32, seed: int = 0) -> float:
+    """Max relative error of the expansion against the MGF at random s points.
+
+    Points are drawn on the transform's own scale (gamma_bar * s up to 10):
+    far beyond it the MGF underflows through cancellation of the
+    partial-fraction terms, which no double-precision evaluation of the sum
+    can represent, while the expansion coefficients themselves stay exact.
+    """
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, 10.0, size=n_points) / params.gamma_bar
+    truth = np.exp(log_mgf(params, derived, s))
+    approx = reconstruct(expansion, params.gamma_bar, s)
+    return float(np.max(np.abs(approx - truth) / truth))
 
 
 def expansion_cdf(expansion, gamma_bar):

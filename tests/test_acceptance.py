@@ -16,16 +16,15 @@ from scipy.integrate import quad
 
 from fbrate import (ChannelParams, decompose, derive, estimate_er,
                     expectation_closed_form, expectation_quadrature, log_mgf,
-                    mgf, pdf, preset, resolve_shadowing)
+                    mgf, pdf, preset)
 from fbrate.crosscheck import (closed_form_grid, mc_grid, run_cross_check,
                                run_mc_check)
 from fbrate.mc import McConfig
-from fbrate.poles import reconstruction_error
 from fbrate.rate import effective_rate
 from fbrate.specfun import tricomi_u_int_a
 
 from conftest import (FIG1_J_A2, FIG1_R_A2, J_RAYLEIGH, R_RAYLEIGH, fig1_params,
-                      rayleigh_j, unit_eta_shadowed_j)
+                      rayleigh_j, reconstruction_error, unit_eta_shadowed_j)
 from conftest import exp1 as _exp1
 
 
@@ -53,7 +52,7 @@ def test_criterion_1_cross_engine_exactness():
 
 
 def test_criterion_2_analytic_goldens():
-    ray = resolve_shadowing(preset("rayleigh"))
+    ray = preset("rayleigh")
     j_ray, _ = expectation_quadrature(ray, derive(ray), 2.0)
     r_ray = effective_rate(j_ray, 2.0)
     fig1 = fig1_params()

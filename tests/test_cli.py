@@ -40,6 +40,12 @@ class TestErCommand:
         assert float(row[2]) == pytest.approx(R_RAYLEIGH, abs=1e-3)
         assert float(row[3]) == pytest.approx(J_RAYLEIGH, abs=1e-5)
 
+    def test_nakagami_preset_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "er", "--preset", "nakagami-m", "--mu", "20",
+                               "--A", "2")
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[4] == "closed_form"
+
     def test_closed_method_rejects_fractional_mu(self, capsys):
         code, out, err = run_cli(capsys, "er", "--mu", "1.5", "--m", "1",
                                  "--kappa", "1", "--eta", "0.1", "--rho2", "0.1",

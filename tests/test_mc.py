@@ -5,7 +5,7 @@ import pytest
 
 from fbrate import (ChannelParams, McConfig, ParameterError, decompose, derive,
                     estimate_er, expectation_quadrature, geometry_from_params,
-                    mgf, preset, resolve_shadowing)
+                    mgf, preset)
 from fbrate.mc import _chunk_rng, _sample_block
 
 from conftest import J_RAYLEIGH, expansion_cdf, fig1_params, ks_distance, sample_snr
@@ -114,7 +114,7 @@ class TestSampling:
 
 class TestEstimateEr:
     def test_rayleigh_concordance(self):
-        p = resolve_shadowing(preset("rayleigh"))
+        p = preset("rayleigh")
         est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
         assert abs(est.j_hat - J_RAYLEIGH) <= 3.0 * est.j_stderr
         assert est.rate_hat == pytest.approx(-math.log2(est.j_hat) / 2.0)
@@ -134,9 +134,13 @@ class TestEstimateEr:
         with pytest.raises(ParameterError, match="integer"):
             estimate_er(p, 2.0, McConfig(n_samples=1000, seed=1))
 
-    def test_unresolved_sentinel_rejected(self):
-        with pytest.raises(ParameterError, match="sentinel"):
-            estimate_er(preset("beckmann"), 2.0, McConfig(n_samples=1000, seed=1))
+    def test_infinite_m_concordance(self):
+        # m = inf samples a non-fluctuating LoS (xi = 1) and must agree with
+        # quadrature of the exact m -> inf MGF
+        p = preset("beckmann", kappa=1.0, eta=0.5, rho2=2.0, gamma_bar=10.0)
+        est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
+        j_quad, _ = expectation_quadrature(p, derive(p), 2.0)
+        assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
     def test_deterministic_across_runs_and_workers(self):
         p = fig1_params()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbrate import ChannelParams, derive, log_mgf, mgf, preset, resolve_shadowing
+from fbrate import ChannelParams, derive, log_mgf, mgf, preset
 
 from conftest import (FIG1_MGF_AT_1, cluster_model_mgf, fig1_params, mgf_mean_check,
                       random_valid_params, unit_eta_shadowed_mgf)
@@ -20,7 +20,6 @@ def test_value_one_at_zero():
 
 def test_rayleigh_half_at_one():
     p = preset("rayleigh", gamma_bar=1.0)
-    p = resolve_shadowing(p)
     assert mgf(p, derive(p), 1.0).value == pytest.approx(0.5, rel=1e-14)
 
 
@@ -56,7 +55,7 @@ class TestMeanCheck:
         assert mgf_mean_check(p, derive(p)) == pytest.approx(1.0, rel=1e-14)
 
     def test_rayleigh_gbar3(self):
-        p = resolve_shadowing(preset("rayleigh", gamma_bar=3.0))
+        p = preset("rayleigh", gamma_bar=3.0)
         assert mgf_mean_check(p, derive(p)) == pytest.approx(3.0, rel=1e-12)
 
     def test_matches_finite_difference(self):

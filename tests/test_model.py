@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbrate import (ChannelParams, ParameterError, derive, mgf, preset,
-                    resolve_shadowing, validate)
-from fbrate.model import DEFAULT_M_LARGE
+from fbrate import ChannelParams, ParameterError, derive, mgf, preset, validate
 
 from conftest import (FIG1_ALPHA1, FIG1_BETA, FIG1_C1, FIG1_C2, FIG1_OMEGA,
-                      fig1_params, random_valid_params, unit_eta_shadowed_mgf)
+                      cluster_model_mgf, fig1_params, random_valid_params,
+                      unit_eta_shadowed_mgf)
 
 
 class TestValidate:
@@ -60,13 +59,22 @@ class TestDerive:
         assert d.beta == -1.0
         assert d.c1 == d.c2 == 2.0 + 0.0j
 
-    def test_sentinel_requires_resolution(self):
-        params = ChannelParams(mu=1.0, m=math.inf, kappa=1.0, eta=1.0, rho2=1.0)
-        with pytest.raises(ParameterError, match="resolve_shadowing"):
-            derive(params)
-        resolved = resolve_shadowing(params)
-        assert resolved.m == DEFAULT_M_LARGE
-        derive(resolved)  # now fine
+    def test_infinite_m_accepted(self):
+        # every kappa/m term vanishes: the non-fluctuating limit is exact
+        d = derive(ChannelParams(mu=1.0, m=math.inf, kappa=1.0, eta=1.0, rho2=1.0))
+        assert d.omega_cap == 2.0
+        assert d.alpha1 == 0.25
+        assert d.beta == -1.0
+        assert d.exponent_e == math.inf
+
+    @pytest.mark.parametrize("mu", [1.0, 2.0, 3.7, 20.0, 40.0])
+    @pytest.mark.parametrize("m", [0.3, 3.0, 40.0, math.inf])
+    def test_double_root_discriminant_exactly_zero(self, mu, m):
+        # kappa = 0, eta = 1 is a true double root; the sum-of-squares form
+        # must not split it (the textbook beta^2 - 4 alpha1 goes negative)
+        d = derive(ChannelParams(mu=mu, m=m, kappa=0.0, eta=1.0, rho2=1.0))
+        assert d.discriminant == 0.0
+        assert d.c1 == pytest.approx(d.c2, rel=1e-15, abs=0.0)
 
     def test_pure_function_bit_identical(self):
         params = random_valid_params(np.random.default_rng(7))
@@ -98,7 +106,7 @@ class TestDerive:
     def test_roots_real_positive_property(self, mu, m, kappa, eta, rho2):
         # the discriminant is provably nonnegative over the valid domain
         d = derive(ChannelParams(mu=mu, m=m, kappa=kappa, eta=eta, rho2=rho2))
-        assert d.discriminant >= -1e-12 * d.beta**2
+        assert d.discriminant >= 0
         assert d.c1.real > 0 and d.c2.real > 0
 
 
@@ -128,15 +136,13 @@ class TestPresets:
 
     # one MGF reduction per preset (the table in the README)
     def _mgf(self, params, s):
-        resolved = resolve_shadowing(params)
-        return np.array([mgf(resolved, derive(resolved), float(x)).value for x in s])
+        return np.array([mgf(params, derive(params), float(x)).value for x in s])
 
     S_GRID = np.array([0.0, 0.1, 0.7, 2.0, 11.0])
 
     def test_reduction_rayleigh(self):
         p = preset("rayleigh", gamma_bar=1.3)
         expected = 1.0 / (1.0 + 1.3 * self.S_GRID)
-        # the resolved m-sentinel cancels analytically but costs ~m*eps numerically
         np.testing.assert_allclose(self._mgf(p, self.S_GRID), expected, rtol=1e-9)
 
     def test_reduction_nakagami(self):
@@ -157,26 +163,22 @@ class TestPresets:
         np.testing.assert_allclose(self._mgf(p, self.S_GRID), expected, rtol=1e-12)
 
     def test_reduction_rician(self):
-        # m -> inf limit: (1+x)^-1 exp(-kappa x / (1+x)); sentinel gives ~1/m error
+        # m -> inf limit: (1+x)^-1 exp(-kappa x / (1+x)), evaluated exactly
         kappa = 3.0
         p = preset("rician", kappa=kappa, gamma_bar=1.0)
         x = self.S_GRID / (1.0 + kappa)
         expected = np.exp(-kappa * x / (1.0 + x)) / (1.0 + x)
-        np.testing.assert_allclose(self._mgf(p, self.S_GRID), expected, rtol=5e-4)
+        np.testing.assert_allclose(self._mgf(p, self.S_GRID), expected, rtol=1e-12)
 
     def test_reduction_kappa_mu(self):
         kappa, mu = 1.5, 2.0
         p = preset("kappa-mu", kappa=kappa, mu=mu, gamma_bar=0.6)
         x = 0.6 * self.S_GRID / (mu * (1.0 + kappa))
         expected = np.exp(-kappa * mu * x / (1.0 + x)) * (1.0 + x) ** -mu
-        np.testing.assert_allclose(self._mgf(p, self.S_GRID), expected, rtol=5e-4)
+        np.testing.assert_allclose(self._mgf(p, self.S_GRID), expected, rtol=1e-12)
 
-    def test_reduction_beckmann_sentinel_converges(self):
-        # classical limit has no elementary closed form; doubling the sentinel
-        # must not move the MGF beyond the documented approximation error
+    def test_reduction_beckmann(self):
+        # classical Beckmann: the m -> inf limit of the physical cluster MGF
         p = preset("beckmann", kappa=1.0, eta=0.5, rho2=2.0, gamma_bar=1.0)
-        coarse = self._mgf(p, self.S_GRID)
-        fine = np.array([
-            mgf(r, derive(r), float(x)).value
-            for r, x in ((resolve_shadowing(p, m_large=2e4), x) for x in self.S_GRID)])
-        np.testing.assert_allclose(coarse, fine, rtol=1e-4)
+        np.testing.assert_allclose(self._mgf(p, self.S_GRID),
+                                   cluster_model_mgf(p, self.S_GRID), rtol=1e-12)

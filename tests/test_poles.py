@@ -5,11 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from fbrate import (ChannelParams, ClosedFormUnavailableError, build_pole_set,
-                    decompose, derive, log_mgf, mgf, pdf, preset, reconstruct,
-                    residues)
-from fbrate.poles import _taylor_coefficients, reconstruction_error
+                    decompose, derive, mgf, pdf, preset)
+from fbrate.poles import _taylor_coefficients, pole_exponents
 
-from conftest import (FIG1_A11, FIG1_A21, expansion_cdf, fig1_params)
+from conftest import (FIG1_A11, FIG1_A21, expansion_cdf, fig1_params, reconstruct,
+                      reconstruction_error)
 
 
 def _min_pole_separation(pole_set):
@@ -34,7 +34,6 @@ def _expansion_conditioning(expansion, gamma_bar, s):
         for a_ij in coeffs:
             powered = powered * base
             absolute += abs(a_ij) * powered
-    from fbrate.poles import reconstruct
     return absolute / np.abs(reconstruct(expansion, gamma_bar, s))
 
 
@@ -63,14 +62,16 @@ class TestBuildPoleSet:
     def test_simple_two_group(self):
         p = fig1_params()  # m=1, mu=2 -> exponents vanish
         ps = build_pole_set(p, derive(p))
-        assert ps.group_count == 2
+        mu_half, m_eff = pole_exponents(p)
+        assert not mu_half > m_eff  # two groups: the omega points are no poles
         assert sorted(m for _, m in ps.poles) == [1, 1]
         assert ps.numerator == ()
 
     def test_four_group_when_half_mu_exceeds_m(self):
         p = ChannelParams(mu=4.0, m=1.0, kappa=1.0, eta=0.1, rho2=0.1)
         ps = build_pole_set(p, derive(p))
-        assert ps.group_count == 4
+        mu_half, m_eff = pole_exponents(p)
+        assert mu_half > m_eff  # four groups: the omega points are poles
         assert sorted(m for _, m in ps.poles) == [1, 1, 1, 1]
         d = derive(p)
         locations = sorted(t.real for t, _ in ps.poles)
@@ -80,7 +81,8 @@ class TestBuildPoleSet:
     def test_numerator_when_half_mu_below_m(self):
         p = ChannelParams(mu=2.0, m=3.0, kappa=1.0, eta=0.1, rho2=0.1)
         ps = build_pole_set(p, derive(p))
-        assert ps.group_count == 2
+        mu_half, m_eff = pole_exponents(p)
+        assert not mu_half > m_eff
         assert sorted(m for _, m in ps.poles) == [3, 3]
         assert sorted(e for _, e in ps.numerator) == [2, 2]
 
@@ -88,7 +90,8 @@ class TestBuildPoleSet:
         # kappa=0, eta=1 piles everything onto one point
         p = ChannelParams(mu=2.0, m=2.0, kappa=0.0, eta=1.0, rho2=1.0)
         ps = build_pole_set(p, derive(p))
-        assert ps.group_count == 2
+        mu_half, m_eff = pole_exponents(p)
+        assert not mu_half > m_eff
         assert len(ps.poles) == 1
         theta, mult = ps.poles[0]
         assert theta.real == pytest.approx(2.0, rel=1e-12)
@@ -99,7 +102,8 @@ class TestBuildPoleSet:
         # c1 coincides with the omega point: mult m there plus mu/2 - m twice
         p = ChannelParams(mu=6.0, m=1.0, kappa=2.0, eta=1.0, rho2=1.0)
         ps = build_pole_set(p, derive(p))
-        assert ps.group_count == 4
+        mu_half, m_eff = pole_exponents(p)
+        assert mu_half > m_eff
         mults = sorted(m for _, m in ps.poles)
         assert mults == [1, 5]  # c2: m=1; omega: m + 2*(mu/2 - m) = 5
 
@@ -119,7 +123,7 @@ class TestBuildPoleSet:
             build_pole_set(p, derive(p))
 
     def test_zero_los_shortcut_ignores_m(self):
-        # kappa = 0 cancels every m-dependent factor; even the inf sentinel works
+        # kappa = 0 cancels every m-dependent factor, whatever m is
         p = ChannelParams(mu=4.0, m=2.75, kappa=0.0, eta=0.4, rho2=1.0)
         ps = build_pole_set(p, derive(p))
         assert sorted(m for _, m in ps.poles) == [2, 2]
@@ -217,6 +221,21 @@ class TestPdf:
         g = np.linspace(0.0, 6.0, 200)
         np.testing.assert_allclose(pdf(p, d, ex, g), 4.0 * g * np.exp(-2.0 * g),
                                    rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("mu", [10.0, 20.0, 40.0])
+    def test_nakagami_gamma_density(self, mu):
+        # nakagami-m (kappa = 0, eta = 1, m = inf) has a Gamma(mu, gbar/mu)
+        # SNR: one merged pole of order mu, no split double root
+        gbar = 2.0
+        p = preset("nakagami-m", mu=mu, gamma_bar=gbar)
+        d = derive(p)
+        g = np.linspace(0.0, 4.0 * gbar, 81)
+        rate = mu / gbar
+        expected = np.exp(mu * np.log(rate) + (mu - 1.0) * np.log(g[1:])
+                          - rate * g[1:] - math.lgamma(mu))
+        values = pdf(p, d, decompose(p, d), g)
+        assert values[0] == 0.0
+        np.testing.assert_allclose(values[1:], expected, rtol=1e-12, atol=0.0)
 
     def test_normalization_and_mean(self):
         rng = np.random.default_rng(41)

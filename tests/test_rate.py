@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from fbrate.rate import DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
                     ErRequest, ParameterError, closed_form_applies, decompose,
                     derive, effective_rate, er_auto, expectation_closed_form,
-                    expectation_quadrature, preset, resolve_shadowing)
+                    expectation_quadrature, preset)
 
 from conftest import (FIG1_J_A2, FIG1_J_MU1, FIG1_J_MU4, FIG1_R_A2, FIG1_R_MU1,
                       FIG1_R_MU4, FIG2_J_BY_M, HIGH_MULT, HIGH_MULT_J,
@@ -45,7 +46,7 @@ class TestEffectiveRate:
 
 class TestQuadrature:
     def test_rayleigh_golden(self):
-        p = resolve_shadowing(preset("rayleigh"))
+        p = preset("rayleigh")
         j, err = expectation_quadrature(p, derive(p), 2.0)
         assert j == pytest.approx(J_RAYLEIGH, abs=1e-5)
         assert j == pytest.approx(J_RAYLEIGH, rel=1e-8)
@@ -167,9 +168,17 @@ class TestClosedForm:
 
     def test_unit_exponent_identity_quadrature_route(self):
         # exponential SNR (single cluster) at gamma_bar = 2: J(A=1) = z e^z E1(z)
-        p = resolve_shadowing(preset("rayleigh", gamma_bar=2.0))
+        p = preset("rayleigh", gamma_bar=2.0)
         j, _ = expectation_quadrature(p, derive(p), 1.0)
         assert j == pytest.approx(J_RAYLEIGH_G2_A1, rel=1e-8)
+
+    def test_split_double_root_near_zero_los(self):
+        # kappa = 1e-12, eta = 1: the roots sit 1e-12 apart and must merge
+        # into one pole, not blow up into ~1e92 residues
+        p = ChannelParams(mu=2.0, m=3.0, kappa=1e-12, eta=1.0, rho2=1.0)
+        result = er_auto(ErRequest(params=p, a_exponent=2.0, method="closed_form"))
+        assert result.expectation_j == pytest.approx(cluster_model_j(p, 2.0),
+                                                     rel=1e-9, abs=0.0)
 
     def test_extreme_cancellation_switches_to_extended_precision(self):
         # high mean SNR with large A: term cancellation ~1e12 forces the
@@ -210,11 +219,23 @@ class TestDispatch:
         with pytest.raises(ClosedFormUnavailableError, match="mu"):
             er_auto(ErRequest(params=p, a_exponent=2.0, method="closed_form"))
 
-    def test_sentinel_resolution_recorded(self):
-        result = er_auto(ErRequest(params=preset("beckmann", kappa=1.0, eta=0.5,
-                                                 rho2=2.0), a_exponent=2.0))
+    def test_beckmann_exact_limit(self):
+        # m = inf is evaluated as its exact limit, not a large-m stand-in
+        p = preset("beckmann", kappa=1.0, eta=0.5, rho2=2.0)
+        result = er_auto(ErRequest(params=p, a_exponent=2.0))
         assert result.method_used == "quadrature"
-        assert dict(result.diagnostics)["m_sentinel_resolved"] == "10000"
+        assert result.expectation_j == pytest.approx(cluster_model_j(p, 2.0),
+                                                     rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [10.0, 20.0, 40.0])
+    def test_nakagami_auto_exact(self, mu):
+        # Gamma(mu, 1/mu) SNR: J = (mu/gbar)^mu U(mu; mu-A+1; mu/gbar)
+        p = preset("nakagami-m", mu=mu)
+        result = er_auto(ErRequest(params=p, a_exponent=2.0))
+        with mp.workdps(30):
+            exact = float(mp.mpf(mu) ** mu * mp.hyperu(mu, mu - 1, mu))
+        assert result.method_used == "closed_form"
+        assert result.expectation_j == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("mu, m, snr_db, a, reason", [
         (2.0, 40.0, 20.0, 5.0, "engines_disagree"),
@@ -252,7 +273,7 @@ class TestDispatch:
                                                      eta=0.3, rho2=1.0))
 
     def test_closed_form_rejects_infinite_m_with_los(self):
-        # the sentinel must be resolved first; before that it is no integer
+        # with LoS power, m = inf leaves the MGF irrational in s
         p = ChannelParams(mu=2.0, m=math.inf, kappa=1.0, eta=0.5, rho2=1.0)
         with pytest.raises(ClosedFormUnavailableError, match="m"):
             pole_exponents(p)
