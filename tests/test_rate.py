@@ -174,7 +174,7 @@ class TestClosedForm:
 
     def test_split_double_root_near_zero_los(self):
         # kappa = 1e-12, eta = 1: the roots sit 1e-12 apart and must merge
-        # into one pole, not blow up into ~1e92 residues
+        # into one pole instead of splitting into a complex pair
         p = ChannelParams(mu=2.0, m=3.0, kappa=1e-12, eta=1.0, rho2=1.0)
         result = er_auto(ErRequest(params=p, a_exponent=2.0, method="closed_form"))
         assert result.expectation_j == pytest.approx(cluster_model_j(p, 2.0),
