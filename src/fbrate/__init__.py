@@ -8,7 +8,7 @@ physical cluster channel.
 
 from .errors import (ClosedFormUnavailableError, ConvergenceError, FbrateError,
                      ParameterError)
-from .mc import ClusterGeometry, McConfig, McEstimate, estimate_er, geometry_from_params
+from .mc import McConfig, McEstimate, estimate_er
 from .mgf import MgfPoint, log_mgf, mgf
 from .model import ChannelParams, DerivedParams, PRESET_NAMES, derive, preset, validate
 from .poles import PartialFractionExpansion, PoleSet, build_pole_set, decompose, pdf
@@ -21,13 +21,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelParams", "DerivedParams", "MgfPoint", "PoleSet",
     "PartialFractionExpansion", "ErRequest", "ErResult",
-    "ClusterGeometry", "McConfig", "McEstimate",
+    "McConfig", "McEstimate",
     "validate", "derive", "preset", "PRESET_NAMES", "mgf", "log_mgf",
     "build_pole_set", "decompose", "pdf",
     "ln_gamma", "tricomi_u_int_a",
     "effective_rate", "expectation_quadrature", "expectation_closed_form",
     "er_auto", "closed_form_applies",
-    "geometry_from_params", "estimate_er",
+    "estimate_er",
     "FbrateError", "ParameterError", "ClosedFormUnavailableError",
     "ConvergenceError",
 ]

@@ -25,7 +25,7 @@ from .mc import McConfig
 from .mgf import mgf
 from .model import ChannelParams, PRESET_NAMES, derive, preset, validate
 from .poles import decompose, pdf
-from .rate import LN2, ErRequest, er_auto
+from .rate import ErRequest, er_auto
 
 SEED_ENV_VAR = "FBRATE_SEED"
 
@@ -101,7 +101,7 @@ def _a_exponent(args) -> tuple[float, list[str]]:
     if args.A is not None:
         return args.A, header
     if args.theta is not None and args.T is not None and args.B is not None:
-        a = args.theta * args.T * args.B / LN2
+        a = args.theta * args.T * args.B / math.log(2.0)
         header.append(f"# A = theta*T*B/ln2 = {_fmt(a)} "
                       f"(theta={args.theta:g}, T={args.T:g}, B={args.B:g})")
         return a, header

@@ -34,10 +34,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(linear: float) -> float:
-    return 10.0 * math.log10(linear)
-
-
 def closed_form_grid() -> list[tuple[ChannelParams, float]]:
     """All (params, A) combinations of the cross-check grid."""
     grid = []

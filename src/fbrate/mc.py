@@ -1,11 +1,17 @@
-"""Monte-Carlo sampling of the physical channel for integer cluster counts.
+"""Monte-Carlo sampling of the physical channel for any real cluster count.
 
-The channel is built from its cluster geometry: each of the mu clusters
-contributes an in-phase Gaussian (variance sigma_x2, mean sqrt(xi) * p_i) and
-a quadrature Gaussian (variance sigma_y2, mean sqrt(xi) * q_i), where a
+Each of the floor(mu) whole clusters contributes an in-phase Gaussian
+(variance eta, mean sqrt(xi) * p_i) and a quadrature Gaussian (variance 1,
+mean sqrt(xi) * q_i), with the LoS powers p^2 = rho2 q^2 and
+q^2 = kappa mu (1+eta)/(1+rho2) shared evenly, p_i^2 = p^2/floor(mu); a
 single unit-mean gamma variate xi with shape m modulates the whole LoS field
-per realization (xi = 1 at m = inf).  The received power is normalized by its
-mean so that the sampled SNR averages gamma_bar.
+per realization (xi = 1 at m = inf).  A fractional remainder f = mu - floor(mu)
+adds central chi-square scatter with f degrees of freedom per branch,
+2 (eta G1 + G2) with G1, G2 ~ Gamma(f/2, 1).  The in-phase power is then
+eta chi'^2(mu, xi p^2/eta) and the quadrature power chi'^2(mu, xi q^2), whose
+MGF is the real-mu model of :mod:`fbrate.mgf`.  Below one cluster only the
+scatter term is left, so mu < 1 is sampled without LoS only.  The received
+power is normalized by its mean so that the sampled SNR averages gamma_bar.
 
 Determinism: samples are generated in fixed-size chunks, each from its own
 counter-based Philox stream keyed by (seed, chunk index), and per-chunk
@@ -23,21 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .model import ChannelParams, validate
-
-_INT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ClusterGeometry:
-    """Per-cluster LoS components and scatter variances realizing the shape parameters."""
-
-    p_components: tuple[float, ...]
-    q_components: tuple[float, ...]
-    sigma_x2: float
-    sigma_y2: float
-    normalization: float  # E[W], the mean unnormalized power
 
 
 @dataclass(frozen=True)
@@ -71,63 +64,41 @@ class McEstimate:
     seed: int
 
 
-def _integer_mu(params: ChannelParams) -> int:
-    mu = params.mu
-    if abs(mu - round(mu)) > _INT_TOL or round(mu) < 1:
-        raise ParameterError(
-            f"sampling requires an integer cluster count, got mu={mu!r}")
-    return int(round(mu))
-
-
-def geometry_from_params(params: ChannelParams) -> ClusterGeometry:
-    """Fix a cluster geometry reproducing (kappa, eta, rho2) for integer mu.
-
-    Convention: sigma_y2 = 1, sigma_x2 = eta, total LoS powers
-    q^2 = kappa * mu * (1 + eta) / (1 + rho2) and p^2 = rho2 * q^2, spread
-    evenly across clusters (p_i = p/sqrt(mu)).  Any split with the same
-    aggregates is statistically equivalent - the MGF only sees the totals -
-    so the even split is fixed rather than configurable.
-    """
-    validate(params)
-    mu = _integer_mu(params)
-    sigma_x2 = params.eta
-    sigma_y2 = 1.0
-    q2 = params.kappa * mu * (sigma_x2 + sigma_y2) / (1.0 + params.rho2)
-    p2 = params.rho2 * q2
-    p_i = math.sqrt(p2 / mu)
-    q_i = math.sqrt(q2 / mu)
-    normalization = (1.0 + params.kappa) * mu * (sigma_x2 + sigma_y2)
-    return ClusterGeometry(
-        p_components=(p_i,) * mu,
-        q_components=(q_i,) * mu,
-        sigma_x2=sigma_x2,
-        sigma_y2=sigma_y2,
-        normalization=normalization,
-    )
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Independent counter-based stream for one chunk, keyed by (seed, index)."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _sample_block(geometry: ClusterGeometry, params: ChannelParams,
-                  rng: np.random.Generator, n: int) -> np.ndarray:
-    """n SNR realizations as an ndarray (vectorized across clusters)."""
+def _sample_block(params: ChannelParams, rng: np.random.Generator,
+                  n: int) -> np.ndarray:
+    """n SNR realizations as an ndarray (vectorized across samples).
+
+    Draw order: xi, then (x, y) for each whole cluster, then the two
+    fractional-scatter gammas.  Requires mu >= 1 when kappa > 0.
+    """
     m = params.m
     if math.isinf(m):
         root_xi = 1.0  # no LoS fluctuation: xi = 1 exactly, no gamma draws
     else:
         root_xi = np.sqrt(rng.gamma(shape=m, scale=1.0 / m, size=n))
-    sx = math.sqrt(geometry.sigma_x2)
-    sy = math.sqrt(geometry.sigma_y2)
+    clusters = math.floor(params.mu)
     w = np.zeros(n)
-    for p_i, q_i in zip(geometry.p_components, geometry.q_components):
-        x = rng.standard_normal(n) * sx + root_xi * p_i
-        y = rng.standard_normal(n) * sy + root_xi * q_i
-        w += x * x + y * y
-    return params.gamma_bar * w / geometry.normalization
+    if clusters:
+        q2 = params.kappa * params.mu * (params.eta + 1.0) / (1.0 + params.rho2)
+        p_i = math.sqrt(params.rho2 * q2 / clusters)
+        q_i = math.sqrt(q2 / clusters)
+        sx = math.sqrt(params.eta)
+        for _ in range(clusters):
+            x = rng.standard_normal(n) * sx + root_xi * p_i
+            y = rng.standard_normal(n) + root_xi * q_i
+            w += x * x + y * y
+    frac = params.mu - clusters
+    if frac:
+        w += 2.0 * (params.eta * rng.standard_gamma(frac / 2, n)
+                    + rng.standard_gamma(frac / 2, n))
+    normalization = (1.0 + params.kappa) * params.mu * (params.eta + 1.0)
+    return params.gamma_bar * w / normalization
 
 
 def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
@@ -136,12 +107,16 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
 
     Chunks are independent substreams; each yields partial sums of
     (1+gamma)^-A and its square, which are combined exactly, so the estimate
-    does not depend on ``n_workers``.
+    does not depend on ``n_workers``.  Raises :class:`ParameterError` for
+    mu < 1 with LoS (kappa > 0), and :class:`ConvergenceError` when every
+    sampled (1+gamma)^-A underflows to 0.
     """
     validate(params)
     if not a_exponent > 0:
         raise ParameterError(f"A must be > 0, got {a_exponent!r}")
-    geometry = geometry_from_params(params)
+    if params.mu < 1 and params.kappa > 0:
+        raise ParameterError(
+            f"sampling with LoS (kappa > 0) requires mu >= 1, got mu={params.mu!r}")
 
     n = config.n_samples
     sizes = [config.chunk_size] * (n // config.chunk_size)
@@ -150,7 +125,7 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
 
     def run_chunk(idx_size):
         idx, size = idx_size
-        gamma = _sample_block(geometry, params, _chunk_rng(config.seed, idx), size)
+        gamma = _sample_block(params, _chunk_rng(config.seed, idx), size)
         values = (1.0 + gamma) ** -a_exponent
         return float(values.sum()), float((values * values).sum())
 
@@ -163,6 +138,10 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
 
     s1 = math.fsum(p[0] for p in partials)
     s2 = math.fsum(p[1] for p in partials)
+    if s1 == 0.0:
+        raise ConvergenceError(
+            f"every sampled (1+gamma)^-A underflowed to 0 (A={a_exponent!r}); "
+            f"use quadrature")
     j_hat = s1 / n
     variance = max(s2 / n - j_hat * j_hat, 0.0) * n / max(n - 1, 1)
     j_stderr = math.sqrt(variance / n)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .model import ChannelParams, DerivedParams
 
 
@@ -53,6 +54,6 @@ def log_mgf(params: ChannelParams, derived: DerivedParams, s):
 def mgf(params: ChannelParams, derived: DerivedParams, s: float) -> MgfPoint:
     """Evaluate the SNR MGF at a single real argument s >= 0."""
     if s < 0:
-        raise ValueError(f"transform argument must be >= 0, got {s!r}")
+        raise ParameterError(f"transform argument must be >= 0, got {s!r}")
     lv = float(log_mgf(params, derived, s))
     return MgfPoint(s=float(s), value=math.exp(lv), log_value=lv)

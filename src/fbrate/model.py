@@ -55,7 +55,6 @@ class DerivedParams:
     omega_cap: float
     alpha1: float
     beta: float
-    discriminant: float
     c1: float
     c2: float
     exponent_e: float  # m - mu/2, shared exponent of the two omega factors
@@ -122,13 +121,12 @@ def channel_constants(mu, m, kappa, eta, rho2, lib=math):
 def derive(params: ChannelParams) -> DerivedParams:
     """Validate the parameters and compute the MGF constants (m = inf included)."""
     validate(params)
-    omega, alpha1, beta, root_disc, c1, c2 = channel_constants(
+    omega, alpha1, beta, _, c1, c2 = channel_constants(
         params.mu, params.m, params.kappa, params.eta, params.rho2)
     return DerivedParams(
         omega_cap=omega,
         alpha1=alpha1,
         beta=beta,
-        discriminant=root_disc * root_disc,
         c1=c1,
         c2=c2,
         exponent_e=params.m - params.mu / 2.0,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosedFormUnavailableError
+from .errors import ClosedFormUnavailableError, ParameterError
 from .model import ROOT_MERGE_RTOL, ChannelParams, DerivedParams
 
 #: Reject closed forms whose total pole multiplicity explodes (factorials in
@@ -207,7 +207,7 @@ def pdf(params: ChannelParams, derived: DerivedParams,
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
-        raise ValueError("gamma must be >= 0")
+        raise ParameterError("gamma must be >= 0")
     gbar = params.gamma_bar
     total = np.zeros(g.shape)
     for theta, _, coeffs in expansion.terms:

@@ -22,7 +22,6 @@ from .model import ChannelParams, DerivedParams, derive, validate
 from .poles import PartialFractionExpansion, decompose, pole_exponents
 from .specfun import ln_gamma, tricomi_u_int_a
 
-LN2 = math.log(2.0)
 
 #: Deepest level of the double-exponential rule (step 2**-(DE_LEVELS+1)).
 DE_LEVELS = 10
@@ -54,13 +53,6 @@ class ErRequest:
         if not 1e-12 <= self.rel_tol <= 1e-2:
             raise ParameterError(
                 f"rel_tol must lie in [1e-12, 1e-2], got {self.rel_tol!r}")
-
-    @classmethod
-    def from_qos(cls, params: ChannelParams, theta: float, block_duration: float,
-                 bandwidth: float, **kwargs) -> "ErRequest":
-        """Build the exponent from the delay exponent, block duration, and bandwidth."""
-        a = theta * block_duration * bandwidth / LN2
-        return cls(params=params, a_exponent=a, **kwargs)
 
 
 @dataclass(frozen=True)

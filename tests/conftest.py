@@ -167,9 +167,9 @@ def mgf_mean_check(params: ChannelParams, derived) -> float:
     )
 
 
-def sample_snr(geometry, params: ChannelParams, rng: np.random.Generator) -> float:
+def sample_snr(params: ChannelParams, rng: np.random.Generator) -> float:
     """Draw one SNR realization from the physical channel."""
-    return float(_sample_block(geometry, params, rng, 1)[0])
+    return float(_sample_block(params, rng, 1)[0])
 
 
 def rayleigh_j(gamma_bar: float, a_exponent: float) -> float:

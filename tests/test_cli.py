@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fbrate.cli import main
-from fbrate.crosscheck import db_to_linear, linear_to_db
+from fbrate.crosscheck import db_to_linear
 
-from conftest import FIG1_R_A2, J_RAYLEIGH, R_RAYLEIGH
+from conftest import FIG1_R_A2, FIG2_J_BY_M, J_RAYLEIGH, R_RAYLEIGH
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +112,23 @@ class TestErCommand:
         assert row[4] == "monte_carlo"
         assert float(row[2]) == pytest.approx(FIG1_R_A2, abs=0.01)
 
+    def test_monte_carlo_real_mu(self, capsys):
+        code, out, _ = run_cli(capsys, "er", "--mu", "1.5", "--m", "1", "--kappa", "1",
+                               "--eta", "0.1", "--rho2", "0.1", "--A", "2",
+                               "--snr-db", "0:0:1", "--method", "mc",
+                               "--samples", "50000")
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert row[4] == "monte_carlo"
+        assert abs(float(row[3]) - FIG2_J_BY_M[1.0]) <= 4.0 * float(row[5])
+
+    def test_monte_carlo_underflow_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "er", "--mu", "2", "--A", "1000",
+                                 "--snr-db", "30:30:1", "--method", "mc",
+                                 "--samples", "2000")
+        assert code == 3
+        assert err.startswith("error: ") and "underflowed" in err
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("FBRATE_SEED", "7")
         args = ("er", "--preset", "rayleigh", "--A", "2", "--snr-db", "0:0:1",
@@ -152,6 +169,16 @@ class TestGridCommands:
         assert code == 3
         assert "even integer mu" in err
 
+    def test_mgf_negative_grid_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "mgf", "--mu", "2", "--s=-1:0:1")
+        assert code == 2
+        assert err.startswith("error: ") and ">= 0" in err
+
+    def test_pdf_negative_grid_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "pdf", "--mu", "2", "--gamma=-1:0:1")
+        assert code == 2
+        assert err.startswith("error: ") and ">= 0" in err
+
 
 class TestValidateCommands:
     def test_validate_quick_pass(self, capsys):
@@ -177,6 +204,4 @@ class TestValidateCommands:
 
 def test_db_round_trip():
     for db in np.linspace(-40.0, 40.0, 17):
-        assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
-    for g in np.geomspace(1e-4, 1e4, 9):
-        assert db_to_linear(linear_to_db(g)) == pytest.approx(g, rel=1e-12)
+        assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)

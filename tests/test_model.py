@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbrate import ChannelParams, ParameterError, derive, mgf, preset, validate
+from fbrate.model import channel_constants
 
 from conftest import (FIG1_ALPHA1, FIG1_BETA, FIG1_C1, FIG1_C2, FIG1_OMEGA,
                       cluster_model_mgf, fig1_params, random_valid_params,
@@ -73,14 +74,14 @@ class TestDerive:
         # kappa = 0, eta = 1 is a true double root; the sum-of-squares form
         # must not split it (the textbook beta^2 - 4 alpha1 goes negative)
         d = derive(ChannelParams(mu=mu, m=m, kappa=0.0, eta=1.0, rho2=1.0))
-        assert d.discriminant == 0.0
+        assert channel_constants(mu, m, 0.0, 1.0, 1.0)[3] == 0.0
         assert d.c1 == pytest.approx(d.c2, rel=1e-15, abs=0.0)
 
     def test_pure_function_bit_identical(self):
         params = random_valid_params(np.random.default_rng(7))
         a, b = derive(params), derive(params)
         assert a == b
-        for field in ("omega_cap", "alpha1", "beta", "discriminant", "exponent_e"):
+        for field in ("omega_cap", "alpha1", "beta", "exponent_e"):
             assert math.copysign(1.0, getattr(a, field)) == math.copysign(
                 1.0, getattr(b, field))
 
@@ -95,7 +96,7 @@ class TestDerive:
             total = d.c1 + d.c2
             assert abs(prod - 1.0 / d.alpha1) <= 1e-12 * abs(prod)
             assert abs(total - (-d.beta / d.alpha1)) <= 1e-12 * abs(total)
-            if d.discriminant >= 0:
+            if channel_constants(p.mu, p.m, p.kappa, p.eta, p.rho2)[3] >= 0:
                 assert d.c1.imag == 0 and d.c2.imag == 0
                 assert d.c1.real > 0 and d.c2.real > 0
                 assert abs(d.c1) >= abs(d.c2)
@@ -106,7 +107,7 @@ class TestDerive:
     def test_roots_real_positive_property(self, mu, m, kappa, eta, rho2):
         # the discriminant is provably nonnegative over the valid domain
         d = derive(ChannelParams(mu=mu, m=m, kappa=kappa, eta=eta, rho2=rho2))
-        assert d.discriminant >= 0
+        assert channel_constants(mu, m, kappa, eta, rho2)[3] >= 0
         assert d.c1.real > 0 and d.c2.real > 0
 
 

@@ -294,11 +294,6 @@ class TestDispatch:
         with pytest.raises(ParameterError):
             ErRequest(params=fig1_params(), a_exponent=2.0, rel_tol=0.5)
 
-    def test_from_qos_triple(self):
-        req = ErRequest.from_qos(fig1_params(), theta=0.05, block_duration=2e-3,
-                                 bandwidth=20e3)
-        assert req.a_exponent == pytest.approx(0.05 * 2e-3 * 20e3 / math.log(2.0))
-
 
 class TestSweepProperties:
     def test_rate_monotone_in_snr_and_mu(self):
