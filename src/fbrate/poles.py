@@ -62,9 +62,12 @@ class PartialFractionExpansion:
 
     ``terms``: tuple of (theta_i, multiplicity_i, coeffs) with
     coeffs[j-1] = A_ij for j = 1..multiplicity_i, all real (float or mpf).
+    ``majorants``: per term, E_ij >= |A_ij|, the envelope of the residue
+    recursion that the closed form's conditioning gate reads.
     """
 
     terms: tuple[tuple[float, int, tuple[float, ...]], ...]
+    majorants: tuple[tuple[float, ...], ...]
 
 
 def _merge(points):
@@ -132,13 +135,15 @@ def build_pole_set(params: ChannelParams, derived: DerivedParams) -> PoleSet:
                           *pole_exponents(params))
 
 
-def _taylor_coefficients(factors, n_terms: int) -> list:
+def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -> list:
     """Taylor coefficients around u = 0 of prod_k (a_k + b_k u)**e_k.
 
     Uses T_0 = prod a_k**e_k and the logarithmic-derivative recursion
     n*T_n = sum_{r=1..n} c_r T_{n-r} with c_r = (-1)^{r-1} sum_k e_k (b_k/a_k)^r.
     All a_k must be nonzero (coincident factors are stripped beforehand).
-    Works in the scalar type of the factors (float, complex or mpf).
+    Works in the scalar type of the factors (float, complex or mpf).  A
+    ``majorants`` list receives the envelope E_0 = |T_0|,
+    n*E_n = sum_r |c_r| E_{n-r}, which bounds |T_n| and scales its rounding.
     """
     t0 = 1
     ratios = []
@@ -146,6 +151,7 @@ def _taylor_coefficients(factors, n_terms: int) -> list:
         t0 *= a**e
         ratios.append((b / a, e))
     coeffs = [t0]
+    envelope = [abs(t0)]
     if n_terms > 1:
         c = [0]
         for r in range(1, n_terms):
@@ -153,6 +159,9 @@ def _taylor_coefficients(factors, n_terms: int) -> list:
             c.append(sign * sum(e * rho**r for rho, e in ratios))
         for n in range(1, n_terms):
             coeffs.append(sum(c[r] * coeffs[n - r] for r in range(1, n + 1)) / n)
+            envelope.append(sum(abs(c[r]) * envelope[n - r] for r in range(1, n + 1)) / n)
+    if majorants is not None:
+        majorants.extend(envelope)
     return coeffs
 
 
@@ -163,9 +172,11 @@ def partial_fractions(pole_set: PoleSet) -> PartialFractionExpansion:
     remaining factor (1 + g*s/theta_k)^e becomes (a + b*u)^e with
     a = 1 - theta_i/theta_k and b = theta_i/theta_k.  A numerator factor
     sitting exactly on the pole (a ~ 0) contributes a plain u-power shift.
-    A_ij is then the u**(w-j) Taylor coefficient of the product.
+    A_ij is then the u**(w-j) Taylor coefficient of the product, and E_ij
+    the same coefficient of its envelope.
     """
     terms = []
+    majorants = []
     for i, (theta_i, w) in enumerate(pole_set.poles):
         factors = []
         shift = 0
@@ -183,13 +194,18 @@ def partial_fractions(pole_set: PoleSet) -> PartialFractionExpansion:
             else:
                 factors.append((a, b, expo))
         n_terms = w - shift
-        taylor = _taylor_coefficients(factors, n_terms) if n_terms > 0 else []
+        envelope = []
+        taylor = _taylor_coefficients(factors, n_terms, envelope) if n_terms > 0 else []
         coeffs = []
+        bounds = []
         for j in range(1, w + 1):
             idx = w - j - shift
-            coeffs.append(scale * taylor[idx] if 0 <= idx < len(taylor) else 0)
+            inside = 0 <= idx < len(taylor)
+            coeffs.append(scale * taylor[idx] if inside else 0)
+            bounds.append(abs(scale) * envelope[idx] if inside else 0)
         terms.append((theta_i, w, tuple(coeffs)))
-    return PartialFractionExpansion(terms=tuple(terms))
+        majorants.append(tuple(bounds))
+    return PartialFractionExpansion(terms=tuple(terms), majorants=tuple(majorants))
 
 
 def decompose(params: ChannelParams, derived: DerivedParams) -> PartialFractionExpansion:

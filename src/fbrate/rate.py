@@ -5,7 +5,8 @@ with one nested double-exponential rule in log s, centred on the weight's
 peak; it resolves the second scale the integrand gains at s ~ 1/gamma_bar at
 high SNR and stops at the caller's ``rel_tol``.
 The closed-form route expands the rational MGF into partial fractions and
-pays one Tricomi-U evaluation per residue term.  Both compute the identical
+evaluates each distinct pole's Tricomi-U family at once: one exponential
+integral and a recurrence, certified term by term.  Both compute the identical
 scalar; ``er_auto`` dispatches and cross-checks.
 """
 
@@ -20,7 +21,7 @@ from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mgf import log_mgf
 from .model import ChannelParams, DerivedParams, derive, validate
 from .poles import PartialFractionExpansion, decompose, pole_exponents
-from .specfun import ln_gamma, tricomi_u_int_a
+from .specfun import _U_TOL, ln_gamma, u_family
 
 
 #: Deepest level of the double-exponential rule (step 2**-(DE_LEVELS+1)).
@@ -171,16 +172,41 @@ def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
     return value, err
 
 
-#: Switch to extended precision when the term sum cancels by more than this.
-#: The sum's relative error is the per-term U error times the cancellation
-#: ratio.  U is certified only to ``specfun._U_TOL`` = 1e-10 (a 1e-4 bound at
-#: this limit); the limit relies on the 1e-13 its quadrature aims at (1e-14
-#: for the asymptotic series), which keeps the error near 1e-7, under the
-#: 1e-6 cross-engine target.
+#: Switch to extended precision when the residue majorant exceeds J by more
+#: than this.  The majorant sum_ij E_ij W_ij, with E_ij >= |A_ij| the running
+#: envelope of the residue recursion (``poles._taylor_coefficients``), is what
+#: the rounding of the residue table is amplified by; at this limit that
+#: rounding is of order 1e-10 of J per unit of pole multiplicity.  The gate is
+#: a conditioning limit, not a certified bound on J.
 CLOSED_FORM_COND_LIMIT = 1e6
 
-#: Error estimate reported for a closed-form value: the per-term U accuracy target.
-_CLOSED_FORM_ERR = 1e-10
+#: Largest share of J that the certified U errors, sum_ij |A_ij| err(W_ij),
+#: may reach before every term is recomputed to the accuracy that share asks
+#: for.  Each U term is first certified to ``specfun._U_TOL`` = 1e-10, which
+#: would allow 1e-4 of J at ``CLOSED_FORM_COND_LIMIT``.  Also the error
+#: estimate reported for a closed-form value.
+U_SUM_TOL = 1e-9
+
+
+def _term_sums(expansion: PartialFractionExpansion, a_exponent: float,
+               gamma_bar: float, rel_tol: float) -> tuple[float, float, float, float]:
+    """sum A_ij W_ij, sum E_ij W_ij, sum |A_ij| W_ij and sum |A_ij| err(W_ij).
+
+    One :func:`specfun.u_family` per pole, every term certified to ``rel_tol``.
+    """
+    contributions, envelope, magnitude, u_error = [], [], [], []
+    for (theta, _, coeffs), majorants in zip(expansion.terms, expansion.majorants):
+        n = max((j for j, a_ij in enumerate(coeffs, start=1) if a_ij), default=0)
+        if n == 0:
+            continue
+        family = u_family(a_exponent, theta / gamma_bar, n, rel_tol)
+        for a_ij, e_ij, w_j, err_j in zip(coeffs, majorants, family.values, family.bounds):
+            contributions.append(a_ij * w_j)
+            envelope.append(e_ij * w_j)
+            magnitude.append(abs(a_ij) * w_j)
+            u_error.append(abs(a_ij) * err_j)
+    return (math.fsum(contributions), math.fsum(envelope), math.fsum(magnitude),
+            math.fsum(u_error))
 
 
 def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
@@ -191,32 +217,30 @@ def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
 
     Each basis term's expectation is exactly Gamma(j) U(j; j-A+1; theta/g)
     times the density normalization (theta/g)^j / Gamma(j), so the gammas
-    cancel and only the U evaluations remain.  The terms encode the vanishing
-    density derivatives at zero through cancellation; when that cancellation
-    exceeds the double-precision trust limit (high mean SNR with large A) the
-    sum is re-evaluated in extended precision.
+    cancel and only W_j = z^j U(j; j-A+1; z) remains, one
+    :func:`specfun.u_family` per pole.  The terms encode the vanishing
+    density derivatives at zero through cancellation; when the residue
+    majorant exceeds J by more than ``CLOSED_FORM_COND_LIMIT`` (high mean SNR
+    with large A, or high pole multiplicity) or J comes out <= 0, the sum is
+    re-evaluated in extended precision.  Otherwise, when the certified U
+    errors exceed ``U_SUM_TOL`` of J, the terms are recomputed to the
+    relative accuracy that brings them under it.
     """
     if a_exponent <= 0:
         raise ValueError(f"A must be > 0, got {a_exponent!r}")
-    contributions = []
-    for theta, mult, coeffs in expansion.terms:
-        z = theta / params.gamma_bar
-        for j in range(1, mult + 1):
-            a_ij = coeffs[j - 1]
-            if a_ij == 0:
-                continue
-            u_val = tricomi_u_int_a(j, j - a_exponent + 1.0, z)
-            contributions.append(a_ij * z**j * u_val)
-    value = math.fsum(contributions)
-    magnitude = math.fsum(abs(c) for c in contributions)
-    if value <= 0.0 or magnitude > CLOSED_FORM_COND_LIMIT * value:
+    gbar = params.gamma_bar
+    value, majorant, magnitude, u_error = _term_sums(expansion, a_exponent, gbar, _U_TOL)
+    if value <= 0.0 or majorant > CLOSED_FORM_COND_LIMIT * value:
         from ._extended import expectation_closed_form_mp
 
         if diagnostics is not None:
-            cond = magnitude / abs(value) if value != 0.0 else math.inf
+            cond = majorant / value if value > 0.0 else math.inf
             diagnostics.append(("closed_form_extended_precision",
-                                f"term cancellation {cond:.1e}"))
+                                f"residue majorant {cond:.1e}"))
         value = expectation_closed_form_mp(params, a_exponent)
+    elif u_error > U_SUM_TOL * value:
+        # magnitude <= majorant keeps this tolerance above 1e-15
+        value = _term_sums(expansion, a_exponent, gbar, U_SUM_TOL * value / magnitude)[0]
     if not 0.0 < value < 1.0 + 1e-12:
         raise ArithmeticError(f"closed-form expectation out of (0, 1): {value!r}")
     return min(value, 1.0)
@@ -274,7 +298,7 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
     derived = derive(params)
     if request.method == "closed_form":
         return result(_closed_form(params, derived, a, diagnostics), "closed_form",
-                      _CLOSED_FORM_ERR)
+                      U_SUM_TOL)
 
     j_closed = None
     if request.method == "auto" and closed_form_applies(params):
@@ -290,7 +314,7 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
         # unrounded, so that the error estimate below bounds the reported value
         diagnostics.append(("cross_check_rel_diff", repr(diff)))
         if diff <= CROSS_REL_TOL:
-            return result(j_closed, "closed_form", max(_CLOSED_FORM_ERR, diff))
+            return result(j_closed, "closed_form", max(U_SUM_TOL, diff))
         diagnostics.append(("engines_disagree",
                             f"closed form {j_closed:.9e} rejected "
                             f"(limit {CROSS_REL_TOL:.0e})"))

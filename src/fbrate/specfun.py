@@ -1,15 +1,27 @@
 """Special functions backing the rate computation.
 
 Provides log-gamma and the Tricomi confluent hypergeometric function
-U(a; b; z) for positive integer a.
+U(j; j-A+1; z) for positive integer j, a whole family at a time.  With
+X_j ~ Gamma(j, rate z),
+
+    W_j = z^j U(j; j-A+1; z) = E[(1 + X_j)^-A],   W_0 = 1,   W_1 = z e^z E_A(z),
+
+and the b-recurrence (DLMF 13.3.8, after Kummer's transformation DLMF
+13.2.40) reads k W_{k+1} = (k-A-z) W_k + z W_{k-1}.  One exponential
+integral per (A, z) therefore yields every W_j.  Forward recursion is stable
+for k >= A+z; below that W is the minimal solution and the recursion loses
+digits, so each term carries a running absolute-error bound (Gil, Segura &
+Temme, *Numerical Methods for Special Functions*, SIAM 2007, ch. 4).  Where
+the large-z asymptotic series converges it replaces the recursion; terms
+neither certifies are recomputed by the same code over ``mpmath.mpf`` at
+rising precision, and anything still uncertified raises
+:class:`ConvergenceError`.  mpmath is imported only for that re-run.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-
-from scipy.integrate import quad
+from dataclasses import dataclass
 
 from .errors import ConvergenceError
 
@@ -19,11 +31,30 @@ ln_gamma = math.lgamma  # C library lgamma: relative error well under 1e-14 for 
 # --- Tricomi U for positive integer first argument ---------------------------
 
 _U_TOL = 1e-10  # one order tighter than the 1e-8 rate-pipeline budget... see tests
-_EXP_UNDERFLOW = 700.0
+_UNIT = 2.0**-53  # unit roundoff of a double
+_EULER = 0.5772156649015329
+_TINY = 1e-300  # modified Lentz guard against a zero denominator
+_MAX_CF_TERMS = 100_000
+#: Working precisions (digits) of the mpf re-run, tried in turn.
+_EXTENDED_DPS = (30, 60, 120, 240, 480)
 
 
-def _u_asymptotic(a: int, b: float, z: float, tol: float):
-    """Large-z expansion U ~ z**-a * sum_k (-1)^k (a)_k (a-b+1)_k / (k! z^k).
+@dataclass(frozen=True)
+class UFamily:
+    """W_j = z^j U(j; j-A+1; z) for j = 1..n, each certified to ``rel_tol``.
+
+    ``bounds[j-1]`` bounds |error of values[j-1]|; ``branches[j-1]`` names
+    the evaluation that certified it: ``asymptotic``, ``recurrence`` or
+    ``extended`` (the mpf re-run).
+    """
+
+    values: tuple[float, ...]
+    bounds: tuple[float, ...]
+    branches: tuple[str, ...]
+
+
+def _w_asymptotic(j: int, a: float, z: float, tol: float):
+    """Large-z expansion W_j ~ sum_k (-1)^k (j)_k (A)_k / (k! z^k).
 
     Returns None unless the (divergent) series reaches ``tol`` before its
     terms start growing; the truncation error is bounded by the first
@@ -33,57 +64,177 @@ def _u_asymptotic(a: int, b: float, z: float, tol: float):
     total = 1.0
     prev = 1.0
     for k in range(60):
-        term *= -(a + k) * (a - b + 1.0 + k) / ((k + 1.0) * z)
+        term *= -(j + k) * (a + k) / ((k + 1.0) * z)
         if abs(term) >= prev:
             return None
         total += term
         prev = abs(term)
         if abs(term) <= tol * abs(total):
-            return total * z**-a
+            return total
     return None
+
+
+def _w1(a, z, unit, lib):
+    """(W_1, absolute error bound) with W_1 = z e^z E_A(z), in lib's scalar type.
+
+    ``lib`` supplies ``exp``, ``log`` and ``gamma`` (``math`` for floats,
+    ``mpmath`` for mpf) and ``unit`` is the unit roundoff.  For z >= 1 a
+    modified Lentz continued fraction (DLMF 8.19.17) gives e^z E_A(z)
+    directly.  Below that the power series (DLMF 8.19.10, or its psi(n) limit
+    8.19.8 at positive integer A) is summed with every term's magnitude
+    counted, so the cancellation of Gamma(1-A) z^(A-1) against the k = A-1
+    term near integer A shows in the bound.
+    """
+    if z >= 1:
+        b = z + a
+        c = 1 / _TINY
+        d = 1 / b
+        h = d
+        for i in range(1, _MAX_CF_TERMS):
+            an = -i * (a - 1 + i)
+            b += 2
+            d = an * d + b
+            d = 1 / (d if d != 0 else _TINY)
+            c = b + an / c
+            if c == 0:
+                c = _TINY
+            delta = c * d
+            h *= delta
+            if abs(delta - 1) <= unit:
+                w = z * h
+                return w, (4 * i + 8) * unit * abs(w)
+        raise ConvergenceError(
+            f"continued fraction for E_A(z) did not converge (A={a}, z={z})")
+
+    n = round(a)
+    integer_a = a == n and n >= 1
+    if integer_a:
+        # (-z)^(n-1)/(n-1)! (psi(n) - ln z)
+        coeff = 1
+        for i in range(1, n):
+            coeff *= -z / i
+        psi = _psi(n, lib)
+        log_z = lib.log(z)
+        lead = coeff * (psi - log_z)
+        lead_err = abs(coeff) * (abs(psi) + abs(log_z)) * (n + 4)
+    else:
+        lead = lib.gamma(1 - a) * z ** (a - 1)
+        lead_err = 16 * abs(lead)
+    # every denominator k+1-A summed is at least this far from zero
+    gap = 1 if integer_a else min(1, abs(a - max(n, 1)))
+    total = lead
+    magnitude = lead_err  # in units of the unit roundoff
+    power = 1  # (-z)^k / k!
+    k = 0
+    while True:
+        if not (integer_a and k == n - 1):
+            term = power / (k + 1 - a)
+            total -= term
+            magnitude += (2 * k + 4) * abs(term)
+        k += 1
+        power *= -z / k
+        # |z| < 1 halves |power| at least every step: the tail is below 2|power|/gap
+        tail = 2 * abs(power) / gap
+        if tail <= unit * abs(total):
+            break
+    scale = z * lib.exp(z)
+    w = scale * total
+    return w, scale * (unit * magnitude + tail) + 3 * unit * abs(w)
+
+
+def _psi(n: int, lib):
+    """Digamma at a positive integer n: H_(n-1) minus Euler's constant."""
+    if lib is math:
+        return math.fsum(1.0 / i for i in range(1, n)) - _EULER
+    return lib.digamma(n)
+
+
+def _forward(a, z, n: int, unit, lib, asymptotic_tol=None):
+    """W_1..W_n and error bounds by the forward b-recurrence, in lib's type.
+
+    The bound of W_(k+1) carries the bounds of W_k and W_(k-1) through the
+    recurrence plus the rounding of the step itself.  With
+    ``asymptotic_tol`` (double precision only) each term also tries
+    :func:`_w_asymptotic` until it first fails, and keeps whichever of the
+    two values has the smaller bound, so a good asymptotic value also seeds
+    the recursion.
+    """
+    w_prev, e_prev = 1, 0
+    w, e = _w1(a, z, unit, lib)
+    values, bounds, branches = [], [], []
+    for j in range(1, n + 1):
+        branch = "recurrence"
+        if j > 1:
+            k = j - 1
+            c = k - a - z
+            w_next = (c * w + z * w_prev) / k
+            e_next = ((abs(c) * e + z * e_prev
+                       + 4 * unit * ((k + abs(a) + z) * abs(w) + z * abs(w_prev))) / k
+                      + unit * abs(w_next))
+            w_prev, e_prev, w, e = w, e, w_next, e_next
+        if asymptotic_tol is not None:
+            series = _w_asymptotic(j, a, z, asymptotic_tol)
+            if series is None:
+                asymptotic_tol = None
+            else:
+                # truncation under tol, plus the rounding of at most 60 terms
+                series_err = (asymptotic_tol + 256 * unit) * abs(series)
+                if not e <= series_err:
+                    w, e, branch = series, series_err, "asymptotic"
+        values.append(w)
+        bounds.append(e)
+        branches.append(branch)
+    return values, bounds, branches
+
+
+def u_family(a: float, z: float, n: int, rel_tol: float = _U_TOL) -> UFamily:
+    """W_j = z^j U(j; j-A+1; z) = E[(1+X_j)^-A] for j = 1..n, A = ``a``, z > 0.
+
+    Runs :func:`_forward` in double precision with the asymptotic series
+    where it converges; every term whose bound exceeds ``rel_tol`` times its
+    value is recomputed over ``mpmath.mpf`` at 30, 60, ... digits until its
+    bound certifies it.  Raises :class:`ConvergenceError` carrying the
+    largest relative bound left when the last precision still fails.
+    """
+    values, bounds, branches = _forward(a, z, n, _UNIT, math,
+                                        min(rel_tol * 1e-2, 1e-14))
+    pending = [i for i in range(n) if not bounds[i] <= rel_tol * values[i]]
+    if pending:
+        import mpmath as mp
+
+        for dps in _EXTENDED_DPS:
+            with mp.workdps(dps):
+                ext_values, ext_bounds, _ = _forward(
+                    mp.mpf(a), mp.mpf(z), pending[-1] + 1, mp.eps / 2, mp)
+            uncertified = {}
+            for i in pending:
+                w = float(ext_values[i])
+                e = float(ext_bounds[i]) + _UNIT * abs(w)
+                if e <= rel_tol * w:
+                    values[i], bounds[i], branches[i] = w, e, "extended"
+                else:
+                    uncertified[i] = e / w if w > 0 else math.inf
+            pending = list(uncertified)
+            if not pending:
+                break
+        else:
+            raise ConvergenceError(
+                f"U(j; j-A+1; z) with A={a}, z={z} uncertified at j={pending[0] + 1} "
+                f"after {_EXTENDED_DPS[-1]} digits (target {rel_tol:.1e} relative)",
+                achieved=max(uncertified.values()))
+    return UFamily(values=tuple(values), bounds=tuple(bounds), branches=tuple(branches))
 
 
 def tricomi_u_int_a(a: int, b: float, z: float, rel_tol: float = _U_TOL) -> float:
     """U(a; b; z) for integer a >= 1, real b, z > 0.
 
-    Uses the defining Laplace-type integral
-        U(a; b; z) = (1/Gamma(a)) * int_0^inf t**(a-1) (1+t)**(b-a-1) e**(-z t) dt
-    split at t = 1 with the tail mapped onto (0, 1] by t -> 1/u, each half
-    handled by adaptive quadrature; for large z an asymptotic expansion is
-    used instead when it reaches the target first.  Raises
-    :class:`ConvergenceError` carrying the achieved error estimate if the
-    target accuracy cannot be certified.
+    The last member of :func:`u_family` with A = a - b + 1, scaled by z^-a.
+    Raises :class:`ConvergenceError` carrying the achieved error estimate if
+    the target accuracy cannot be certified.
     """
     if a < 1 or a != int(a):
         raise ValueError(f"first argument must be a positive integer, got {a!r}")
     if z <= 0:
         raise ValueError(f"z must be > 0, got {z!r}")
     a = int(a)
-
-    approx = _u_asymptotic(a, b, z, min(rel_tol * 1e-2, 1e-14))
-    if approx is not None:
-        return approx
-
-    c = b - a - 1.0  # power of (1+t); <= -1 in the rate pipeline's usage
-
-    def head(t):
-        return t ** (a - 1) * (1.0 + t) ** c * math.exp(-z * t)
-
-    def tail(u):
-        # t = 1/u:  u**-b happens first only when e^{-z/u} cannot underflow it
-        zu = z / u
-        if zu > _EXP_UNDERFLOW:
-            return 0.0
-        return u ** (-b) * (1.0 + u) ** c * math.exp(-zu)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        v1, e1 = quad(head, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=250)
-        v2, e2 = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=250)
-    total = v1 + v2
-    err = e1 + e2
-    if not (err <= rel_tol * abs(total)) or not math.isfinite(total):
-        raise ConvergenceError(
-            f"U({a}; {b}; {z}) quadrature achieved {err:.2e} (abs) on value {total:.6e}, "
-            f"target {rel_tol:.1e} relative", achieved=err)
-    return total / math.gamma(a)
+    return u_family(a - b + 1.0, z, a, rel_tol).values[-1] * z**-a

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fbrate
 from fbrate.cli import main
 from fbrate.crosscheck import db_to_linear
 
@@ -205,3 +210,16 @@ class TestValidateCommands:
 def test_db_round_trip():
     for db in np.linspace(-40.0, 40.0, 17):
         assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
+
+
+def test_cli_import_loads_neither_scipy_nor_mpmath():
+    # a fresh interpreter: the CLI must start without scipy, and mpmath must
+    # wait for the rare extended-precision re-run
+    src = str(Path(fbrate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, fbrate.cli; "
+             "print([m for m in ('scipy', 'mpmath') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"

@@ -180,6 +180,22 @@ class TestClosedForm:
         assert result.expectation_j == pytest.approx(cluster_model_j(p, 2.0),
                                                      rel=1e-9, abs=0.0)
 
+    def test_u_error_share_tightens_the_terms(self, monkeypatch):
+        # 20 dB, A = 5: the terms cancel ~5e5-fold, under the extended-precision
+        # limit; a U term certified only to 1e-10 (true error 1.1e-11) would
+        # put J 3.4e-9 off, so the terms are recomputed to U_SUM_TOL of J
+        p = ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=1.0, gamma_bar=100.0)
+        d = derive(p)
+        calls = []
+        term_sums = fbrate.rate._term_sums
+        monkeypatch.setattr(fbrate.rate, "_term_sums",
+                            lambda *args: calls.append(args[-1]) or term_sums(*args))
+        diagnostics = []
+        j = expectation_closed_form(p, d, decompose(p, d), 5.0, diagnostics)
+        assert not diagnostics
+        assert len(calls) == 2 and calls[1] < calls[0]
+        assert j == pytest.approx(cluster_model_j(p, 5.0), rel=5e-10, abs=0.0)
+
     def test_extreme_cancellation_switches_to_extended_precision(self):
         # high mean SNR with large A: term cancellation ~1e12 forces the
         # extended-precision path, which must still match the quadrature route
@@ -238,13 +254,10 @@ class TestDispatch:
         assert result.expectation_j == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("mu, m, snr_db, a, reason", [
-        (2.0, 40.0, 20.0, 5.0, "engines_disagree"),
-        (2.0, 40.0, 30.0, 2.0, "closed_form_failed"),
         (20.0, 200.0, 20.0, 5.0, "closed_form_failed"),
     ])
     def test_auto_falls_back_to_quadrature_at_high_multiplicity(
             self, mu, m, snr_db, a, reason):
-        # a 0.5%-wrong double-precision residue table, an uncertified U, and
         # an overflow in the residues: auto must return the quadrature value
         p = ChannelParams(mu=mu, m=m, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
         assert closed_form_applies(p)
@@ -253,15 +266,18 @@ class TestDispatch:
         assert reason in dict(result.diagnostics)
         assert result.expectation_j == pytest.approx(HIGH_MULT_J[mu, m, snr_db, a],
                                                      rel=1e-8, abs=0.0)
-        if reason == "engines_disagree":
-            diff = float(dict(result.diagnostics)["cross_check_rel_diff"])
-            assert diff > 1e-6
-            assert result.error_estimate >= diff
 
-    def test_explicit_closed_form_still_raises_when_uncertified(self):
-        p = ChannelParams(mu=2.0, m=40.0, gamma_bar=1000.0, **HIGH_MULT)
-        with pytest.raises(ConvergenceError):
-            er_auto(ErRequest(params=p, a_exponent=2.0, method="closed_form"))
+    @pytest.mark.parametrize("method", ["auto", "closed_form"])
+    @pytest.mark.parametrize("snr_db, a", [(20.0, 5.0), (30.0, 2.0)])
+    def test_high_multiplicity_escalates(self, snr_db, a, method):
+        # m = 40: the double-precision residue table is 0.5% off, and its
+        # majorant (~1e24) sends both methods to the extended-precision sum
+        p = ChannelParams(mu=2.0, m=40.0, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
+        result = er_auto(ErRequest(params=p, a_exponent=a, method=method))
+        assert result.method_used == "closed_form"
+        assert "closed_form_extended_precision" in dict(result.diagnostics)
+        assert result.expectation_j == pytest.approx(HIGH_MULT_J[2.0, 40.0, snr_db, a],
+                                                     rel=1e-9, abs=0.0)
 
     def test_closed_form_applies_predicate(self):
         assert closed_form_applies(fig1_params())

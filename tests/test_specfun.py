@@ -1,12 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import exp1 as scipy_exp1
 
-from fbrate import ln_gamma, tricomi_u_int_a
+from fbrate import ConvergenceError, ln_gamma, tricomi_u_int_a
+from fbrate import specfun
+from fbrate.specfun import _U_TOL, _w1, u_family
 
-from conftest import E1_AT_1, U_2_1_2, U_3_HALF_2, exp1 as _exp1
+from conftest import (E1_AT_1, U_2_1_2, U_3_HALF_2, exp1 as _exp1, rayleigh_j,
+                      tricomi_u_integral_mp)
 
 
 class TestLnGamma:
@@ -86,3 +90,87 @@ class TestTricomiU:
                 tight = tricomi_u_int_a(j, b, z, rel_tol=1e-12)
                 assert loose == pytest.approx(tight, rel=1e-9)
 
+
+#: Exponents of the U-family grid: the validation grid's values, a large one,
+#: and near-integer values whose small-z series cancels.
+FAMILY_A = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 2.0 + 1e-9, 2.0 - 1e-9, 2.0 + 1e-6,
+            2.0 - 1e-6, 5.0 - 1e-7)
+FAMILY_Z = tuple(float(z) for z in np.geomspace(1e-4, 1e3, 8))
+FAMILY_N = 40
+
+
+def reference_family(a: float, z: float, n: int) -> list:
+    """W_0..W_n from mpmath's E_A(z) and the b-recurrence at 140 digits.
+
+    The forward recurrence loses up to ~90 digits on this grid (A = 20 at
+    small z, z = 1e3), so a 120-digit run must agree to 1e-20 before the
+    result is used; ``test_reference_matches_integral_oracle`` ties the
+    recurrence itself to the defining integral.
+    """
+    runs = []
+    for dps in (120, 140):
+        with mp.workdps(dps):
+            a_mp, z_mp = mp.mpf(a), mp.mpf(z)
+            w = [mp.mpf(1), z_mp * mp.exp(z_mp) * mp.expint(a_mp, z_mp)]
+            for k in range(1, n):
+                w.append(((k - a_mp - z_mp) * w[k] + z_mp * w[k - 1]) / k)
+            runs.append(w)
+    for low, high in zip(*runs):
+        assert abs(low - high) <= 1e-20 * abs(high)
+    return runs[1]
+
+
+class TestUFamily:
+    @pytest.mark.parametrize("a", (0.5, 2.0, 5.0 - 1e-7, 20.0))
+    def test_reference_matches_integral_oracle(self, a):
+        for z in (1e-3, 1.0, 30.0):
+            w = reference_family(a, z, 3)
+            with mp.workdps(30):
+                z_mp = mp.mpf(z)
+                oracle = z_mp**3 * tricomi_u_integral_mp(3, 4 - mp.mpf(a), z_mp)
+            assert abs(oracle - w[3]) <= 1e-20 * w[3]
+
+    @pytest.mark.parametrize("a", FAMILY_A)
+    def test_values_and_bounds_against_reference(self, a):
+        for z in FAMILY_Z:
+            family = u_family(a, z, FAMILY_N)
+            exact = reference_family(a, z, FAMILY_N)
+            for j in range(1, FAMILY_N + 1):
+                value, bound = family.values[j - 1], family.bounds[j - 1]
+                error = abs(value - float(exact[j]))
+                assert error <= _U_TOL * float(exact[j]), (a, z, j)
+                assert bound >= error, (a, z, j, family.branches[j - 1])
+                assert bound <= _U_TOL * value
+
+    def test_every_branch_is_hit(self):
+        branches = set()
+        for a in FAMILY_A:
+            for z in FAMILY_Z:
+                branches.update(u_family(a, z, FAMILY_N).branches)
+        assert branches == {"asymptotic", "recurrence", "extended"}
+
+    @pytest.mark.parametrize("a", (0.5, 1.0, 2.0, 5.0, 2.0 + 1e-9))
+    def test_first_term_is_rayleigh_j(self, a):
+        # W_1 = z e^z E_A(z) is the exact Rayleigh J at gamma_bar = 1/z
+        for z in (1e-3, 0.3, 0.99, 1.0, 3.0, 100.0):
+            assert u_family(a, z, 1).values[0] == pytest.approx(
+                rayleigh_j(1.0 / z, a), rel=1e-10, abs=0.0)
+
+    def test_near_integer_cancellation_shows_in_the_bound(self):
+        # the double series for A = 2 + 1e-9 at z = 0.99 cancels Gamma(1-A)
+        # z^(A-1) against its k = 1 term; its bound must send W_1 to mpf
+        a, z = 2.0 + 1e-9, 0.99
+        w1, bound = _w1(a, z, 2.0**-53, math)
+        exact = float(reference_family(a, z, 1)[1])
+        assert abs(w1 - exact) <= bound
+        assert bound > _U_TOL * exact
+        family = u_family(a, z, 1)
+        assert family.branches == ("extended",)
+        assert family.values[0] == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_uncertified_term_raises(self, monkeypatch):
+        # A = 20 at z = 1e-4 loses ~90 digits by j = 40; 30 cannot certify it
+        monkeypatch.setattr(specfun, "_EXTENDED_DPS", (30,))
+        with pytest.raises(ConvergenceError) as info:
+            u_family(20.0, 1e-4, FAMILY_N)
+        assert info.value.achieved > _U_TOL
