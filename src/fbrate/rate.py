@@ -183,7 +183,8 @@ CLOSED_FORM_COND_LIMIT = 1e6
 #: Largest share of J that the certified U errors, sum_ij |A_ij| err(W_ij),
 #: may reach before every term is recomputed to the accuracy that share asks
 #: for.  Each U term is first certified to ``specfun._U_TOL`` = 1e-10, which
-#: would allow 1e-4 of J at ``CLOSED_FORM_COND_LIMIT``.  Also the error
+#: would allow 1e-4 of J at ``CLOSED_FORM_COND_LIMIT``.  Also the share of J
+#: the extended-precision sum's error estimate must reach, and the error
 #: estimate reported for a closed-form value.
 U_SUM_TOL = 1e-9
 
@@ -222,9 +223,11 @@ def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
     density derivatives at zero through cancellation; when the residue
     majorant exceeds J by more than ``CLOSED_FORM_COND_LIMIT`` (high mean SNR
     with large A, or high pole multiplicity) or J comes out <= 0, the sum is
-    re-evaluated in extended precision.  Otherwise, when the certified U
-    errors exceed ``U_SUM_TOL`` of J, the terms are recomputed to the
-    relative accuracy that brings them under it.
+    re-evaluated in extended precision, and the
+    ``closed_form_extended_precision`` diagnostic records that ratio and the
+    digits used.  Otherwise, when the certified U errors exceed ``U_SUM_TOL``
+    of J, the terms are recomputed to the relative accuracy that brings them
+    under it.
     """
     if a_exponent <= 0:
         raise ValueError(f"A must be > 0, got {a_exponent!r}")
@@ -233,11 +236,11 @@ def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
     if value <= 0.0 or majorant > CLOSED_FORM_COND_LIMIT * value:
         from ._extended import expectation_closed_form_mp
 
+        cond = majorant / value if value > 0.0 else math.inf
+        value, digits = expectation_closed_form_mp(params, a_exponent)
         if diagnostics is not None:
-            cond = majorant / value if value > 0.0 else math.inf
             diagnostics.append(("closed_form_extended_precision",
-                                f"residue majorant {cond:.1e}"))
-        value = expectation_closed_form_mp(params, a_exponent)
+                                f"residue majorant {cond:.1e}; {digits} digits"))
     elif u_error > U_SUM_TOL * value:
         # magnitude <= majorant keeps this tolerance above 1e-15
         value = _term_sums(expansion, a_exponent, gbar, U_SUM_TOL * value / magnitude)[0]

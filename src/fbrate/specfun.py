@@ -35,7 +35,8 @@ _UNIT = 2.0**-53  # unit roundoff of a double
 _EULER = 0.5772156649015329
 _TINY = 1e-300  # modified Lentz guard against a zero denominator
 _MAX_CF_TERMS = 100_000
-#: Working precisions (digits) of the mpf re-run, tried in turn.
+#: Working precisions (digits) of the mpf re-runs, tried in turn; the
+#: extended-precision closed form (``_extended``) climbs the same ladder.
 _EXTENDED_DPS = (30, 60, 120, 240, 480)
 
 

@@ -74,7 +74,15 @@ J_MERGED_G3_A05 = 0.55005758560518021080
 HIGH_MULT = dict(kappa=3.0, eta=0.3, rho2=0.3)
 HIGH_MULT_J = {(2.0, 40.0, 20.0, 5.0): 3.3049440292117800540e-6,
                (2.0, 40.0, 30.0, 2.0): 4.8493483720980410715e-6,
-               (20.0, 200.0, 20.0, 5.0): 1.5536533120170195049e-10}
+               (20.0, 200.0, 20.0, 5.0): 1.5536533120170195049e-10,
+               # from the benchmark's independent 30-digit oracle
+               # (bench/oracle.json, keys hm|mu|m|30.0|5 at sub-dB offset 0.0)
+               (20.0, 10.0, 30.0, 5.0): 4.2006646660348833620e-15,
+               (20.0, 20.0, 30.0, 5.0): 2.5668863163520493928e-15,
+               (20.0, 40.0, 30.0, 5.0): 2.0010357510803371249e-15,
+               (40.0, 10.0, 30.0, 5.0): 3.0628352526821976383e-15,
+               (40.0, 20.0, 30.0, 5.0): 1.9523980185759522187e-15,
+               (40.0, 40.0, 30.0, 5.0): 1.5537859482172561887e-15}
 
 
 def fig1_params(gamma_bar: float = 1.0, mu: float = 2.0) -> ChannelParams:
@@ -235,13 +243,25 @@ def exp1(z: float) -> float:
 def tricomi_u_integral_mp(j: int, b, z):
     """U(j; b; z) by mpmath quadrature of its defining Laplace integral.
 
-    U = Gamma(j)^-1 int_0^inf t^(j-1) (1+t)^(b-j-1) e^(-z t) dt, split at
-    t = 1, 1/z and 10/z; shares nothing with ``mpmath.hyperu``.  Runs at the
-    caller's working precision.
+    With s = z t, U = z^-j Gamma(j)^-1 int_0^inf s^(j-1) (1+s/z)^(b-j-1) e^-s ds.
+    The integral is taken in x = ln s, split at the knee s = z, at s = 1 and
+    around the Gamma peak s = j-1 (width sqrt j), and truncated where the
+    integrand has fallen by e^(-3 dps).  ``mp.quad`` stops on an absolute
+    tolerance, so the integrand is divided by its largest value at the split
+    points first.  Shares nothing with the package's recurrence.  Runs at
+    the caller's working precision.
     """
-    f = lambda t: t ** (j - 1) * (1 + t) ** (b - j - 1) * mp.exp(-z * t)
-    points = sorted({mp.mpf(1), 1 / z, 10 / z})
-    return mp.quad(f, [0, *points, mp.inf]) / mp.gamma(j)
+    def log_f(x):
+        s = mp.exp(x)
+        return j * x - s + (b - j - 1) * mp.log1p(s / z)
+
+    digits = 3 * mp.mp.dps
+    peak = (j - 1 + k * mp.sqrt(j) for k in (-4, -2, 0, 2, 4, 8))
+    knots = {mp.log(z), mp.mpf(0), *(mp.log(s) for s in peak if s > 0)}
+    points = sorted(knots | {min(knots) - digits / j, mp.log(2 * j + digits)})
+    scale = max(log_f(x) for x in points)
+    integral = mp.quad(lambda x: mp.exp(log_f(x) - scale), points)
+    return integral * mp.exp(scale - mp.loggamma(j)) * z**-j
 
 
 def reconstruct(expansion, gamma_bar: float, s):

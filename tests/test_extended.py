@@ -1,10 +1,10 @@
-"""Extended-precision closed form: U values, the 30-digit sum, typed failures."""
+"""Extended-precision closed form: mpf U families, the certified sum, typed failures."""
 
 import mpmath as mp
 import pytest
 
-from fbrate import ChannelParams, ConvergenceError, ErRequest, er_auto
-from fbrate._extended import _DPS, expectation_closed_form_mp
+from fbrate import ChannelParams, ConvergenceError, ErRequest, er_auto, specfun
+from fbrate._extended import expectation_closed_form_mp
 
 from conftest import HIGH_MULT, HIGH_MULT_J, cluster_model_j, tricomi_u_integral_mp
 
@@ -26,11 +26,20 @@ U_TRIPLES = (
 
 @pytest.mark.parametrize("j,b,z", U_TRIPLES)
 def test_extended_u_matches_integral_oracle(j, b, z):
-    with mp.workdps(_DPS):
-        u = mp.hyperu(j, b, z)
-    with mp.workdps(_DPS + 10):
-        oracle = tricomi_u_integral_mp(j, mp.mpf(b), mp.mpf(z))
-    assert abs(u - oracle) <= 1e-25 * abs(oracle)
+    # W_j = z^j U(j; b; z) from the mpf family the extended sum uses, at the
+    # first rung of the precision ladder whose bound certifies 1e-25
+    for dps in specfun._EXTENDED_DPS:
+        with mp.workdps(dps):
+            values, bounds, _ = specfun._forward(j + 1 - mp.mpf(b), mp.mpf(z), j,
+                                                 mp.eps / 2, mp)
+        if bounds[-1] <= 1e-25 * values[-1]:
+            break
+    with mp.workdps(dps + 10):
+        z_mp = mp.mpf(z)
+        oracle = z_mp**j * tricomi_u_integral_mp(j, mp.mpf(b), z_mp)
+        error = abs(values[-1] - oracle)
+    assert error <= 1e-25 * oracle
+    assert bounds[-1] >= error
 
 
 #: Grid configurations whose term sum cancels past the double-precision limit.
@@ -43,34 +52,67 @@ EXTENDED_GRID = (
 
 @pytest.mark.parametrize("params,a", EXTENDED_GRID)
 def test_extended_sum_matches_cluster_model(params, a):
-    assert expectation_closed_form_mp(params, a) == pytest.approx(
+    assert expectation_closed_form_mp(params, a)[0] == pytest.approx(
         cluster_model_j(params, a), rel=1e-9, abs=0.0)
 
 
+#: The m = 40 row whose double-precision residue table is 0.5% off; its
+#: residue majorant (~1e25 of J) needs the second rung, 60 digits.
+M40 = ChannelParams(mu=2.0, m=40.0, gamma_bar=100.0, **HIGH_MULT)
+
+
 def test_extended_sum_at_high_multiplicity():
-    # the m = 40 row whose double-precision residue table is 0.5% off
-    p = ChannelParams(mu=2.0, m=40.0, gamma_bar=100.0, **HIGH_MULT)
-    assert expectation_closed_form_mp(p, 5.0) == pytest.approx(
+    assert expectation_closed_form_mp(M40, 5.0)[0] == pytest.approx(
         HIGH_MULT_J[2.0, 40.0, 20.0, 5.0], rel=1e-9, abs=0.0)
+
+
+def test_extended_sum_climbs_to_the_oracle_at_multiplicity_400():
+    # mu = 20, m = 200: 30 digits leave J negative and 60 digits a wrong
+    # 8.4e-7 that only the residue share rejects; 240 digits certify it
+    p = ChannelParams(mu=20.0, m=200.0, gamma_bar=100.0, **HIGH_MULT)
+    value, digits = expectation_closed_form_mp(p, 5.0)
+    assert digits == 240
+    assert value == pytest.approx(HIGH_MULT_J[20.0, 200.0, 20.0, 5.0], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("params,a", [
+    # a grid shape at 40 dB with A = 20, and mu = 20 at -10 dB (z up to ~1e3)
+    (ChannelParams(mu=6.0, m=3.0, kappa=0.5, eta=0.1, rho2=0.1, gamma_bar=1e4), 20.0),
+    (ChannelParams(mu=20.0, m=3.0, kappa=1.0, eta=1.0, rho2=1.0, gamma_bar=0.1), 5.0),
+])
+def test_u_share_climbs_a_rung(params, a):
+    # the recurrence loses digits below k = A + z: at 30 digits these sums
+    # are off by 5e-9 and 4e-5 of J with a residue share under 1e-10, and
+    # only the U bounds send them to 60
+    value, digits = expectation_closed_form_mp(params, a)
+    assert digits == 60
+    assert value == pytest.approx(cluster_model_j(params, a), rel=1e-9, abs=0.0)
 
 
 def _no_convergence(*args):
     raise mp.libmp.NoConvergence("forced")
 
 
-def test_no_convergence_is_typed(monkeypatch):
+@pytest.mark.parametrize("params,a", EXTENDED_GRID)
+def test_extended_sum_needs_no_hyperu(monkeypatch, params, a):
     monkeypatch.setattr(mp, "hyperu", _no_convergence)
-    params, a = EXTENDED_GRID[0]
-    with pytest.raises(ConvergenceError, match="extended-precision U"):
-        expectation_closed_form_mp(params, a)
+    assert expectation_closed_form_mp(params, a)[0] == pytest.approx(
+        cluster_model_j(params, a), rel=1e-9, abs=0.0)
+
+
+def test_no_convergence_is_typed(monkeypatch):
+    # with the ladder cut to its first rung the m = 40 row cannot certify
+    monkeypatch.setattr(specfun, "_EXTENDED_DPS", (30,))
+    with pytest.raises(ConvergenceError, match="extended-precision U") as info:
+        expectation_closed_form_mp(M40, 5.0)
+    assert info.value.achieved > 1e-9
 
 
 def test_auto_falls_back_when_extended_u_fails(monkeypatch):
-    monkeypatch.setattr(mp, "hyperu", _no_convergence)
-    params, a = EXTENDED_GRID[0]
-    result = er_auto(ErRequest(params=params, a_exponent=a))
+    monkeypatch.setattr(specfun, "_EXTENDED_DPS", (30,))
+    result = er_auto(ErRequest(params=M40, a_exponent=5.0))
     assert result.method_used == "quadrature"
     diagnostics = dict(result.diagnostics)
-    assert diagnostics["closed_form_failed"].startswith("ConvergenceError")
-    assert result.expectation_j == pytest.approx(cluster_model_j(params, a),
+    assert diagnostics["closed_form_failed"].startswith("ConvergenceError: extended-precision U")
+    assert result.expectation_j == pytest.approx(cluster_model_j(M40, 5.0),
                                                  rel=1e-8, abs=0.0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbrate.rate
+from fbrate import specfun
 from fbrate.poles import pole_exponents
 from fbrate.rate import DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
@@ -257,8 +258,12 @@ class TestDispatch:
         (20.0, 200.0, 20.0, 5.0, "closed_form_failed"),
     ])
     def test_auto_falls_back_to_quadrature_at_high_multiplicity(
-            self, mu, m, snr_db, a, reason):
-        # an overflow in the residues: auto must return the quadrature value
+            self, mu, m, snr_db, a, reason, monkeypatch):
+        # an uncertified closed form: auto must return the quadrature value.
+        # This row certifies at 240 digits (test_multiplicity_400_certifies);
+        # cut to 60, its extended sum reads a wrong 8.4e-7 in (0, 1) that only
+        # the residue share of the error estimate rejects
+        monkeypatch.setattr(specfun, "_EXTENDED_DPS", (30, 60))
         p = ChannelParams(mu=mu, m=m, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
         assert closed_form_applies(p)
         result = er_auto(ErRequest(params=p, a_exponent=a))
@@ -277,6 +282,27 @@ class TestDispatch:
         assert result.method_used == "closed_form"
         assert "closed_form_extended_precision" in dict(result.diagnostics)
         assert result.expectation_j == pytest.approx(HIGH_MULT_J[2.0, 40.0, snr_db, a],
+                                                     rel=1e-9, abs=0.0)
+
+    def test_multiplicity_400_certifies(self):
+        # mu = 20, m = 200: a residue majorant of 2e76 of J; the extended sum
+        # climbs to 240 digits and auto keeps the closed form
+        p = ChannelParams(mu=20.0, m=200.0, gamma_bar=100.0, **HIGH_MULT)
+        result = er_auto(ErRequest(params=p, a_exponent=5.0))
+        assert result.method_used == "closed_form"
+        assert dict(result.diagnostics)["closed_form_extended_precision"].endswith(
+            "; 240 digits")
+        assert result.expectation_j == pytest.approx(HIGH_MULT_J[20.0, 200.0, 20.0, 5.0],
+                                                     rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("method", ["auto", "closed_form"])
+    @pytest.mark.parametrize("mu", [20.0, 40.0])
+    @pytest.mark.parametrize("m", [10.0, 20.0, 40.0])
+    def test_high_multiplicity_rows_at_30_db(self, m, mu, method):
+        p = ChannelParams(mu=mu, m=m, gamma_bar=1000.0, **HIGH_MULT)
+        result = er_auto(ErRequest(params=p, a_exponent=5.0, method=method))
+        assert result.method_used == "closed_form"
+        assert result.expectation_j == pytest.approx(HIGH_MULT_J[mu, m, 30.0, 5.0],
                                                      rel=1e-9, abs=0.0)
 
     def test_closed_form_applies_predicate(self):

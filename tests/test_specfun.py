@@ -130,6 +130,17 @@ class TestUFamily:
                 oracle = z_mp**3 * tricomi_u_integral_mp(3, 4 - mp.mpf(a), z_mp)
             assert abs(oracle - w[3]) <= 1e-20 * w[3]
 
+    @pytest.mark.parametrize("z", (100.0, 1e3))
+    def test_integral_oracle_at_large_z_j(self, z):
+        # the Gamma peak (j-1)/z sits far from t = 1/z here; without the split
+        # at it the oracle missed 2-44% of the mass
+        for a in (0.0, 5.0, 20.0):
+            w = reference_family(a, z, 40)
+            with mp.workdps(30):
+                z_mp = mp.mpf(z)
+                oracle = z_mp**40 * tricomi_u_integral_mp(40, 41 - mp.mpf(a), z_mp)
+            assert abs(oracle - w[40]) <= 1e-20 * w[40]
+
     @pytest.mark.parametrize("a", FAMILY_A)
     def test_values_and_bounds_against_reference(self, a):
         for z in FAMILY_Z:
