@@ -1,82 +1,75 @@
-"""Extended-precision closed form for ill-conditioned corners.
+"""The gamma-mixture series: J where the partial-fraction sum cancels.
 
-At high mean SNR with a large QoS exponent, or at high pole multiplicity, the
-partial-fraction terms of the expectation sum cancel down by many orders of
-magnitude (the residues encode the vanishing of the density and its
-derivatives at zero), so no double-precision evaluation of the sum can reach
-the cross-engine target no matter how accurately each Tricomi-U value is
-computed.  This module reruns the whole route over ``mpmath.mpf``: the derived
-constants, the pole and residue code of the double-precision path (written
-over any scalar type) and, per pole, one U family from the certified
-recurrence :func:`specfun._forward`.  The working precision climbs the
-``specfun._EXTENDED_DPS`` ladder until the sum's error estimate certifies it.
+Over its unmerged first-order factors (``poles.mgf_factors``) the MGF is
+M(s) = prod_k (1 + g*s/theta_k)^(-e_k), sum_k e_k = mu, numerator factors
+with e_k < 0.  With z = max theta_k/g, rho_k = 1 - theta_k/(g z) and
+u = z/(z+s), M = u^mu w_0 prod_k (1 - rho_k u)^(-e_k) = sum_n w_n u^(mu+n),
+and u^(mu+n) is the MGF of Gamma(mu+n, rate z), so J = sum_n w_n W_(mu+n)(z)
+with sum_n w_n = 1 and W_j from :func:`specfun.u_family`.  This is
+Moschopoulos's series for a sum of gammas (Ann. Inst. Statist. Math. 37
+(1985) 541-544), the Poisson-Gamma form of the cluster model.  The weights
+obey n w_n = sum_r c_r w_(n-r) with c_r = sum_k e_k rho_k^r; when every
+c_r >= 0 every w_n >= 0, so J is a convex combination that cannot cancel
+(unlike the partial-fraction terms, by up to ~1e76) and its bound is a proof.
 """
 
 from __future__ import annotations
 
-import mpmath as mp
+import math
 
-from . import specfun
+import numpy as np
+
 from .errors import ConvergenceError
-from .model import ChannelParams, channel_constants
-from .poles import partial_fractions, pole_exponents, pole_structure
-from .rate import U_SUM_TOL
+from .model import ChannelParams, DerivedParams
+from .poles import mgf_factors, power_series
+from .specfun import u_family
+
+_MAX_TERMS = 1 << 14  # longest series tried
+_EPS = 2.0**-52
 
 
-def _term_sum(params: ChannelParams, a_exponent: float):
-    """(sum A_ij W_ij, its error estimate) at the current mpmath precision.
+def mixture_series(params: ChannelParams, derived: DerivedParams, a_exponent: float,
+                   rel_tol: float) -> tuple[float, float, int]:
+    """(J, error bound, terms used) from the gamma-mixture series.
 
-    The estimate adds the U share, sum |A_ij| err(W_ij) from the bounds
-    :func:`specfun._forward` reports, and the residue share,
-    n eps sum E_ij W_ij, where E_ij >= |A_ij| is the residue recursion's
-    envelope and n the total pole multiplicity.
+    Sums w_n W_(mu+n) until the tail, at most (1 - sum w_n) W_(mu+L) after L
+    terms as W_j decreases in j, is under 1e-3 ``rel_tol`` of J.  One U
+    family, certified to ``rel_tol``/2, is long enough by the Chernoff bound
+    sum_(n>=L) w_n <= G(u) u^-L, 1 < u < 1/max rho_k, on the weights'
+    generating function G.  The bound adds sum w_n err(W_(mu+n)), the tail
+    and (2L+4) eps of J for rounding, which sums of positive terms average
+    instead of amplifying.  Raises :class:`ConvergenceError` if some c_r < 0
+    or the tail stays too large within ``_MAX_TERMS`` terms.
     """
-    eps = mp.eps
-    eta = mp.mpf(params.eta)
-    omega, _, _, _, c1, c2 = channel_constants(
-        mp.mpf(params.mu), mp.mpf(params.m), mp.mpf(params.kappa), eta,
-        mp.mpf(params.rho2), lib=mp)
-    expansion = partial_fractions(pole_structure(
-        c1, c2, omega, eta, *pole_exponents(params)))
-
-    gbar = mp.mpf(params.gamma_bar)
-    a_exp = mp.mpf(a_exponent)
-    total = u_share = envelope = mp.mpf(0)
-    n_total = 0
-    for (theta, mult, coeffs), majorants in zip(expansion.terms, expansion.majorants):
-        n_total += mult
-        n = max((j for j, a_ij in enumerate(coeffs, start=1) if a_ij), default=0)
-        if n == 0:
-            continue
-        values, bounds, _ = specfun._forward(a_exp, theta / gbar, n, eps / 2, mp)
-        for a_ij, e_ij, w_j, err_j in zip(coeffs, majorants, values, bounds):
-            total += a_ij * w_j
-            u_share += abs(a_ij) * err_j
-            envelope += e_ij * w_j
-    return total, u_share + n_total * eps * envelope
-
-
-def expectation_closed_form_mp(params: ChannelParams,
-                               a_exponent: float) -> tuple[float, int]:
-    """(J, digits used): J = E[(1+gamma)^-A] by the residue route over mpf.
-
-    Shares the pole merging (same tolerance, same zero-LoS shortcut) and the
-    residue recursion with the double-precision pipeline; callers are
-    expected to have checked the closed-form regime already.  Each rung of
-    ``specfun._EXTENDED_DPS`` reruns the sum from the parameters, and the
-    first whose J is positive with an error estimate within ``U_SUM_TOL`` of
-    J is returned.  The U share of that estimate is a bound; the residue
-    share is a calibrated gate, not a proof: it charges the envelope one unit
-    roundoff per unit of pole multiplicity.  Raises
-    :class:`ConvergenceError` past the last rung.
-    """
-    for dps in specfun._EXTENDED_DPS:
-        with mp.workdps(dps):
-            value, error = _term_sum(params, a_exponent)
-            if value > 0 and error <= U_SUM_TOL * value:
-                return float(value), dps
-    achieved = float(error / value) if value > 0 else float("inf")
+    theta, e = np.array(mgf_factors(params, derived), dtype=float).T
+    mu = int(round(e.sum()))
+    theta_max = float(theta.max())
+    rho = (theta_max - theta) / theta_max  # no 1 - ratio cancellation
+    log_w0 = float(e @ np.log(theta / theta_max))
+    n_terms = 1
+    if rho.max() > 0.0:
+        # weights past L under 5e-4 rel_tol keep the tail under 1e-3 rel_tol of J
+        u = 1.0 + (1.0 / rho.max() - 1.0) * np.linspace(0.05, 0.95, 19)
+        log_g = log_w0 - e @ np.log1p(-np.outer(rho, u))
+        n_terms = int(min(np.ceil((log_g - math.log(5e-4 * rel_tol)) / np.log(u)).min(),
+                          _MAX_TERMS))
+    c = e @ rho[:, None] ** np.arange(n_terms)
+    c[0] = 0.0
+    if c.min() < 0.0:
+        raise ConvergenceError(
+            f"gamma-mixture series for A={a_exponent}, params={params}: a power "
+            f"sum c_r is {c.min():.3e} < 0, so the weights may cancel", achieved=math.inf)
+    family = u_family(a_exponent, theta_max / params.gamma_bar, mu + n_terms, rel_tol / 2)
+    values, bounds = family.values[mu - 1:], family.bounds[mu - 1:]
+    value = u_error = mass = 0.0
+    for n, w in enumerate(power_series(math.exp(log_w0), c)):
+        value += w * values[n]
+        u_error += w * bounds[n]
+        mass += w
+        tail = max(0.0, 1.0 - mass) * values[n + 1]
+        if tail <= 1e-3 * rel_tol * value:
+            return value, u_error + tail + (2 * n + 6) * _EPS * value, n + 1
+    achieved = tail / value if value > 0 else math.inf
     raise ConvergenceError(
-        f"extended-precision U sum for A={a_exponent}, params={params} "
-        f"uncertified after {dps} digits: error estimate {achieved:.1e} of J "
-        f"(target {U_SUM_TOL:.0e})", achieved=achieved)
+        f"gamma-mixture series for A={a_exponent}, params={params}: tail "
+        f"{achieved:.1e} of J after {n_terms} terms", achieved=achieved)

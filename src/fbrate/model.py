@@ -13,8 +13,7 @@ The fading model is parameterized by five shape parameters plus the mean SNR:
 Everything the MGF needs beyond the raw parameters (the power normalization
 ``omega_cap``, the quadratic coefficients ``alpha1``/``beta`` and its roots
 ``c1``/``c2``) is computed once by :func:`channel_constants`, in real
-arithmetic over any scalar type, and carried around in an immutable
-:class:`DerivedParams`.
+arithmetic, and carried around in an immutable :class:`DerivedParams`.
 """
 
 from __future__ import annotations
@@ -92,15 +91,13 @@ def validate(params: ChannelParams) -> None:
             f"gamma_bar out of range: must be > 0, got {params.gamma_bar!r}")
 
 
-def channel_constants(mu, m, kappa, eta, rho2, lib=math):
-    """(omega, alpha1, beta, sqrt(beta**2 - 4*alpha1), c1, c2) over any scalar type.
+def channel_constants(mu, m, kappa, eta, rho2):
+    """(omega, alpha1, beta, sqrt(beta**2 - 4*alpha1), c1, c2).
 
-    ``lib`` supplies ``sqrt`` and ``hypot`` for the scalar type (``math`` for
-    floats, ``mpmath`` for mpf).  With the physical LoS powers
-    q^2 = kappa mu (1+eta)/(1+rho2) and p^2 = rho2 q^2 the discriminant is the
-    sum of squares [(2(eta-1) + (p^2-q^2)/m)^2 + 4 p^2 q^2/m^2] / (2 omega)^2:
-    it never goes negative and is exactly 0 at the double root kappa = 0,
-    eta = 1.  The larger root comes from the non-cancelling branch
+    With the physical LoS powers q^2 = kappa mu (1+eta)/(1+rho2) and
+    p^2 = rho2 q^2 the discriminant is the sum of squares
+    [(2(eta-1) + (p^2-q^2)/m)^2 + 4 p^2 q^2/m^2] / (2 omega)^2: it never goes
+    negative and is exactly 0 at the double root kappa = 0, eta = 1.  The larger root comes from the non-cancelling branch
     (beta < 0 always), the other from the product of roots, 1/alpha1.  Every
     kappa/m term vanishes at m = inf, which is the exact no-fluctuation limit.
     """
@@ -112,8 +109,8 @@ def channel_constants(mu, m, kappa, eta, rho2, lib=math):
         alpha1 += kappa * (rho2 + eta) / (m * omega * (1 + rho2) * (1 + kappa))
     beta = -(2 / mu + kappa / m) / (1 + kappa)
     q2 = kappa * mu * (1 + eta) / (1 + rho2)
-    root_disc = lib.hypot(2 * (eta - 1) + (rho2 - 1) * q2 / m,
-                          2 * lib.sqrt(rho2) * q2 / m) / (2 * omega)
+    root_disc = math.hypot(2 * (eta - 1) + (rho2 - 1) * q2 / m,
+                           2 * math.sqrt(rho2) * q2 / m) / (2 * omega)
     root_q = (root_disc - beta) / 2
     return omega, alpha1, beta, root_disc, root_q / alpha1, 1 / root_q
 

@@ -46,8 +46,7 @@ _INT_TOL = 1e-9
 class PoleSet:
     """Merged poles of the MGF plus the numerator factors the residues need.
 
-    ``poles``: tuple of (location, multiplicity); locations are positive
-    reals, float in double precision and mpf in the extended path.
+    ``poles``: tuple of (location, multiplicity); locations are positive reals.
     ``numerator``: tuple of (location, positive integer exponent) for
     first-order numerator factors, present only when mu/2 < m.
     """
@@ -61,7 +60,7 @@ class PartialFractionExpansion:
     """Coefficient table A_ij of M(s) = sum_i sum_j A_ij (1 + g*s/theta_i)^-j.
 
     ``terms``: tuple of (theta_i, multiplicity_i, coeffs) with
-    coeffs[j-1] = A_ij for j = 1..multiplicity_i, all real (float or mpf).
+    coeffs[j-1] = A_ij for j = 1..multiplicity_i, all real.
     ``majorants``: per term, E_ij >= |A_ij|, the envelope of the residue
     recursion that the closed form's conditioning gate reads.
     """
@@ -113,60 +112,66 @@ def pole_exponents(params: ChannelParams) -> tuple[int, int]:
     return mu_half, m_eff
 
 
-def pole_structure(c1, c2, omega, eta, mu_half: int, m_eff: int) -> PoleSet:
-    """Merged poles and numerator factors for any real scalar type (float or mpf).
+def mgf_factors(params: ChannelParams, derived: DerivedParams) -> list[tuple[float, int]]:
+    """(theta_k, e_k) with M(s) = prod_k (1 + g*s/theta_k)^(-e_k), unmerged.
 
-    The roots c1, c2 carry multiplicity m_eff; the omega points omega/eta and
-    omega join them as poles of order mu/2 - m_eff, or become numerator
-    factors of power m_eff - mu/2.
+    c1 and c2 have order m_eff; omega/eta and omega have order mu/2 - m_eff,
+    negative for numerator factors.  Zero orders are dropped.
     """
-    points = [(c1, m_eff), (c2, m_eff)]
-    numerator = ()
-    if mu_half > m_eff:
-        points += [(omega / eta, mu_half - m_eff), (omega, mu_half - m_eff)]
-    elif mu_half < m_eff:
-        numerator = ((omega / eta, m_eff - mu_half), (omega, m_eff - mu_half))
-    return PoleSet(poles=tuple(_merge(points)), numerator=numerator)
+    mu_half, m_eff = pole_exponents(params)
+    omega = derived.omega_cap
+    factors = [(derived.c1, m_eff), (derived.c2, m_eff),
+               (omega / params.eta, mu_half - m_eff), (omega, mu_half - m_eff)]
+    return [(theta, e) for theta, e in factors if e != 0]
 
 
 def build_pole_set(params: ChannelParams, derived: DerivedParams) -> PoleSet:
-    """Construct the pole/numerator structure of the rational MGF."""
-    return pole_structure(derived.c1, derived.c2, derived.omega_cap, params.eta,
-                          *pole_exponents(params))
+    """Merged poles and numerator factors of the rational MGF."""
+    factors = mgf_factors(params, derived)
+    return PoleSet(poles=tuple(_merge([(t, e) for t, e in factors if e > 0])),
+                   numerator=tuple((t, -e) for t, e in factors if e < 0))
+
+
+def power_series(t0, c: np.ndarray):
+    """Yield T_n of t0 exp(sum_r c_r u^r / r) for n < len(c) (c[0] unused) by the
+    recursion n*T_n = sum_r c_r T_(n-r), one dot product per coefficient."""
+    n_terms = len(c)
+    c_rev = c[::-1].copy()  # c_n..c_1 as one contiguous slice per step
+    coeffs = np.empty(n_terms, dtype=np.result_type(t0, c))
+    coeffs[0] = t0
+    yield t0
+    for n in range(1, n_terms):
+        coeffs[n] = np.dot(coeffs[:n], c_rev[n_terms - 1 - n:n_terms - 1]) / n
+        yield coeffs[n].item()
 
 
 def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -> list:
     """Taylor coefficients around u = 0 of prod_k (a_k + b_k u)**e_k.
 
-    Uses T_0 = prod a_k**e_k and the logarithmic-derivative recursion
-    n*T_n = sum_{r=1..n} c_r T_{n-r} with c_r = (-1)^{r-1} sum_k e_k (b_k/a_k)^r.
-    All a_k must be nonzero (coincident factors are stripped beforehand).
-    Works in the scalar type of the factors (float, complex or mpf).  A
-    ``majorants`` list receives the envelope E_0 = |T_0|,
-    n*E_n = sum_r |c_r| E_{n-r}, which bounds |T_n| and scales its rounding.
+    T_0 = prod a_k**e_k and c_r = (-1)^(r-1) sum_k e_k (b_k/a_k)^r feed
+    :func:`power_series`.  All a_k must be nonzero (coincident factors are
+    stripped beforehand); a_k and b_k may be complex.  A ``majorants`` list
+    receives the envelope, the same series from |T_0| and |c_r|, which
+    bounds |T_n| and scales its rounding.
     """
-    t0 = 1
-    ratios = []
-    for a, b, e in factors:
+    t0 = 1.0
+    for a, _, e in factors:
         t0 *= a**e
-        ratios.append((b / a, e))
-    coeffs = [t0]
-    envelope = [abs(t0)]
-    if n_terms > 1:
-        c = [0]
-        for r in range(1, n_terms):
-            sign = 1.0 if (r % 2) else -1.0  # (-1)^(r-1)
-            c.append(sign * sum(e * rho**r for rho, e in ratios))
-        for n in range(1, n_terms):
-            coeffs.append(sum(c[r] * coeffs[n - r] for r in range(1, n + 1)) / n)
-            envelope.append(sum(abs(c[r]) * envelope[n - r] for r in range(1, n + 1)) / n)
+    if n_terms == 1:  # a simple pole: T_0 alone, without array overhead
+        if majorants is not None:
+            majorants.append(abs(t0))
+        return [t0]
+    ratios = np.array([b / a for a, b, _ in factors])
+    exponents = np.array([e for _, _, e in factors], dtype=float)
+    c = -(exponents @ (-ratios[:, None]) ** np.arange(n_terms))  # (-1)^(r-1) q^r = -(-q)^r
+    c[0] = 0.0
     if majorants is not None:
-        majorants.extend(envelope)
-    return coeffs
+        majorants.extend(power_series(abs(t0), np.abs(c)))
+    return list(power_series(t0, c))
 
 
 def partial_fractions(pole_set: PoleSet) -> PartialFractionExpansion:
-    """Exact partial-fraction coefficients over a pole set of any scalar type.
+    """Exact partial-fraction coefficients of a pole set.
 
     For pole theta_i of multiplicity w, substitute u = 1 + g*s/theta_i; each
     remaining factor (1 + g*s/theta_k)^e becomes (a + b*u)^e with

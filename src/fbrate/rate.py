@@ -6,8 +6,9 @@ peak; it resolves the second scale the integrand gains at s ~ 1/gamma_bar at
 high SNR and stops at the caller's ``rel_tol``.
 The closed-form route expands the rational MGF into partial fractions and
 evaluates each distinct pole's Tricomi-U family at once: one exponential
-integral and a recurrence, certified term by term.  Both compute the identical
-scalar; ``er_auto`` dispatches and cross-checks.
+integral and a recurrence, certified term by term; where its terms cancel
+the gamma-mixture series (``_extended``) replaces it.  Both compute the
+identical scalar; ``er_auto`` dispatches and cross-checks.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._extended import mixture_series
 from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mgf import log_mgf
 from .model import ChannelParams, DerivedParams, derive, validate
 from .poles import PartialFractionExpansion, decompose, pole_exponents
-from .specfun import _U_TOL, ln_gamma, u_family
+from .specfun import ln_gamma, u_family
 
 
 #: Deepest level of the double-exponential rule (step 2**-(DE_LEVELS+1)).
@@ -172,42 +174,37 @@ def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
     return value, err
 
 
-#: Switch to extended precision when the residue majorant exceeds J by more
-#: than this.  The majorant sum_ij E_ij W_ij, with E_ij >= |A_ij| the running
-#: envelope of the residue recursion (``poles._taylor_coefficients``), is what
-#: the rounding of the residue table is amplified by; at this limit that
-#: rounding is of order 1e-10 of J per unit of pole multiplicity.  The gate is
-#: a conditioning limit, not a certified bound on J.
+#: Hand J to the gamma-mixture series when the residue majorant
+#: sum_ij E_ij W_ij (E_ij >= |A_ij| the envelope of the residue recursion,
+#: ``poles._taylor_coefficients``) exceeds it by more than this.  The majorant
+#: amplifies the rounding of the residue table, to ~1e-10 of J per unit of
+#: pole multiplicity at this limit: a conditioning limit, not a bound on J.
 CLOSED_FORM_COND_LIMIT = 1e6
 
 #: Largest share of J that the certified U errors, sum_ij |A_ij| err(W_ij),
-#: may reach before every term is recomputed to the accuracy that share asks
-#: for.  Each U term is first certified to ``specfun._U_TOL`` = 1e-10, which
-#: would allow 1e-4 of J at ``CLOSED_FORM_COND_LIMIT``.  Also the share of J
-#: the extended-precision sum's error estimate must reach, and the error
-#: estimate reported for a closed-form value.
+#: may reach before J is handed to the series (each U term is certified to
+#: ``specfun._U_TOL`` = 1e-10).  Also the bound the series meets, and the
+#: error estimate reported for a closed-form value.
 U_SUM_TOL = 1e-9
 
 
 def _term_sums(expansion: PartialFractionExpansion, a_exponent: float,
-               gamma_bar: float, rel_tol: float) -> tuple[float, float, float, float]:
-    """sum A_ij W_ij, sum E_ij W_ij, sum |A_ij| W_ij and sum |A_ij| err(W_ij).
+               gamma_bar: float) -> tuple[float, float, float]:
+    """sum A_ij W_ij, sum E_ij W_ij and sum |A_ij| err(W_ij).
 
-    One :func:`specfun.u_family` per pole, every term certified to ``rel_tol``.
+    One :func:`specfun.u_family` per pole, every term certified to ``_U_TOL``.
     """
-    contributions, envelope, magnitude, u_error = [], [], [], []
+    contributions, envelope, u_error = [], [], []
     for (theta, _, coeffs), majorants in zip(expansion.terms, expansion.majorants):
         n = max((j for j, a_ij in enumerate(coeffs, start=1) if a_ij), default=0)
         if n == 0:
             continue
-        family = u_family(a_exponent, theta / gamma_bar, n, rel_tol)
+        family = u_family(a_exponent, theta / gamma_bar, n)
         for a_ij, e_ij, w_j, err_j in zip(coeffs, majorants, family.values, family.bounds):
             contributions.append(a_ij * w_j)
             envelope.append(e_ij * w_j)
-            magnitude.append(abs(a_ij) * w_j)
             u_error.append(abs(a_ij) * err_j)
-    return (math.fsum(contributions), math.fsum(envelope), math.fsum(magnitude),
-            math.fsum(u_error))
+    return math.fsum(contributions), math.fsum(envelope), math.fsum(u_error)
 
 
 def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
@@ -220,30 +217,28 @@ def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
     times the density normalization (theta/g)^j / Gamma(j), so the gammas
     cancel and only W_j = z^j U(j; j-A+1; z) remains, one
     :func:`specfun.u_family` per pole.  The terms encode the vanishing
-    density derivatives at zero through cancellation; when the residue
-    majorant exceeds J by more than ``CLOSED_FORM_COND_LIMIT`` (high mean SNR
-    with large A, or high pole multiplicity) or J comes out <= 0, the sum is
-    re-evaluated in extended precision, and the
-    ``closed_form_extended_precision`` diagnostic records that ratio and the
-    digits used.  Otherwise, when the certified U errors exceed ``U_SUM_TOL``
-    of J, the terms are recomputed to the relative accuracy that brings them
-    under it.
+    density derivatives at zero through cancellation, so the sum is kept
+    only if certified: J > 0, the residue majorant within
+    ``CLOSED_FORM_COND_LIMIT`` J and the U errors within ``U_SUM_TOL`` J.
+    Otherwise J comes from :func:`_extended.mixture_series`, and the
+    ``closed_form_series`` diagnostic records why, its length and its
+    relative bound.
     """
     if a_exponent <= 0:
         raise ValueError(f"A must be > 0, got {a_exponent!r}")
-    gbar = params.gamma_bar
-    value, majorant, magnitude, u_error = _term_sums(expansion, a_exponent, gbar, _U_TOL)
-    if value <= 0.0 or majorant > CLOSED_FORM_COND_LIMIT * value:
-        from ._extended import expectation_closed_form_mp
-
-        cond = majorant / value if value > 0.0 else math.inf
-        value, digits = expectation_closed_form_mp(params, a_exponent)
-        if diagnostics is not None:
-            diagnostics.append(("closed_form_extended_precision",
-                                f"residue majorant {cond:.1e}; {digits} digits"))
+    value, majorant, u_error = _term_sums(expansion, a_exponent, params.gamma_bar)
+    reason = None
+    if value <= 0.0:
+        reason = f"partial-fraction sum {value:.1e}"
+    elif majorant > CLOSED_FORM_COND_LIMIT * value:
+        reason = f"residue majorant {majorant / value:.1e}"
     elif u_error > U_SUM_TOL * value:
-        # magnitude <= majorant keeps this tolerance above 1e-15
-        value = _term_sums(expansion, a_exponent, gbar, U_SUM_TOL * value / magnitude)[0]
+        reason = f"U share {u_error / value:.1e}"
+    if reason is not None:
+        value, bound, n_terms = mixture_series(params, derived, a_exponent, U_SUM_TOL)
+        if diagnostics is not None:
+            diagnostics.append(("closed_form_series",
+                                f"{reason}; {n_terms} terms; bound {bound / value:.1e}"))
     if not 0.0 < value < 1.0 + 1e-12:
         raise ArithmeticError(f"closed-form expectation out of (0, 1): {value!r}")
     return min(value, 1.0)

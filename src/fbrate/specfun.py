@@ -14,7 +14,8 @@ digits, so each term carries a running absolute-error bound (Gil, Segura &
 Temme, *Numerical Methods for Special Functions*, SIAM 2007, ch. 4).  Where
 the large-z asymptotic series converges it replaces the recursion; terms
 neither certifies are recomputed by the same code over ``mpmath.mpf`` at
-rising precision, and anything still uncertified raises
+rising precision up to just past A + z, and above it by double recursion
+from the last two mpf values.  Anything still uncertified raises
 :class:`ConvergenceError`.  mpmath is imported only for that re-run.
 """
 
@@ -35,8 +36,7 @@ _UNIT = 2.0**-53  # unit roundoff of a double
 _EULER = 0.5772156649015329
 _TINY = 1e-300  # modified Lentz guard against a zero denominator
 _MAX_CF_TERMS = 100_000
-#: Working precisions (digits) of the mpf re-runs, tried in turn; the
-#: extended-precision closed form (``_extended``) climbs the same ladder.
+#: Working precisions (digits) of the mpf re-run in :func:`u_family`.
 _EXTENDED_DPS = (30, 60, 120, 240, 480)
 
 
@@ -150,7 +150,7 @@ def _psi(n: int, lib):
     return lib.digamma(n)
 
 
-def _forward(a, z, n: int, unit, lib, asymptotic_tol=None):
+def _forward(a, z, n: int, unit, lib, asymptotic_tol=None, seed=None):
     """W_1..W_n and error bounds by the forward b-recurrence, in lib's type.
 
     The bound of W_(k+1) carries the bounds of W_k and W_(k-1) through the
@@ -158,14 +158,13 @@ def _forward(a, z, n: int, unit, lib, asymptotic_tol=None):
     ``asymptotic_tol`` (double precision only) each term also tries
     :func:`_w_asymptotic` until it first fails, and keeps whichever of the
     two values has the smaller bound, so a good asymptotic value also seeds
-    the recursion.
+    the recursion.  A ``seed`` (k, W_(k-1), bound, W_k, bound) resumes at k.
     """
-    w_prev, e_prev = 1, 0
-    w, e = _w1(a, z, unit, lib)
+    k0, w_prev, e_prev, w, e = seed or (1, 1, 0, *_w1(a, z, unit, lib))
     values, bounds, branches = [], [], []
-    for j in range(1, n + 1):
+    for j in range(k0, n + 1):
         branch = "recurrence"
-        if j > 1:
+        if j > k0:
             k = j - 1
             c = k - a - z
             w_next = (c * w + z * w_prev) / k
@@ -192,10 +191,12 @@ def u_family(a: float, z: float, n: int, rel_tol: float = _U_TOL) -> UFamily:
     """W_j = z^j U(j; j-A+1; z) = E[(1+X_j)^-A] for j = 1..n, A = ``a``, z > 0.
 
     Runs :func:`_forward` in double precision with the asymptotic series
-    where it converges; every term whose bound exceeds ``rel_tol`` times its
-    value is recomputed over ``mpmath.mpf`` at 30, 60, ... digits until its
-    bound certifies it.  Raises :class:`ConvergenceError` carrying the
-    largest relative bound left when the last precision still fails.
+    where it converges.  Terms whose bound exceeds ``rel_tol`` times their
+    value are recomputed over ``mpmath.mpf`` at 30, 60, ... digits up to
+    k* = ceil(A+z) + 3; past the turning point A + z forward recursion is
+    stable, so later ones resume it in double from the last two mpf values.
+    Raises :class:`ConvergenceError` carrying the largest relative bound left
+    when the last precision still fails.
     """
     values, bounds, branches = _forward(a, z, n, _UNIT, math,
                                         min(rel_tol * 1e-2, 1e-14))
@@ -203,16 +204,22 @@ def u_family(a: float, z: float, n: int, rel_tol: float = _U_TOL) -> UFamily:
     if pending:
         import mpmath as mp
 
+        last = pending[-1] + 1
+        k_star = min(last, math.ceil(a + z) + 3)
         for dps in _EXTENDED_DPS:
             with mp.workdps(dps):
                 ext_values, ext_bounds, _ = _forward(
-                    mp.mpf(a), mp.mpf(z), pending[-1] + 1, mp.eps / 2, mp)
+                    mp.mpf(a), mp.mpf(z), k_star, mp.eps / 2, mp)
+            ext = [(float(w), float(e) + _UNIT * abs(float(w)), "extended")
+                   for w, e in zip(ext_values, ext_bounds)]
+            if last > k_star:
+                seed = (k_star, *ext[-2][:2], *ext[-1][:2])
+                ext += list(zip(*_forward(a, z, last, _UNIT, math, seed=seed)))[1:]
             uncertified = {}
             for i in pending:
-                w = float(ext_values[i])
-                e = float(ext_bounds[i]) + _UNIT * abs(w)
+                w, e, _ = ext[i]
                 if e <= rel_tol * w:
-                    values[i], bounds[i], branches[i] = w, e, "extended"
+                    values[i], bounds[i], branches[i] = ext[i]
                 else:
                     uncertified[i] = e / w if w > 0 else math.inf
             pending = list(uncertified)

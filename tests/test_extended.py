@@ -1,12 +1,19 @@
-"""Extended-precision closed form: mpf U families, the certified sum, typed failures."""
+"""The gamma-mixture series: mpf U families, the certified sum, typed failures."""
 
 import mpmath as mp
 import pytest
 
-from fbrate import ChannelParams, ConvergenceError, ErRequest, er_auto, specfun
-from fbrate._extended import expectation_closed_form_mp
+from fbrate import ChannelParams, ConvergenceError, ErRequest, derive, er_auto, specfun
+from fbrate import _extended
+from fbrate._extended import mixture_series
+from fbrate.rate import U_SUM_TOL
 
 from conftest import HIGH_MULT, HIGH_MULT_J, cluster_model_j, tricomi_u_integral_mp
+
+
+def series_j(params, a):
+    """J from the gamma-mixture series at the closed form's target."""
+    return mixture_series(params, derive(params), a, U_SUM_TOL)[0]
 
 #: (j, b, z) triples the extended path evaluates on the cross-engine grid
 #: (A = 5 there, so b = j - 4 is an integer), plus non-integer b from other
@@ -52,27 +59,26 @@ EXTENDED_GRID = (
 
 @pytest.mark.parametrize("params,a", EXTENDED_GRID)
 def test_extended_sum_matches_cluster_model(params, a):
-    assert expectation_closed_form_mp(params, a)[0] == pytest.approx(
+    assert series_j(params, a) == pytest.approx(
         cluster_model_j(params, a), rel=1e-9, abs=0.0)
 
 
 #: The m = 40 row whose double-precision residue table is 0.5% off; its
-#: residue majorant (~1e25 of J) needs the second rung, 60 digits.
+#: residue majorant is ~1e25 of J.
 M40 = ChannelParams(mu=2.0, m=40.0, gamma_bar=100.0, **HIGH_MULT)
 
 
 def test_extended_sum_at_high_multiplicity():
-    assert expectation_closed_form_mp(M40, 5.0)[0] == pytest.approx(
+    assert series_j(M40, 5.0) == pytest.approx(
         HIGH_MULT_J[2.0, 40.0, 20.0, 5.0], rel=1e-9, abs=0.0)
 
 
 def test_extended_sum_climbs_to_the_oracle_at_multiplicity_400():
-    # mu = 20, m = 200: 30 digits leave J negative and 60 digits a wrong
-    # 8.4e-7 that only the residue share rejects; 240 digits certify it
+    # mu = 20, m = 200: the partial-fraction terms cancel ~1e75-fold; the
+    # series of positive terms needs no extra digits
     p = ChannelParams(mu=20.0, m=200.0, gamma_bar=100.0, **HIGH_MULT)
-    value, digits = expectation_closed_form_mp(p, 5.0)
-    assert digits == 240
-    assert value == pytest.approx(HIGH_MULT_J[20.0, 200.0, 20.0, 5.0], rel=1e-9, abs=0.0)
+    assert series_j(p, 5.0) == pytest.approx(HIGH_MULT_J[20.0, 200.0, 20.0, 5.0],
+                                             rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("params,a", [
@@ -81,12 +87,10 @@ def test_extended_sum_climbs_to_the_oracle_at_multiplicity_400():
     (ChannelParams(mu=20.0, m=3.0, kappa=1.0, eta=1.0, rho2=1.0, gamma_bar=0.1), 5.0),
 ])
 def test_u_share_climbs_a_rung(params, a):
-    # the recurrence loses digits below k = A + z: at 30 digits these sums
-    # are off by 5e-9 and 4e-5 of J with a residue share under 1e-10, and
-    # only the U bounds send them to 60
-    value, digits = expectation_closed_form_mp(params, a)
-    assert digits == 60
-    assert value == pytest.approx(cluster_model_j(params, a), rel=1e-9, abs=0.0)
+    # the recurrence loses digits below k = A + z, so these need the mpf
+    # re-run of the low terms; a 30-digit re-run left them 5e-9 and 4e-5 off
+    assert series_j(params, a) == pytest.approx(cluster_model_j(params, a),
+                                                rel=1e-9, abs=0.0)
 
 
 def _no_convergence(*args):
@@ -96,23 +100,66 @@ def _no_convergence(*args):
 @pytest.mark.parametrize("params,a", EXTENDED_GRID)
 def test_extended_sum_needs_no_hyperu(monkeypatch, params, a):
     monkeypatch.setattr(mp, "hyperu", _no_convergence)
-    assert expectation_closed_form_mp(params, a)[0] == pytest.approx(
+    assert series_j(params, a) == pytest.approx(
         cluster_model_j(params, a), rel=1e-9, abs=0.0)
 
 
+def _uncertified_family(a, z, n, rel_tol):
+    # what u_family raises when its last precision still fails
+    raise ConvergenceError(f"U(j; j-A+1; z) with A={a}, z={z} uncertified",
+                           achieved=1e-3)
+
+
 def test_no_convergence_is_typed(monkeypatch):
-    # with the ladder cut to its first rung the m = 40 row cannot certify
-    monkeypatch.setattr(specfun, "_EXTENDED_DPS", (30,))
-    with pytest.raises(ConvergenceError, match="extended-precision U") as info:
-        expectation_closed_form_mp(M40, 5.0)
+    # the series' one U family fails: the typed error reaches the caller
+    monkeypatch.setattr(_extended, "u_family", _uncertified_family)
+    with pytest.raises(ConvergenceError, match="uncertified") as info:
+        series_j(M40, 5.0)
     assert info.value.achieved > 1e-9
 
 
 def test_auto_falls_back_when_extended_u_fails(monkeypatch):
-    monkeypatch.setattr(specfun, "_EXTENDED_DPS", (30,))
+    monkeypatch.setattr(_extended, "u_family", _uncertified_family)
     result = er_auto(ErRequest(params=M40, a_exponent=5.0))
     assert result.method_used == "quadrature"
     diagnostics = dict(result.diagnostics)
-    assert diagnostics["closed_form_failed"].startswith("ConvergenceError: extended-precision U")
+    assert diagnostics["closed_form_failed"].startswith("ConvergenceError: U(j; j-A+1; z)")
     assert result.expectation_j == pytest.approx(cluster_model_j(M40, 5.0),
                                                  rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("key", sorted(HIGH_MULT_J))
+def test_series_bound_covers_the_oracle(key):
+    mu, m, snr_db, a = key
+    p = ChannelParams(mu=mu, m=m, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
+    value, bound, _ = mixture_series(p, derive(p), a, U_SUM_TOL)
+    exact = HIGH_MULT_J[key]
+    assert value == pytest.approx(exact, rel=1e-9, abs=0.0)
+    assert bound >= abs(value - exact)
+    assert bound <= U_SUM_TOL * value
+
+
+#: J on ``EXTENDED_GRID`` by 35-digit quadrature of the physical cluster-model
+#: MGF, tanh-sinh and Gauss-Legendre agreeing to 3e-30: ``cluster_model_j``
+#: evaluates the MGF in double, which leaves it ~4e-14 off, above the bound.
+EXTENDED_GRID_J = (1.386717367666344564595e-10, 3.038589795248719623299e-13,
+                   1.646598245672973042306e-12)
+
+
+@pytest.mark.parametrize("params,a,exact", [
+    (params, a, exact) for (params, a), exact in zip(EXTENDED_GRID, EXTENDED_GRID_J)],
+    ids=[f"params{i}-5.0" for i in range(len(EXTENDED_GRID))])
+def test_series_bound_covers_the_cluster_model(params, a, exact):
+    value, bound, _ = mixture_series(params, derive(params), a, U_SUM_TOL)
+    assert value == pytest.approx(exact, rel=1e-9, abs=0.0)
+    assert bound >= abs(value - exact)
+    assert bound <= U_SUM_TOL * value
+
+
+def test_negative_power_sum_is_refused(monkeypatch):
+    # (1 + g s)^-2 (1 + 2 g s): the numerator factor sits below the top pole,
+    # so c_r = -(1/2)^r < 0 and the weights would alternate
+    monkeypatch.setattr(_extended, "mgf_factors",
+                        lambda params, derived: [(1.0, 2), (0.5, -1)])
+    with pytest.raises(ConvergenceError, match="power sum c_r is -5"):
+        series_j(M40, 5.0)

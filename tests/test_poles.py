@@ -144,6 +144,26 @@ class TestTaylorHelper:
         assert taylor[0] == pytest.approx(-1.0)   # A_{i2}
         assert taylor[1] == pytest.approx(-2.0)   # A_{i1}
 
+    def test_matches_the_loop_recursion(self):
+        # the recursion written as plain Python sums; the dot products add in
+        # another order, so the two agree to rounding of the envelope
+        factors = [(0.3, 0.7, -3), (-0.5, 1.5, 2), (2.0, -1.0, -1), (0.9, 0.1, 4)]
+        n_terms = 40
+        t0, ratios = 1.0, []
+        for a, b, e in factors:
+            t0 *= a**e
+            ratios.append((b / a, e))
+        c = [0.0] + [(1.0 if r % 2 else -1.0) * sum(e * q**r for q, e in ratios)
+                     for r in range(1, n_terms)]
+        loop = [t0]
+        for n in range(1, n_terms):
+            loop.append(sum(c[r] * loop[n - r] for r in range(1, n + 1)) / n)
+        envelope = []
+        taylor = _taylor_coefficients(factors, n_terms, envelope)
+        for n in range(n_terms):
+            assert abs(envelope[n]) >= abs(loop[n])
+            assert abs(taylor[n] - loop[n]) <= 4 * n_terms * 2.0**-52 * envelope[n], n
+
     def test_complex_conjugate_symmetry(self):
         theta_i = 1.0 + 2.0j
         other = 1.0 - 2.0j

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbrate.rate
-from fbrate import specfun
+from fbrate import _extended
 from fbrate.poles import pole_exponents
 from fbrate.rate import DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
@@ -181,31 +182,27 @@ class TestClosedForm:
         assert result.expectation_j == pytest.approx(cluster_model_j(p, 2.0),
                                                      rel=1e-9, abs=0.0)
 
-    def test_u_error_share_tightens_the_terms(self, monkeypatch):
-        # 20 dB, A = 5: the terms cancel ~5e5-fold, under the extended-precision
+    def test_u_error_share_tightens_the_terms(self):
+        # 20 dB, A = 5: the terms cancel ~5e5-fold, under the residue-majorant
         # limit; a U term certified only to 1e-10 (true error 1.1e-11) would
-        # put J 3.4e-9 off, so the terms are recomputed to U_SUM_TOL of J
+        # put J 3.4e-9 off, so the U share sends J to the series
         p = ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=1.0, gamma_bar=100.0)
         d = derive(p)
-        calls = []
-        term_sums = fbrate.rate._term_sums
-        monkeypatch.setattr(fbrate.rate, "_term_sums",
-                            lambda *args: calls.append(args[-1]) or term_sums(*args))
         diagnostics = []
         j = expectation_closed_form(p, d, decompose(p, d), 5.0, diagnostics)
-        assert not diagnostics
-        assert len(calls) == 2 and calls[1] < calls[0]
+        assert len(diagnostics) == 1 and diagnostics[0][0] == "closed_form_series"
+        assert diagnostics[0][1].startswith("U share ")
         assert j == pytest.approx(cluster_model_j(p, 5.0), rel=5e-10, abs=0.0)
 
     def test_extreme_cancellation_switches_to_extended_precision(self):
         # high mean SNR with large A: term cancellation ~1e12 forces the
-        # extended-precision path, which must still match the quadrature route
+        # gamma-mixture series, which must still match the quadrature route
         p = ChannelParams(mu=6.0, m=1.0, kappa=1.0, eta=1.0, rho2=0.1,
                           gamma_bar=1000.0)
         d = derive(p)
         diagnostics = []
         j_closed = expectation_closed_form(p, d, decompose(p, d), 5.0, diagnostics)
-        assert diagnostics and diagnostics[0][0] == "closed_form_extended_precision"
+        assert diagnostics and diagnostics[0][0] == "closed_form_series"
         j_quad, _ = expectation_quadrature(p, d, 5.0, 1e-10)
         assert j_closed == pytest.approx(j_quad, rel=1e-8, abs=0.0)
         assert j_closed < 1e-11  # deep in the cancellation regime
@@ -260,10 +257,9 @@ class TestDispatch:
     def test_auto_falls_back_to_quadrature_at_high_multiplicity(
             self, mu, m, snr_db, a, reason, monkeypatch):
         # an uncertified closed form: auto must return the quadrature value.
-        # This row certifies at 240 digits (test_multiplicity_400_certifies);
-        # cut to 60, its extended sum reads a wrong 8.4e-7 in (0, 1) that only
-        # the residue share of the error estimate rejects
-        monkeypatch.setattr(specfun, "_EXTENDED_DPS", (30, 60))
+        # This row's series certifies at 512 terms
+        # (test_multiplicity_400_certifies); cut to 256, its tail is 4e-5 of J
+        monkeypatch.setattr(_extended, "_MAX_TERMS", 256)
         p = ChannelParams(mu=mu, m=m, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
         assert closed_form_applies(p)
         result = er_auto(ErRequest(params=p, a_exponent=a))
@@ -276,22 +272,22 @@ class TestDispatch:
     @pytest.mark.parametrize("snr_db, a", [(20.0, 5.0), (30.0, 2.0)])
     def test_high_multiplicity_escalates(self, snr_db, a, method):
         # m = 40: the double-precision residue table is 0.5% off, and its
-        # majorant (~1e24) sends both methods to the extended-precision sum
+        # majorant (~1e24) sends both methods to the gamma-mixture series
         p = ChannelParams(mu=2.0, m=40.0, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
         result = er_auto(ErRequest(params=p, a_exponent=a, method=method))
         assert result.method_used == "closed_form"
-        assert "closed_form_extended_precision" in dict(result.diagnostics)
+        assert "closed_form_series" in dict(result.diagnostics)
         assert result.expectation_j == pytest.approx(HIGH_MULT_J[2.0, 40.0, snr_db, a],
                                                      rel=1e-9, abs=0.0)
 
     def test_multiplicity_400_certifies(self):
-        # mu = 20, m = 200: a residue majorant of 2e76 of J; the extended sum
-        # climbs to 240 digits and auto keeps the closed form
+        # mu = 20, m = 200: a residue majorant of 1e75 of J; the series
+        # certifies it and auto keeps the closed form
         p = ChannelParams(mu=20.0, m=200.0, gamma_bar=100.0, **HIGH_MULT)
         result = er_auto(ErRequest(params=p, a_exponent=5.0))
         assert result.method_used == "closed_form"
-        assert dict(result.diagnostics)["closed_form_extended_precision"].endswith(
-            "; 240 digits")
+        assert re.fullmatch(r"residue majorant \S+; \d+ terms; bound \S+",
+                            dict(result.diagnostics)["closed_form_series"])
         assert result.expectation_j == pytest.approx(HIGH_MULT_J[20.0, 200.0, 20.0, 5.0],
                                                      rel=1e-9, abs=0.0)
 

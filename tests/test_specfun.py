@@ -179,6 +179,23 @@ class TestUFamily:
         assert family.branches == ("extended",)
         assert family.values[0] == pytest.approx(exact, rel=1e-15, abs=0.0)
 
+    def test_mpf_rerun_stops_at_the_turning_point(self):
+        # A = 5, z = 0.004: the double recurrence loses ~eps/z^(j-1), so every
+        # term past j = 2 is pending, but only j <= ceil(A+z)+3 = 9 are re-run
+        # in mpf; the rest resume the forward recurrence, stable above A + z,
+        # from the last two mpf values
+        a, z, n = 5.0, 0.004, 40
+        family = u_family(a, z, n)
+        exact = reference_family(a, z, n)
+        k_star = math.ceil(a + z) + 3
+        extended = {j for j, branch in enumerate(family.branches, start=1)
+                    if branch == "extended"}
+        assert extended == set(range(3, k_star + 1))
+        for j in range(1, n + 1):
+            error = abs(family.values[j - 1] - float(exact[j]))
+            assert family.bounds[j - 1] >= error, j
+            assert error <= _U_TOL * float(exact[j]), j
+
     def test_uncertified_term_raises(self, monkeypatch):
         # A = 20 at z = 1e-4 loses ~90 digits by j = 40; 30 cannot certify it
         monkeypatch.setattr(specfun, "_EXTENDED_DPS", (30,))
