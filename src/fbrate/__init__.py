@@ -11,20 +11,19 @@ from .errors import (ClosedFormUnavailableError, ConvergenceError, FbrateError,
 from .mc import McConfig, McEstimate, estimate_er
 from .mgf import MgfPoint, log_mgf, mgf
 from .model import ChannelParams, DerivedParams, PRESET_NAMES, derive, preset, validate
-from .poles import PartialFractionExpansion, PoleSet, build_pole_set, decompose, pdf
+from .poles import PartialFractionExpansion, decompose, pdf
 from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
                    er_auto, expectation_closed_form, expectation_quadrature)
-from .specfun import ln_gamma, tricomi_u_int_a
+from .specfun import ln_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelParams", "DerivedParams", "MgfPoint", "PoleSet",
+    "ChannelParams", "DerivedParams", "MgfPoint",
     "PartialFractionExpansion", "ErRequest", "ErResult",
     "McConfig", "McEstimate",
     "validate", "derive", "preset", "PRESET_NAMES", "mgf", "log_mgf",
-    "build_pole_set", "decompose", "pdf",
-    "ln_gamma", "tricomi_u_int_a",
+    "decompose", "pdf", "ln_gamma",
     "effective_rate", "expectation_quadrature", "expectation_closed_form",
     "er_auto", "closed_form_applies",
     "estimate_er",

@@ -1,6 +1,6 @@
 """The gamma-mixture series: J where the partial-fraction sum cancels.
 
-Over its unmerged first-order factors (``poles.mgf_factors``) the MGF is
+Over its merged first-order factors (``poles.mgf_factors``) the MGF is
 M(s) = prod_k (1 + g*s/theta_k)^(-e_k), sum_k e_k = mu, numerator factors
 with e_k < 0.  With z = max theta_k/g, rho_k = 1 - theta_k/(g z) and
 u = z/(z+s), M = u^mu w_0 prod_k (1 - rho_k u)^(-e_k) = sum_n w_n u^(mu+n),

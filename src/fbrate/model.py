@@ -23,12 +23,6 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-#: Roots (and pole candidates) closer than this, relatively, are treated as
-#: one higher-multiplicity point.  Exact degeneracies (eta = 1, kappa = 0)
-#: land many orders of magnitude inside this tolerance.
-ROOT_MERGE_RTOL = 1e-9
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """The five fading shape parameters plus the average SNR (linear)."""

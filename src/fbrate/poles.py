@@ -1,16 +1,16 @@
-"""Pole set, partial-fraction residues, and the closed-form SNR density.
+"""MGF factors, partial-fraction residues, and the closed-form SNR density.
 
 For integer shadowing index m and even integer cluster count mu the MGF is a
 rational function of s built from four first-order factors:
 
     M(s) = (1 + g*s/(O/eta))^e (1 + g*s/O)^e (1 + g*s/c1)^-m (1 + g*s/c2)^-m
 
-with e = m - mu/2.  The pole groups are always {c1: m, c2: m}; when
-mu/2 > m the two omega points join them as poles of order mu/2 - m, and when
-mu/2 < m they are numerator polynomials folded into the residue derivatives.
-Coincident poles (within the root-merge tolerance) are merged by summing
-multiplicities, which is what makes the unit-eta and zero-LoS degeneracies
-work without special cases.
+with e = m - mu/2.  :func:`mgf_factors` writes it as signed orders, positive
+for poles and negative for numerator factors, and is the one place where
+coincidences are decided: factors within the root-merge tolerance are one
+factor whose order is the sum, and zero orders drop out.  That is what makes
+the unit-eta, zero-LoS and m = mu (Nakagami-m) degeneracies work without
+special cases.
 
 Residues are computed exactly - no numerical differentiation.  Writing
 u = 1 + g*s/theta_i, every other factor becomes affine in u, so the partial
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosedFormUnavailableError, ParameterError
-from .model import ROOT_MERGE_RTOL, ChannelParams, DerivedParams
+from .model import ChannelParams, DerivedParams
 
 #: Reject closed forms whose total pole multiplicity explodes (factorials in
 #: the residue recursion and alternating coefficient growth make very high
@@ -41,18 +41,10 @@ MAX_TOTAL_MULTIPLICITY = 500
 
 _INT_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class PoleSet:
-    """Merged poles of the MGF plus the numerator factors the residues need.
-
-    ``poles``: tuple of (location, multiplicity); locations are positive reals.
-    ``numerator``: tuple of (location, positive integer exponent) for
-    first-order numerator factors, present only when mu/2 < m.
-    """
-
-    poles: tuple[tuple[float, int], ...]
-    numerator: tuple[tuple[float, int], ...] = ()
+#: Factors closer than this, relatively, are one higher-order factor.  Exact
+#: degeneracies (eta = 1, kappa = 0, m = mu) land many orders of magnitude
+#: inside this tolerance.
+ROOT_MERGE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,19 +59,6 @@ class PartialFractionExpansion:
 
     terms: tuple[tuple[float, int, tuple[float, ...]], ...]
     majorants: tuple[tuple[float, ...], ...]
-
-
-def _merge(points):
-    """Sum multiplicities of points closer than the root-merge tolerance."""
-    merged: list[list] = []
-    for theta, mult in points:
-        for entry in merged:
-            if abs(theta - entry[0]) <= ROOT_MERGE_RTOL * max(abs(theta), abs(entry[0])):
-                entry[1] += mult
-                break
-        else:
-            merged.append([theta, mult])
-    return [(t, m) for t, m in merged]
 
 
 def pole_exponents(params: ChannelParams) -> tuple[int, int]:
@@ -113,23 +92,26 @@ def pole_exponents(params: ChannelParams) -> tuple[int, int]:
 
 
 def mgf_factors(params: ChannelParams, derived: DerivedParams) -> list[tuple[float, int]]:
-    """(theta_k, e_k) with M(s) = prod_k (1 + g*s/theta_k)^(-e_k), unmerged.
+    """(theta_k, e_k) with M(s) = prod_k (1 + g*s/theta_k)^(-e_k), merged.
 
     c1 and c2 have order m_eff; omega/eta and omega have order mu/2 - m_eff,
-    negative for numerator factors.  Zero orders are dropped.
+    negative for numerator factors.  Factors within ``ROOT_MERGE_RTOL`` of an
+    earlier one (in that order) join it: their orders add and the earlier
+    location is kept.  Zero orders are dropped, so the locations returned are
+    distinct and every order is nonzero; the orders still sum to mu.
     """
     mu_half, m_eff = pole_exponents(params)
     omega = derived.omega_cap
-    factors = [(derived.c1, m_eff), (derived.c2, m_eff),
-               (omega / params.eta, mu_half - m_eff), (omega, mu_half - m_eff)]
-    return [(theta, e) for theta, e in factors if e != 0]
-
-
-def build_pole_set(params: ChannelParams, derived: DerivedParams) -> PoleSet:
-    """Merged poles and numerator factors of the rational MGF."""
-    factors = mgf_factors(params, derived)
-    return PoleSet(poles=tuple(_merge([(t, e) for t, e in factors if e > 0])),
-                   numerator=tuple((t, -e) for t, e in factors if e < 0))
+    merged: list[list] = []
+    for theta, e in ((derived.c1, m_eff), (derived.c2, m_eff),
+                     (omega / params.eta, mu_half - m_eff), (omega, mu_half - m_eff)):
+        for entry in merged:
+            if abs(theta - entry[0]) <= ROOT_MERGE_RTOL * max(theta, entry[0]):
+                entry[1] += e
+                break
+        else:
+            merged.append([theta, e])
+    return [(theta, e) for theta, e in merged if e != 0]
 
 
 def power_series(t0, c: np.ndarray):
@@ -150,7 +132,7 @@ def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -
 
     T_0 = prod a_k**e_k and c_r = (-1)^(r-1) sum_k e_k (b_k/a_k)^r feed
     :func:`power_series`.  All a_k must be nonzero (coincident factors are
-    stripped beforehand); a_k and b_k may be complex.  A ``majorants`` list
+    merged beforehand); a_k and b_k may be complex.  A ``majorants`` list
     receives the envelope, the same series from |T_0| and |c_r|, which
     bounds |T_n| and scales its rounding.
     """
@@ -170,52 +152,34 @@ def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -
     return list(power_series(t0, c))
 
 
-def partial_fractions(pole_set: PoleSet) -> PartialFractionExpansion:
-    """Exact partial-fraction coefficients of a pole set.
+def partial_fractions(factors: list[tuple[float, int]]) -> PartialFractionExpansion:
+    """Exact partial-fraction coefficients of prod_k (1 + g*s/theta_k)^(-e_k).
 
-    For pole theta_i of multiplicity w, substitute u = 1 + g*s/theta_i; each
-    remaining factor (1 + g*s/theta_k)^e becomes (a + b*u)^e with
-    a = 1 - theta_i/theta_k and b = theta_i/theta_k.  A numerator factor
-    sitting exactly on the pole (a ~ 0) contributes a plain u-power shift.
-    A_ij is then the u**(w-j) Taylor coefficient of the product, and E_ij
-    the same coefficient of its envelope.
+    ``factors`` are distinct (theta_k, e_k) as :func:`mgf_factors` returns
+    them.  For each pole theta_i (order w > 0), substitute
+    u = 1 + g*s/theta_i; every other factor becomes (a + b*u)^(-e_k) with
+    a = 1 - theta_i/theta_k and b = theta_i/theta_k.  A_ij is then the
+    u**(w-j) Taylor coefficient of the product, and E_ij the same
+    coefficient of its envelope.
     """
     terms = []
     majorants = []
-    for i, (theta_i, w) in enumerate(pole_set.poles):
-        factors = []
-        shift = 0
-        scale = 1
-        others = [(t, -m) for k, (t, m) in enumerate(pole_set.poles) if k != i]
-        others.extend(pole_set.numerator)
-        for theta_k, expo in others:
-            b = theta_i / theta_k
-            a = (theta_k - theta_i) / theta_k  # exact difference: no 1 - b cancellation
-            if abs(a) <= ROOT_MERGE_RTOL * abs(b):
-                if expo < 0:  # pragma: no cover - poles were merged already
-                    raise ClosedFormUnavailableError("unmerged coincident poles")
-                shift += expo
-                scale *= b**expo
-            else:
-                factors.append((a, b, expo))
-        n_terms = w - shift
+    for theta_i, w in factors:
+        if w <= 0:
+            continue
+        # a as an exact difference: no 1 - b cancellation
+        others = [((theta_k - theta_i) / theta_k, theta_i / theta_k, -e_k)
+                  for theta_k, e_k in factors if theta_k != theta_i]
         envelope = []
-        taylor = _taylor_coefficients(factors, n_terms, envelope) if n_terms > 0 else []
-        coeffs = []
-        bounds = []
-        for j in range(1, w + 1):
-            idx = w - j - shift
-            inside = 0 <= idx < len(taylor)
-            coeffs.append(scale * taylor[idx] if inside else 0)
-            bounds.append(abs(scale) * envelope[idx] if inside else 0)
-        terms.append((theta_i, w, tuple(coeffs)))
-        majorants.append(tuple(bounds))
+        taylor = _taylor_coefficients(others, w, envelope)
+        terms.append((theta_i, w, tuple(taylor[::-1])))
+        majorants.append(tuple(envelope[::-1]))
     return PartialFractionExpansion(terms=tuple(terms), majorants=tuple(majorants))
 
 
 def decompose(params: ChannelParams, derived: DerivedParams) -> PartialFractionExpansion:
-    """The partial-fraction expansion of the MGF: pole set, then residues."""
-    return partial_fractions(build_pole_set(params, derived))
+    """The partial-fraction expansion of the MGF from its merged factors."""
+    return partial_fractions(mgf_factors(params, derived))
 
 
 def pdf(params: ChannelParams, derived: DerivedParams,

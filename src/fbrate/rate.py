@@ -195,11 +195,8 @@ def _term_sums(expansion: PartialFractionExpansion, a_exponent: float,
     One :func:`specfun.u_family` per pole, every term certified to ``_U_TOL``.
     """
     contributions, envelope, u_error = [], [], []
-    for (theta, _, coeffs), majorants in zip(expansion.terms, expansion.majorants):
-        n = max((j for j, a_ij in enumerate(coeffs, start=1) if a_ij), default=0)
-        if n == 0:
-            continue
-        family = u_family(a_exponent, theta / gamma_bar, n)
+    for (theta, w, coeffs), majorants in zip(expansion.terms, expansion.majorants):
+        family = u_family(a_exponent, theta / gamma_bar, w)
         for a_ij, e_ij, w_j, err_j in zip(coeffs, majorants, family.values, family.bounds):
             contributions.append(a_ij * w_j)
             envelope.append(e_ij * w_j)

@@ -232,17 +232,3 @@ def u_family(a: float, z: float, n: int, rel_tol: float = _U_TOL) -> UFamily:
                 achieved=max(uncertified.values()))
     return UFamily(values=tuple(values), bounds=tuple(bounds), branches=tuple(branches))
 
-
-def tricomi_u_int_a(a: int, b: float, z: float, rel_tol: float = _U_TOL) -> float:
-    """U(a; b; z) for integer a >= 1, real b, z > 0.
-
-    The last member of :func:`u_family` with A = a - b + 1, scaled by z^-a.
-    Raises :class:`ConvergenceError` carrying the achieved error estimate if
-    the target accuracy cannot be certified.
-    """
-    if a < 1 or a != int(a):
-        raise ValueError(f"first argument must be a positive integer, got {a!r}")
-    if z <= 0:
-        raise ValueError(f"z must be > 0, got {z!r}")
-    a = int(a)
-    return u_family(a - b + 1.0, z, a, rel_tol).values[-1] * z**-a

@@ -20,6 +20,7 @@ from scipy.special import gammainc
 
 from fbrate import ChannelParams, log_mgf
 from fbrate.mc import _sample_block
+from fbrate.specfun import _U_TOL, u_family
 
 # --- frozen goldens ----------------------------------------------------------
 
@@ -238,6 +239,22 @@ def exp1(z: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             break
     return math.exp(-z) * f
+
+
+def tricomi_u_int_a(a: int, b: float, z: float, rel_tol: float = _U_TOL) -> float:
+    """U(a; b; z) for integer a >= 1, real b, z > 0, from the package's U family.
+
+    The last member of ``specfun.u_family`` with A = a - b + 1, scaled by
+    z^-a.  Lets the U tests address single (a, b, z) points; raises
+    ``ConvergenceError`` carrying the achieved error estimate if the target
+    accuracy cannot be certified.
+    """
+    if a < 1 or a != int(a):
+        raise ValueError(f"first argument must be a positive integer, got {a!r}")
+    if z <= 0:
+        raise ValueError(f"z must be > 0, got {z!r}")
+    a = int(a)
+    return u_family(a - b + 1.0, z, a, rel_tol).values[-1] * z**-a
 
 
 def tricomi_u_integral_mp(j: int, b, z):

@@ -21,11 +21,10 @@ from fbrate.crosscheck import (closed_form_grid, mc_grid, run_cross_check,
                                run_mc_check)
 from fbrate.mc import McConfig
 from fbrate.rate import effective_rate
-from fbrate.specfun import tricomi_u_int_a
 
 from conftest import (FIG1_J_A2, FIG1_R_A2, J_RAYLEIGH, R_RAYLEIGH, fig1_params,
                       rayleigh_j, reconstruction_error, unit_eta_shadowed_j)
-from conftest import exp1 as _exp1
+from conftest import exp1 as _exp1, tricomi_u_int_a
 
 
 def _report(n, ok, detail):

@@ -2,25 +2,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from fbrate import (ChannelParams, ClosedFormUnavailableError, build_pole_set,
-                    decompose, derive, mgf, pdf, preset)
-from fbrate.poles import _taylor_coefficients, pole_exponents
+from fbrate import (ChannelParams, ClosedFormUnavailableError, ErRequest, decompose,
+                    derive, er_auto, mgf, pdf, preset)
+from fbrate.poles import _taylor_coefficients, mgf_factors, pole_exponents
 
-from conftest import (FIG1_A11, FIG1_A21, expansion_cdf, fig1_params, reconstruct,
-                      reconstruction_error)
+from conftest import (FIG1_A11, FIG1_A21, cluster_model_j, expansion_cdf, fig1_params,
+                      reconstruct, reconstruction_error)
 
 
-def _min_pole_separation(pole_set):
-    """Smallest relative gap between non-coincident pole/numerator points."""
-    points = [t for t, _ in pole_set.poles] + [t for t, _ in pole_set.numerator]
+def _poles(factors):
+    """(location, order) of the poles among merged MGF factors."""
+    return [(t, e) for t, e in factors if e > 0]
+
+
+def _numerator(factors):
+    """(location, exponent) of the numerator factors among merged MGF factors."""
+    return [(t, -e) for t, e in factors if e < 0]
+
+
+def _min_pole_separation(factors):
+    """Smallest relative gap between the merged pole/numerator points.
+
+    Exact coincidences are merged by ``mgf_factors``, so every gap left is
+    above the merge tolerance.
+    """
+    points = [t for t, _ in factors]
     sep = math.inf
     for i, a in enumerate(points):
         for b in points[i + 1:]:
-            gap = abs(a - b) / max(abs(a), abs(b))
-            if gap > 1e-9:  # exact coincidences are merged/shifted, not ill-conditioned
-                sep = min(sep, gap)
+            sep = min(sep, abs(a - b) / max(abs(a), abs(b)))
     return sep
 
 
@@ -53,80 +66,103 @@ def closed_params(rng):
                           eta=float(10.0 ** rng.uniform(-1.0, 1.0)),
                           rho2=float(rng.uniform(0.0, 4.0)),
                           gamma_bar=float(10.0 ** rng.uniform(-1.0, 2.0)))
-        sep = _min_pole_separation(build_pole_set(p, derive(p)))
+        sep = _min_pole_separation(mgf_factors(p, derive(p)))
         if sep > 0.05 or sep == math.inf:
             return p
 
 
 class TestBuildPoleSet:
+    """The poles and numerator factors that ``mgf_factors`` builds and merges."""
+
     def test_simple_two_group(self):
         p = fig1_params()  # m=1, mu=2 -> exponents vanish
-        ps = build_pole_set(p, derive(p))
+        fs = mgf_factors(p, derive(p))
         mu_half, m_eff = pole_exponents(p)
         assert not mu_half > m_eff  # two groups: the omega points are no poles
-        assert sorted(m for _, m in ps.poles) == [1, 1]
-        assert ps.numerator == ()
+        assert sorted(m for _, m in _poles(fs)) == [1, 1]
+        assert _numerator(fs) == []
 
     def test_four_group_when_half_mu_exceeds_m(self):
         p = ChannelParams(mu=4.0, m=1.0, kappa=1.0, eta=0.1, rho2=0.1)
-        ps = build_pole_set(p, derive(p))
+        fs = mgf_factors(p, derive(p))
         mu_half, m_eff = pole_exponents(p)
         assert mu_half > m_eff  # four groups: the omega points are poles
-        assert sorted(m for _, m in ps.poles) == [1, 1, 1, 1]
+        assert sorted(m for _, m in _poles(fs)) == [1, 1, 1, 1]
         d = derive(p)
-        locations = sorted(t.real for t, _ in ps.poles)
+        locations = sorted(t.real for t, _ in _poles(fs))
         expected = sorted([d.c1.real, d.c2.real, d.omega_cap, d.omega_cap / p.eta])
         np.testing.assert_allclose(locations, expected, rtol=1e-12)
 
     def test_numerator_when_half_mu_below_m(self):
         p = ChannelParams(mu=2.0, m=3.0, kappa=1.0, eta=0.1, rho2=0.1)
-        ps = build_pole_set(p, derive(p))
+        fs = mgf_factors(p, derive(p))
         mu_half, m_eff = pole_exponents(p)
         assert not mu_half > m_eff
-        assert sorted(m for _, m in ps.poles) == [3, 3]
-        assert sorted(e for _, e in ps.numerator) == [2, 2]
+        assert sorted(m for _, m in _poles(fs)) == [3, 3]
+        assert sorted(e for _, e in _numerator(fs)) == [2, 2]
 
     def test_coincident_roots_merge(self):
         # kappa=0, eta=1 piles everything onto one point
         p = ChannelParams(mu=2.0, m=2.0, kappa=0.0, eta=1.0, rho2=1.0)
-        ps = build_pole_set(p, derive(p))
+        fs = mgf_factors(p, derive(p))
         mu_half, m_eff = pole_exponents(p)
         assert not mu_half > m_eff
-        assert len(ps.poles) == 1
-        theta, mult = ps.poles[0]
+        assert len(_poles(fs)) == 1
+        theta, mult = _poles(fs)[0]
         assert theta.real == pytest.approx(2.0, rel=1e-12)
         # zero-LoS shortcut: m cancels, effective multiplicity is mu/2 per root
         assert mult == 2
 
+    @pytest.mark.parametrize("mu", [2.0, 4.0])
+    def test_shadowed_at_m_equal_mu_is_one_factor(self, mu):
+        # kappa-mu shadowed with m = mu is Nakagami-m: at eta = 1 the omega
+        # numerators cancel the c1 pole exactly, leaving Gamma(mu) alone
+        p = preset("kappa-mu-shadowed", kappa=1.5, mu=mu, m=mu, gamma_bar=2.0)
+        d = derive(p)
+        assert mgf_factors(p, d) == [(mu, int(mu))]
+        assert len(decompose(p, d).terms) == 1
+        j = er_auto(ErRequest(p, 2.0, method="closed_form")).expectation_j
+        assert j == pytest.approx(cluster_model_j(p, 2.0), rel=1e-12)
+
+    def test_numerator_on_a_pole_merges(self):
+        # eta = 1 puts c1 on both omega points: order m + 2*(mu/2 - m) = -1
+        p = ChannelParams(mu=2.0, m=3.0, kappa=1.0, eta=1.0, rho2=0.5, gamma_bar=2.0)
+        d = derive(p)
+        (theta, e), pole = mgf_factors(p, d)
+        assert theta == pytest.approx(d.omega_cap, rel=1e-12) and e == -1
+        assert pole == (d.c2, 3)
+        j = er_auto(ErRequest(p, 2.0, method="closed_form")).expectation_j
+        assert j == pytest.approx(cluster_model_j(p, 2.0), rel=1e-12)
+
     def test_unit_eta_kappa_mu_shadowed_merging(self):
         # c1 coincides with the omega point: mult m there plus mu/2 - m twice
         p = ChannelParams(mu=6.0, m=1.0, kappa=2.0, eta=1.0, rho2=1.0)
-        ps = build_pole_set(p, derive(p))
+        fs = mgf_factors(p, derive(p))
         mu_half, m_eff = pole_exponents(p)
         assert mu_half > m_eff
-        mults = sorted(m for _, m in ps.poles)
+        mults = sorted(m for _, m in _poles(fs))
         assert mults == [1, 5]  # c2: m=1; omega: m + 2*(mu/2 - m) = 5
 
     def test_non_integer_m_rejected(self):
         p = ChannelParams(mu=2.0, m=1.7, kappa=1.0, eta=0.5, rho2=1.0)
         with pytest.raises(ClosedFormUnavailableError, match="m"):
-            build_pole_set(p, derive(p))
+            mgf_factors(p, derive(p))
 
     def test_odd_mu_rejected(self):
         p = ChannelParams(mu=1.5, m=1.0, kappa=1.0, eta=0.5, rho2=1.0)
         with pytest.raises(ClosedFormUnavailableError, match="mu"):
-            build_pole_set(p, derive(p))
+            mgf_factors(p, derive(p))
 
     def test_huge_multiplicity_rejected(self):
         p = ChannelParams(mu=2.0, m=300.0, kappa=1.0, eta=0.5, rho2=1.0)
         with pytest.raises(ClosedFormUnavailableError, match="multiplicity"):
-            build_pole_set(p, derive(p))
+            mgf_factors(p, derive(p))
 
     def test_zero_los_shortcut_ignores_m(self):
         # kappa = 0 cancels every m-dependent factor, whatever m is
         p = ChannelParams(mu=4.0, m=2.75, kappa=0.0, eta=0.4, rho2=1.0)
-        ps = build_pole_set(p, derive(p))
-        assert sorted(m for _, m in ps.poles) == [2, 2]
+        fs = mgf_factors(p, derive(p))
+        assert sorted(m for _, m in _poles(fs)) == [2, 2]
 
 
 class TestTaylorHelper:
@@ -226,10 +262,36 @@ class TestResidues:
         # the merge tolerance keeps exact degeneracies out of this regime
         p = ChannelParams(mu=2.0, m=1.0, kappa=1e-6, eta=1.0, rho2=1.0, gamma_bar=1.0)
         d = derive(p)
-        sep = _min_pole_separation(build_pole_set(p, d))
+        sep = _min_pole_separation(mgf_factors(p, d))
         assert 1e-9 < sep < 1e-5
         err = reconstruction_error(p, d, decompose(p, d))
         assert err < 1e-16 / sep * 100.0  # conditioning-model bound, with slack
+
+
+@st.composite
+def closed_form_shapes(draw):
+    """(params, A) in the closed-form regime, exact coincidences included.
+
+    eta = 1, kappa = 0 and m = mu are drawn as exact values, since those are
+    the merges; the ill-conditioned sliver is rejected as in ``closed_params``.
+    """
+    mu = draw(st.sampled_from([2.0, 4.0, 6.0]))
+    p = ChannelParams(mu=mu, m=draw(st.sampled_from([1.0, 2.0, 3.0, mu])),
+                      kappa=draw(st.just(0.0) | st.floats(0.05, 4.0)),
+                      eta=draw(st.just(1.0) | st.floats(-1.0, 1.0).map(lambda x: 10.0**x)),
+                      rho2=draw(st.floats(0.0, 4.0)),
+                      gamma_bar=10.0 ** draw(st.floats(-1.0, 2.0)))
+    assume(_min_pole_separation(mgf_factors(p, derive(p))) > 0.05)
+    return p, draw(st.floats(0.5, 5.0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=closed_form_shapes())
+def test_closed_form_matches_the_cluster_model(case):
+    # differential test of the whole residue pipeline against the physical MGF
+    p, a = case
+    j = er_auto(ErRequest(p, a, method="closed_form")).expectation_j
+    assert j == pytest.approx(cluster_model_j(p, a), rel=1e-8, abs=0.0)
 
 
 class TestPdf:

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import exp1 as scipy_exp1
 
-from fbrate import ConvergenceError, ln_gamma, tricomi_u_int_a
+from fbrate import ConvergenceError, ln_gamma
 from fbrate import specfun
 from fbrate.specfun import _U_TOL, _w1, u_family
 
 from conftest import (E1_AT_1, U_2_1_2, U_3_HALF_2, exp1 as _exp1, rayleigh_j,
-                      tricomi_u_integral_mp)
+                      tricomi_u_int_a, tricomi_u_integral_mp)
 
 
 class TestLnGamma:
