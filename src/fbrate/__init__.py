@@ -10,7 +10,7 @@ from .errors import (ClosedFormUnavailableError, ConvergenceError, FbrateError,
                      ParameterError)
 from .mc import McConfig, McEstimate, estimate_er
 from .mgf import MgfPoint, log_mgf, mgf
-from .model import ChannelParams, DerivedParams, PRESET_NAMES, derive, preset, validate
+from .model import ChannelParams, PRESET_NAMES, preset
 from .poles import PartialFractionExpansion, decompose, pdf
 from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
                    er_auto, expectation_closed_form, expectation_quadrature)
@@ -19,10 +19,10 @@ from .specfun import ln_gamma
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelParams", "DerivedParams", "MgfPoint",
+    "ChannelParams", "MgfPoint",
     "PartialFractionExpansion", "ErRequest", "ErResult",
     "McConfig", "McEstimate",
-    "validate", "derive", "preset", "PRESET_NAMES", "mgf", "log_mgf",
+    "preset", "PRESET_NAMES", "mgf", "log_mgf",
     "decompose", "pdf", "ln_gamma",
     "effective_rate", "expectation_quadrature", "expectation_closed_form",
     "er_auto", "closed_form_applies",

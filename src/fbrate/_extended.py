@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import ChannelParams, DerivedParams
+from .model import ChannelParams
 from .poles import mgf_factors, power_series
 from .specfun import u_family
 
@@ -28,7 +28,7 @@ _MAX_TERMS = 1 << 14  # longest series tried
 _EPS = 2.0**-52
 
 
-def mixture_series(params: ChannelParams, derived: DerivedParams, a_exponent: float,
+def mixture_series(params: ChannelParams, a_exponent: float,
                    rel_tol: float) -> tuple[float, float, int]:
     """(J, error bound, terms used) from the gamma-mixture series.
 
@@ -38,10 +38,11 @@ def mixture_series(params: ChannelParams, derived: DerivedParams, a_exponent: fl
     sum_(n>=L) w_n <= G(u) u^-L, 1 < u < 1/max rho_k, on the weights'
     generating function G.  The bound adds sum w_n err(W_(mu+n)), the tail
     and (2L+4) eps of J for rounding, which sums of positive terms average
-    instead of amplifying.  Raises :class:`ConvergenceError` if some c_r < 0
-    or the tail stays too large within ``_MAX_TERMS`` terms.
+    instead of amplifying.  Raises :class:`ConvergenceError` if some c_r < 0,
+    the tail stays too large within ``_MAX_TERMS`` terms, or the value or its
+    bound is not finite.
     """
-    theta, e = np.array(mgf_factors(params, derived), dtype=float).T
+    theta, e = np.array(mgf_factors(params), dtype=float).T
     mu = int(round(e.sum()))
     theta_max = float(theta.max())
     rho = (theta_max - theta) / theta_max  # no 1 - ratio cancellation
@@ -68,7 +69,13 @@ def mixture_series(params: ChannelParams, derived: DerivedParams, a_exponent: fl
         mass += w
         tail = max(0.0, 1.0 - mass) * values[n + 1]
         if tail <= 1e-3 * rel_tol * value:
-            return value, u_error + tail + (2 * n + 6) * _EPS * value, n + 1
+            bound = u_error + tail + (2 * n + 6) * _EPS * value
+            if not math.isfinite(value + bound):
+                raise ConvergenceError(
+                    f"gamma-mixture series for A={a_exponent}, params={params}: "
+                    f"value {value!r}, bound {bound!r} after {n + 1} terms",
+                    achieved=math.inf)
+            return value, bound, n + 1
     achieved = tail / value if value > 0 else math.inf
     raise ConvergenceError(
         f"gamma-mixture series for A={a_exponent}, params={params}: tail "

@@ -23,8 +23,8 @@ from .crosscheck import (CROSS_REL_TOL, MC_Z_LIMIT, closed_form_grid, db_to_line
 from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mc import McConfig
 from .mgf import mgf
-from .model import ChannelParams, PRESET_NAMES, derive, preset, validate
-from .poles import decompose, pdf
+from .model import ChannelParams, PRESET_NAMES, preset
+from .poles import pdf
 from .rate import ErRequest, er_auto
 
 SEED_ENV_VAR = "FBRATE_SEED"
@@ -87,13 +87,10 @@ def _build_params(args, gamma_bar: float) -> ChannelParams:
     overrides = {k: getattr(args, k) for k in ("mu", "m", "kappa", "eta", "rho2")
                  if getattr(args, k) is not None}
     if args.preset:
-        params = preset(args.preset, gamma_bar=gamma_bar, **overrides)
-    else:
-        defaults = {"mu": 1.0, "m": 1.0, "kappa": 0.0, "eta": 1.0, "rho2": 1.0}
-        defaults.update(overrides)
-        params = ChannelParams(gamma_bar=gamma_bar, **defaults)
-    validate(params)
-    return params
+        return preset(args.preset, gamma_bar=gamma_bar, **overrides)
+    defaults = {"mu": 1.0, "m": 1.0, "kappa": 0.0, "eta": 1.0, "rho2": 1.0}
+    defaults.update(overrides)
+    return ChannelParams(gamma_bar=gamma_bar, **defaults)
 
 
 def _a_exponent(args) -> tuple[float, list[str]]:
@@ -141,7 +138,6 @@ def cmd_er(args) -> int:
             params = _build_params(args, gamma_bar=db_to_linear(float(snr_db)))
             if vary is not None:
                 params = replace(params, **{args.vary: vary})
-                validate(params)
             request = ErRequest(params=params, a_exponent=a, method=method,
                                 rel_tol=args.rel_tol)
             result = er_auto(request, mc_config=mc_config)
@@ -155,18 +151,16 @@ def cmd_er(args) -> int:
 
 def cmd_mgf(args) -> int:
     params = _build_params(args, args.gamma_bar)
-    derived = derive(params)
     grid = _parse_grid(args.s, "--s")
-    rows = [(float(s), mgf(params, derived, float(s)).value) for s in grid]
+    rows = [(float(s), mgf(params, float(s)).value) for s in grid]
     _emit(rows, ("x", "value"), args.format)
     return 0
 
 
 def cmd_pdf(args) -> int:
     params = _build_params(args, args.gamma_bar)
-    derived = derive(params)
     grid = _parse_grid(args.gamma, "--gamma")
-    values = pdf(params, derived, decompose(params, derived), grid)
+    values = pdf(params, grid)
     rows = list(zip((float(x) for x in grid), (float(v) for v in values)))
     _emit(rows, ("x", "value"), args.format)
     return 0

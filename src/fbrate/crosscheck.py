@@ -10,11 +10,10 @@ at least 95% of the concordance grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .mc import McConfig, estimate_er
-from .model import ChannelParams, derive, preset, validate
-from .poles import decompose
+from .model import ChannelParams, preset
 from .rate import CROSS_REL_TOL, expectation_closed_form, expectation_quadrature
 
 MC_Z_LIMIT = 4.0
@@ -68,19 +67,9 @@ def run_cross_check(grid=None, rel_tol: float = 1e-8) -> CrossCheckReport:
         grid = closed_form_grid()
     worst = None
     max_diff = 0.0
-    shape = None
     for params, a in grid:
-        # neither the derived constants nor the residues depend on gamma_bar,
-        # and the grid lists each channel shape's points in a row
-        key = replace(params, gamma_bar=1.0)
-        if key != shape:
-            shape = key
-            derived = derive(params)
-            expansion = decompose(params, derived)
-        else:
-            validate(params)
-        j_closed = expectation_closed_form(params, derived, expansion, a)
-        j_quad, _ = expectation_quadrature(params, derived, a, rel_tol)
+        j_closed = expectation_closed_form(params, a)
+        j_quad, _ = expectation_quadrature(params, a, rel_tol)
         diff = abs(j_quad - j_closed) / j_closed
         if diff > max_diff:
             max_diff = diff
@@ -168,7 +157,7 @@ def run_mc_check(grid=None, n_samples: int = 1_000_000, seed: int = 42,
     config = McConfig(n_samples=n_samples, seed=seed)
     results = []
     for params, a in grid:
-        j_quad, _ = expectation_quadrature(params, derive(params), a)
+        j_quad, _ = expectation_quadrature(params, a)
         estimate = estimate_er(params, a, config, n_workers=n_workers)
         results.append(McCheckResult(params=params, a_exponent=a, j_quad=j_quad,
                                      j_hat=estimate.j_hat,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .model import ChannelParams, validate
+from .model import ChannelParams
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
     mu < 1 with LoS (kappa > 0), and :class:`ConvergenceError` when every
     sampled (1+gamma)^-A underflows to 0.
     """
-    validate(params)
     if not a_exponent > 0:
         raise ParameterError(f"A must be > 0, got {a_exponent!r}")
     if params.mu < 1 and params.kappa > 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import ChannelParams, DerivedParams
+from .model import ChannelParams
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class MgfPoint:
     log_value: float
 
 
-def log_mgf(params: ChannelParams, derived: DerivedParams, s):
+def log_mgf(params: ChannelParams, s):
     """log M(s) for scalar or ndarray s >= 0.
 
     log M(s) = e*[log1p(eta*g*s/O) + log1p(g*s/O)] - m*log1p(-beta*g*s + alpha1*(g*s)^2)
@@ -39,21 +39,21 @@ def log_mgf(params: ChannelParams, derived: DerivedParams, s):
     g = params.gamma_bar
     gs = g * np.asarray(s, dtype=float)
     if math.isinf(params.m):
-        x = gs / derived.omega_cap
+        x = gs / params.omega_cap
         u = (params.kappa * gs * (params.rho2 / (1.0 + params.eta * x) + 1.0 / (1.0 + x))
              / ((1.0 + params.kappa) * (1.0 + params.rho2)))
         return -0.5 * params.mu * (np.log1p(params.eta * x) + np.log1p(x)) - u
-    out = -params.m * np.log1p(-derived.beta * gs + derived.alpha1 * gs * gs)
-    e = derived.exponent_e
+    out = -params.m * np.log1p(-params.beta * gs + params.alpha1 * gs * gs)
+    e = params.m - params.mu / 2.0
     if e != 0.0:
-        omega = derived.omega_cap
+        omega = params.omega_cap
         out = out + e * (np.log1p(params.eta * gs / omega) + np.log1p(gs / omega))
     return out
 
 
-def mgf(params: ChannelParams, derived: DerivedParams, s: float) -> MgfPoint:
+def mgf(params: ChannelParams, s: float) -> MgfPoint:
     """Evaluate the SNR MGF at a single real argument s >= 0."""
     if s < 0:
         raise ParameterError(f"transform argument must be >= 0, got {s!r}")
-    lv = float(log_mgf(params, derived, s))
+    lv = float(log_mgf(params, s))
     return MgfPoint(s=float(s), value=math.exp(lv), log_value=lv)

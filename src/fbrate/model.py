@@ -1,4 +1,4 @@
-"""Channel parameters, derived constants, and named special-case presets.
+"""Channel parameters with their MGF constants, and named special-case presets.
 
 The fading model is parameterized by five shape parameters plus the mean SNR:
 
@@ -10,22 +10,35 @@ The fading model is parameterized by five shape parameters plus the mean SNR:
 * ``rho2``    -- in-phase over quadrature LoS power ratio,
 * ``gamma_bar`` -- mean SNR on a linear scale.
 
-Everything the MGF needs beyond the raw parameters (the power normalization
-``omega_cap``, the quadratic coefficients ``alpha1``/``beta`` and its roots
-``c1``/``c2``) is computed once by :func:`channel_constants`, in real
-arithmetic, and carried around in an immutable :class:`DerivedParams`.
+Constructing a :class:`ChannelParams` (directly, through :func:`preset` or
+through ``dataclasses.replace``) validates every field and computes what the
+MGF needs beyond the raw parameters: the power normalization ``omega_cap``,
+the quadratic coefficients ``alpha1``/``beta`` and its roots ``c1``/``c2``,
+once, by :func:`channel_constants`, in real arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParameterError
 
+
 @dataclass(frozen=True)
 class ChannelParams:
-    """The five fading shape parameters plus the average SNR (linear)."""
+    """The five fading shape parameters plus the average SNR (linear).
+
+    Construction raises :class:`ParameterError` naming the first offending
+    field.  ``m = math.inf`` is accepted as the exact no-fluctuation limit;
+    every other field must be finite and inside its range.
+
+    ``c1`` and ``c2`` are the roots of ``alpha1 * z**2 + beta * z + 1``,
+    ordered so that ``c1 >= c2 > 0``.  The discriminant ``beta**2 - 4*alpha1``
+    is a sum of squares (see :func:`channel_constants`), so both roots are
+    real and positive for every valid parameter set.  These constants follow
+    from the fields, so they take no part in repr, == or hash.
+    """
 
     mu: float
     m: float
@@ -33,56 +46,42 @@ class ChannelParams:
     eta: float
     rho2: float
     gamma_bar: float = 1.0
+    omega_cap: float = field(init=False, repr=False, compare=False)
+    alpha1: float = field(init=False, repr=False, compare=False)
+    beta: float = field(init=False, repr=False, compare=False)
+    c1: float = field(init=False, repr=False, compare=False)
+    c2: float = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        def _finite(name, value):
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Constants derived from :class:`ChannelParams` for MGF evaluation.
-
-    ``c1`` and ``c2`` are the roots of ``alpha1 * z**2 + beta * z + 1``,
-    ordered so that ``c1 >= c2 > 0``.  The discriminant ``beta**2 - 4*alpha1``
-    is a sum of squares (see :func:`channel_constants`), so both roots are
-    real and positive for every valid parameter set.
-    """
-
-    omega_cap: float
-    alpha1: float
-    beta: float
-    c1: float
-    c2: float
-    exponent_e: float  # m - mu/2, shared exponent of the two omega factors
-
-
-def validate(params: ChannelParams) -> None:
-    """Raise :class:`ParameterError` naming the first offending field.
-
-    ``m = math.inf`` is accepted as the exact no-fluctuation limit; every
-    other field must be finite and inside its range.
-    """
-    def _finite(name, value):
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
-
-    _finite("mu", params.mu)
-    if params.mu <= 0:
-        raise ParameterError(f"mu out of range: must be > 0, got {params.mu!r}")
-    if not (params.m == math.inf or math.isfinite(params.m)):
-        raise ParameterError(f"m must be finite or +inf, got {params.m!r}")
-    if params.m <= 0:
-        raise ParameterError(f"m out of range: must be > 0, got {params.m!r}")
-    _finite("kappa", params.kappa)
-    if params.kappa < 0:
-        raise ParameterError(f"kappa out of range: must be >= 0, got {params.kappa!r}")
-    _finite("eta", params.eta)
-    if params.eta <= 0:
-        raise ParameterError(f"eta out of range: must be > 0, got {params.eta!r}")
-    _finite("rho2", params.rho2)
-    if params.rho2 < 0:
-        raise ParameterError(f"rho2 out of range: must be >= 0, got {params.rho2!r}")
-    _finite("gamma_bar", params.gamma_bar)
-    if params.gamma_bar <= 0:
-        raise ParameterError(
-            f"gamma_bar out of range: must be > 0, got {params.gamma_bar!r}")
+        _finite("mu", self.mu)
+        if self.mu <= 0:
+            raise ParameterError(f"mu out of range: must be > 0, got {self.mu!r}")
+        if not (self.m == math.inf or math.isfinite(self.m)):
+            raise ParameterError(f"m must be finite or +inf, got {self.m!r}")
+        if self.m <= 0:
+            raise ParameterError(f"m out of range: must be > 0, got {self.m!r}")
+        _finite("kappa", self.kappa)
+        if self.kappa < 0:
+            raise ParameterError(f"kappa out of range: must be >= 0, got {self.kappa!r}")
+        _finite("eta", self.eta)
+        if self.eta <= 0:
+            raise ParameterError(f"eta out of range: must be > 0, got {self.eta!r}")
+        _finite("rho2", self.rho2)
+        if self.rho2 < 0:
+            raise ParameterError(f"rho2 out of range: must be >= 0, got {self.rho2!r}")
+        _finite("gamma_bar", self.gamma_bar)
+        if self.gamma_bar <= 0:
+            raise ParameterError(
+                f"gamma_bar out of range: must be > 0, got {self.gamma_bar!r}")
+        omega, alpha1, beta, _, c1, c2 = channel_constants(
+            self.mu, self.m, self.kappa, self.eta, self.rho2)
+        for name, value in (("omega_cap", omega), ("alpha1", alpha1), ("beta", beta),
+                            ("c1", c1), ("c2", c2)):
+            object.__setattr__(self, name, value)
 
 
 def channel_constants(mu, m, kappa, eta, rho2):
@@ -107,21 +106,6 @@ def channel_constants(mu, m, kappa, eta, rho2):
                            2 * math.sqrt(rho2) * q2 / m) / (2 * omega)
     root_q = (root_disc - beta) / 2
     return omega, alpha1, beta, root_disc, root_q / alpha1, 1 / root_q
-
-
-def derive(params: ChannelParams) -> DerivedParams:
-    """Validate the parameters and compute the MGF constants (m = inf included)."""
-    validate(params)
-    omega, alpha1, beta, _, c1, c2 = channel_constants(
-        params.mu, params.m, params.kappa, params.eta, params.rho2)
-    return DerivedParams(
-        omega_cap=omega,
-        alpha1=alpha1,
-        beta=beta,
-        c1=c1,
-        c2=c2,
-        exponent_e=params.m - params.mu / 2.0,
-    )
 
 
 # --- named special cases ----------------------------------------------------
@@ -179,6 +163,4 @@ def preset(name: str, **overrides: float) -> ChannelParams:
                 f"override {value!r} conflicts with its defining constraint")
         fields[key] = float(value)
 
-    params = ChannelParams(**fields)
-    validate(params)
-    return params
+    return ChannelParams(**fields)

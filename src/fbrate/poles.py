@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ClosedFormUnavailableError, ParameterError
-from .model import ChannelParams, DerivedParams
+from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
+from .model import ChannelParams
 
 #: Reject closed forms whose total pole multiplicity explodes (factorials in
 #: the residue recursion and alternating coefficient growth make very high
@@ -91,7 +92,7 @@ def pole_exponents(params: ChannelParams) -> tuple[int, int]:
     return mu_half, m_eff
 
 
-def mgf_factors(params: ChannelParams, derived: DerivedParams) -> list[tuple[float, int]]:
+def mgf_factors(params: ChannelParams) -> list[tuple[float, int]]:
     """(theta_k, e_k) with M(s) = prod_k (1 + g*s/theta_k)^(-e_k), merged.
 
     c1 and c2 have order m_eff; omega/eta and omega have order mu/2 - m_eff,
@@ -101,9 +102,9 @@ def mgf_factors(params: ChannelParams, derived: DerivedParams) -> list[tuple[flo
     distinct and every order is nonzero; the orders still sum to mu.
     """
     mu_half, m_eff = pole_exponents(params)
-    omega = derived.omega_cap
+    omega = params.omega_cap
     merged: list[list] = []
-    for theta, e in ((derived.c1, m_eff), (derived.c2, m_eff),
+    for theta, e in ((params.c1, m_eff), (params.c2, m_eff),
                      (omega / params.eta, mu_half - m_eff), (omega, mu_half - m_eff)):
         for entry in merged:
             if abs(theta - entry[0]) <= ROOT_MERGE_RTOL * max(theta, entry[0]):
@@ -134,11 +135,17 @@ def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -
     :func:`power_series`.  All a_k must be nonzero (coincident factors are
     merged beforehand); a_k and b_k may be complex.  A ``majorants`` list
     receives the envelope, the same series from |T_0| and |c_r|, which
-    bounds |T_n| and scales its rounding.
+    bounds |T_n| and scales its rounding.  Raises :class:`ConvergenceError`
+    when T_0 overflows.
     """
     t0 = 1.0
-    for a, _, e in factors:
-        t0 *= a**e
+    try:
+        for a, _, e in factors:
+            t0 *= a**e
+    except OverflowError as exc:
+        raise ConvergenceError(
+            f"residue recursion: T_0 = prod a_k**e_k overflows ({exc})",
+            achieved=math.inf) from exc
     if n_terms == 1:  # a simple pole: T_0 alone, without array overhead
         if majorants is not None:
             majorants.append(abs(t0))
@@ -177,25 +184,33 @@ def partial_fractions(factors: list[tuple[float, int]]) -> PartialFractionExpans
     return PartialFractionExpansion(terms=tuple(terms), majorants=tuple(majorants))
 
 
-def decompose(params: ChannelParams, derived: DerivedParams) -> PartialFractionExpansion:
-    """The partial-fraction expansion of the MGF from its merged factors."""
-    return partial_fractions(mgf_factors(params, derived))
+def decompose(params: ChannelParams) -> PartialFractionExpansion:
+    """The partial-fraction expansion of the MGF from its merged factors.
+
+    The expansion depends on the channel shape alone (g cancels), so it is
+    memoised per (mu, m, kappa, eta, rho2): an SNR sweep builds it once.
+    """
+    return _shape_expansion(params.mu, params.m, params.kappa, params.eta, params.rho2)
 
 
-def pdf(params: ChannelParams, derived: DerivedParams,
-        expansion: PartialFractionExpansion, gamma) -> np.ndarray | float:
+@lru_cache(maxsize=256)
+def _shape_expansion(mu, m, kappa, eta, rho2) -> PartialFractionExpansion:
+    return partial_fractions(mgf_factors(ChannelParams(mu, m, kappa, eta, rho2)))
+
+
+def pdf(params: ChannelParams, gamma) -> np.ndarray | float:
     """SNR density f(gamma) from the partial-fraction expansion.
 
     f(g) = sum_ij A_ij (theta_i/gbar)^j g^{j-1} e^{-theta_i g/gbar} / (j-1)!
     A tiny negative excursion is clipped; anything beyond -1e-12 signals an
-    inconsistent residue table and raises.
+    inconsistent residue table and raises :class:`ConvergenceError`.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ParameterError("gamma must be >= 0")
     gbar = params.gamma_bar
     total = np.zeros(g.shape)
-    for theta, _, coeffs in expansion.terms:
+    for theta, _, coeffs in decompose(params).terms:
         z = theta / gbar
         decay = np.exp(-z * g)
         poly = np.zeros(g.shape)
@@ -204,7 +219,7 @@ def pdf(params: ChannelParams, derived: DerivedParams,
             poly = poly * g + a_ij
         total = total + decay * poly
     if np.any(total < -1e-12):
-        raise ArithmeticError(
+        raise ConvergenceError(
             f"density went negative ({total.min():.3e}); residue table is inconsistent")
     result = np.maximum(total, 0.0)
     return result if result.shape else float(result)

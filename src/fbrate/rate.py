@@ -21,7 +21,7 @@ import numpy as np
 from ._extended import mixture_series
 from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mgf import log_mgf
-from .model import ChannelParams, DerivedParams, derive, validate
+from .model import ChannelParams
 from .poles import PartialFractionExpansion, decompose, pole_exponents
 from .specfun import ln_gamma, u_family
 
@@ -91,8 +91,8 @@ def _log_peak(a: float) -> float:
             - (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a)
 
 
-def _adaptive_quadrature(params: ChannelParams, derived: DerivedParams,
-                         a_exponent: float, rel_tol: float) -> tuple[float, float, int]:
+def _adaptive_quadrature(params: ChannelParams, a_exponent: float,
+                         rel_tol: float) -> tuple[float, float, int]:
     """Nested exp-sinh trapezoid rule for s^(A-1) e^-s M(s) / Gamma(A).
 
     With x = ln s = c + w (pi/2) sinh t the integrand decays double-
@@ -133,7 +133,7 @@ def _adaptive_quadrature(params: ChannelParams, derived: DerivedParams,
         u = scale * np.sinh(t)
         y = u + (c - log_a)
         log_f = (a * (y - np.expm1(y)) + log_peak
-                 + log_mgf(params, derived, np.exp(c + u))
+                 + log_mgf(params, np.exp(c + u))
                  + np.log(scale * np.cosh(t)))
         return float(np.sum(np.exp(log_f)))
 
@@ -155,8 +155,7 @@ def _adaptive_quadrature(params: ChannelParams, derived: DerivedParams,
         achieved=diff)
 
 
-def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
-                           a_exponent: float, rel_tol: float = 1e-8,
+def expectation_quadrature(params: ChannelParams, a_exponent: float, rel_tol: float = 1e-8,
                            diagnostics: list | None = None) -> tuple[float, float]:
     """J by the MGF integral; returns (value, relative error estimate).
 
@@ -168,7 +167,7 @@ def expectation_quadrature(params: ChannelParams, derived: DerivedParams,
     """
     if a_exponent <= 0:
         raise ValueError(f"A must be > 0, got {a_exponent!r}")
-    value, err, level = _adaptive_quadrature(params, derived, a_exponent, rel_tol)
+    value, err, level = _adaptive_quadrature(params, a_exponent, rel_tol)
     if diagnostics is not None:
         diagnostics.append(("quadrature_level", str(level)))
     return value, err
@@ -204,26 +203,24 @@ def _term_sums(expansion: PartialFractionExpansion, a_exponent: float,
     return math.fsum(contributions), math.fsum(envelope), math.fsum(u_error)
 
 
-def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
-                            expansion: PartialFractionExpansion,
-                            a_exponent: float,
+def expectation_closed_form(params: ChannelParams, a_exponent: float,
                             diagnostics: list | None = None) -> float:
     """J from the partial fractions: sum_ij A_ij (theta_i/g)^j U(j; j-A+1; theta_i/g).
 
     Each basis term's expectation is exactly Gamma(j) U(j; j-A+1; theta/g)
     times the density normalization (theta/g)^j / Gamma(j), so the gammas
     cancel and only W_j = z^j U(j; j-A+1; z) remains, one
-    :func:`specfun.u_family` per pole.  The terms encode the vanishing
-    density derivatives at zero through cancellation, so the sum is kept
-    only if certified: J > 0, the residue majorant within
+    :func:`specfun.u_family` per pole of :func:`poles.decompose`.  The terms
+    encode the vanishing density derivatives at zero through cancellation,
+    so the sum is kept only if certified: J > 0, the residue majorant within
     ``CLOSED_FORM_COND_LIMIT`` J and the U errors within ``U_SUM_TOL`` J.
     Otherwise J comes from :func:`_extended.mixture_series`, and the
     ``closed_form_series`` diagnostic records why, its length and its
-    relative bound.
+    relative bound.  A value outside (0, 1) raises :class:`ConvergenceError`.
     """
     if a_exponent <= 0:
         raise ValueError(f"A must be > 0, got {a_exponent!r}")
-    value, majorant, u_error = _term_sums(expansion, a_exponent, params.gamma_bar)
+    value, majorant, u_error = _term_sums(decompose(params), a_exponent, params.gamma_bar)
     reason = None
     if value <= 0.0:
         reason = f"partial-fraction sum {value:.1e}"
@@ -232,20 +229,13 @@ def expectation_closed_form(params: ChannelParams, derived: DerivedParams,
     elif u_error > U_SUM_TOL * value:
         reason = f"U share {u_error / value:.1e}"
     if reason is not None:
-        value, bound, n_terms = mixture_series(params, derived, a_exponent, U_SUM_TOL)
+        value, bound, n_terms = mixture_series(params, a_exponent, U_SUM_TOL)
         if diagnostics is not None:
             diagnostics.append(("closed_form_series",
                                 f"{reason}; {n_terms} terms; bound {bound / value:.1e}"))
     if not 0.0 < value < 1.0 + 1e-12:
-        raise ArithmeticError(f"closed-form expectation out of (0, 1): {value!r}")
+        raise ConvergenceError(f"closed-form expectation out of (0, 1): {value!r}")
     return min(value, 1.0)
-
-
-def _closed_form(params: ChannelParams, derived: DerivedParams, a_exponent: float,
-                 diagnostics: list) -> float:
-    """J by the partial-fraction route: build the expansion, then sum it."""
-    return expectation_closed_form(params, derived, decompose(params, derived),
-                                   a_exponent, diagnostics)
 
 
 def closed_form_applies(params: ChannelParams) -> bool:
@@ -271,7 +261,6 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
     sampling engine.
     """
     params = request.params
-    validate(params)
     a = request.a_exponent
     diagnostics: list[tuple[str, str]] = []
 
@@ -290,20 +279,18 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
         return ErResult(expectation_j=j, rate=effective_rate(j, a), method_used=method,
                         error_estimate=err, diagnostics=tuple(diagnostics))
 
-    derived = derive(params)
     if request.method == "closed_form":
-        return result(_closed_form(params, derived, a, diagnostics), "closed_form",
+        return result(expectation_closed_form(params, a, diagnostics), "closed_form",
                       U_SUM_TOL)
 
     j_closed = None
     if request.method == "auto" and closed_form_applies(params):
         try:
-            j_closed = _closed_form(params, derived, a, diagnostics)
+            j_closed = expectation_closed_form(params, a, diagnostics)
         except (ConvergenceError, ClosedFormUnavailableError, ArithmeticError) as exc:
             diagnostics.append(("closed_form_failed", f"{type(exc).__name__}: {exc}"))
 
-    j_quad, err = expectation_quadrature(params, derived, a,
-                                         request.rel_tol, diagnostics)
+    j_quad, err = expectation_quadrature(params, a, request.rel_tol, diagnostics)
     if j_closed is not None:
         diff = abs(j_quad - j_closed) / j_closed
         # unrounded, so that the error estimate below bounds the reported value

@@ -159,7 +159,7 @@ def cluster_model_j(params: ChannelParams, a_exponent: float) -> float:
     return float(mp.quad(integrand, [-mp.inf, *panels]) / mp.gamma(a_exponent))
 
 
-def mgf_mean_check(params: ChannelParams, derived) -> float:
+def mgf_mean_check(params: ChannelParams) -> float:
     """Analytic -dM/ds at s = 0; algebra forces this to equal gamma_bar.
 
     Useful as a self-consistency probe: any mismatch flags a bug in the
@@ -168,11 +168,11 @@ def mgf_mean_check(params: ChannelParams, derived) -> float:
     m-weighted terms.
     """
     if math.isinf(params.m):
-        return params.gamma_bar * (0.5 * params.mu * (1.0 + params.eta) / derived.omega_cap
+        return params.gamma_bar * (0.5 * params.mu * (1.0 + params.eta) / params.omega_cap
                                    + params.kappa / (1.0 + params.kappa))
     e_neg = params.mu / 2.0 - params.m  # -(m - mu/2)
     return params.gamma_bar * (
-        e_neg * (1.0 + params.eta) / derived.omega_cap - params.m * derived.beta
+        e_neg * (1.0 + params.eta) / params.omega_cap - params.m * params.beta
     )
 
 
@@ -294,7 +294,7 @@ def reconstruct(expansion, gamma_bar: float, s):
     return total
 
 
-def reconstruction_error(params: ChannelParams, derived, expansion,
+def reconstruction_error(params: ChannelParams, expansion,
                          n_points: int = 32, seed: int = 0) -> float:
     """Max relative error of the expansion against the MGF at random s points.
 
@@ -305,7 +305,7 @@ def reconstruction_error(params: ChannelParams, derived, expansion,
     """
     rng = np.random.default_rng(seed)
     s = rng.uniform(0.0, 10.0, size=n_points) / params.gamma_bar
-    truth = np.exp(log_mgf(params, derived, s))
+    truth = np.exp(log_mgf(params, s))
     approx = reconstruct(expansion, params.gamma_bar, s)
     return float(np.max(np.abs(approx - truth) / truth))
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fbrate import (ChannelParams, decompose, derive, estimate_er,
+from fbrate import (ChannelParams, decompose, estimate_er,
                     expectation_closed_form, expectation_quadrature, log_mgf,
                     mgf, pdf, preset)
 from fbrate.crosscheck import (closed_form_grid, mc_grid, run_cross_check,
@@ -52,10 +52,10 @@ def test_criterion_1_cross_engine_exactness():
 
 def test_criterion_2_analytic_goldens():
     ray = preset("rayleigh")
-    j_ray, _ = expectation_quadrature(ray, derive(ray), 2.0)
+    j_ray, _ = expectation_quadrature(ray, 2.0)
     r_ray = effective_rate(j_ray, 2.0)
     fig1 = fig1_params()
-    j_fig1, _ = expectation_quadrature(fig1, derive(fig1), 2.0)
+    j_fig1, _ = expectation_quadrature(fig1, 2.0)
     r_fig1 = effective_rate(j_fig1, 2.0)
     ok = (abs(j_ray - J_RAYLEIGH) <= 1e-5 and abs(r_ray - R_RAYLEIGH) <= 1e-3
           and abs(j_fig1 - FIG1_J_A2) <= 1e-5 and abs(r_fig1 - FIG1_R_A2) <= 1e-3)
@@ -109,19 +109,17 @@ def test_criterion_3_figure_sweeps():
 def test_criterion_4_model_invariants():
     worst_m0 = worst_mean = worst_mass = worst_snr_mean = 0.0
     for params in unique_param_sets():
-        d = derive(params)
-        worst_m0 = max(worst_m0, abs(mgf(params, d, 0.0).value - 1.0))
+        worst_m0 = max(worst_m0, abs(mgf(params, 0.0).value - 1.0))
         # scale-aware central step keeps the h^2 truncation term below target
         h = 1e-6 / params.gamma_bar
-        fd = -(math.exp(float(log_mgf(params, d, h)))
-               - math.exp(float(log_mgf(params, d, -h)))) / (2.0 * h)
+        fd = -(math.exp(float(log_mgf(params, h)))
+               - math.exp(float(log_mgf(params, -h)))) / (2.0 * h)
         worst_mean = max(worst_mean, abs(fd - params.gamma_bar) / params.gamma_bar)
 
-        ex = decompose(params, d)
         g = params.gamma_bar
-        mass = quad(lambda u: g * pdf(params, d, ex, g * u), 0.0, np.inf,
+        mass = quad(lambda u: g * pdf(params, g * u), 0.0, np.inf,
                     epsabs=1e-12, epsrel=1e-10, limit=300)[0]
-        mean = quad(lambda u: g * g * u * pdf(params, d, ex, g * u), 0.0, np.inf,
+        mean = quad(lambda u: g * g * u * pdf(params, g * u), 0.0, np.inf,
                     epsabs=1e-12, epsrel=1e-10, limit=300)[0]
         worst_mass = max(worst_mass, abs(mass - 1.0))
         worst_snr_mean = max(worst_snr_mean, abs(mean - g) / g)
@@ -138,8 +136,7 @@ def test_criterion_5_partial_fraction_reconstruction():
     worst = 0.0
     param_sets = unique_param_sets()
     for i, params in enumerate(param_sets):
-        d = derive(params)
-        err = reconstruction_error(params, d, decompose(params, d),
+        err = reconstruction_error(params, decompose(params),
                                    n_points=32, seed=1000 + i)
         worst = max(worst, err)
     ok = worst <= 1e-10
@@ -158,8 +155,7 @@ def test_criterion_6_reduction_oracles():
                     break
                 p = ChannelParams(mu=mu, m=m, kappa=kappa, eta=1.0, rho2=1.0,
                                   gamma_bar=gbar)
-                d = derive(p)
-                mine = expectation_closed_form(p, d, decompose(p, d), a)
+                mine = expectation_closed_form(p, a)
                 oracle = unit_eta_shadowed_j(kappa, mu, m, gbar, a)
                 worst_shadowed = max(worst_shadowed, abs(mine - oracle) / oracle)
                 points += 1
@@ -168,16 +164,16 @@ def test_criterion_6_reduction_oracles():
     s_grid = np.array([0.05, 0.4, 1.0, 3.0, 9.0])
     worst_degen = 0.0
     ray = ChannelParams(mu=1.0, m=5.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=1.3)
-    mine = np.exp(log_mgf(ray, derive(ray), s_grid))
+    mine = np.exp(log_mgf(ray, s_grid))
     worst_degen = max(worst_degen, float(np.max(
         np.abs(mine - 1.0 / (1.0 + 1.3 * s_grid)) * (1.0 + 1.3 * s_grid))))
     nak = ChannelParams(mu=3.0, m=2.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=0.7)
     expected = (1.0 + 0.7 * s_grid / 3.0) ** -3.0
-    mine = np.exp(log_mgf(nak, derive(nak), s_grid))
+    mine = np.exp(log_mgf(nak, s_grid))
     worst_degen = max(worst_degen, float(np.max(np.abs(mine - expected) / expected)))
     # Gamma-density rate value: closed form vs frozen high-precision integral
     nak2 = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=1.0)
-    j_nak = expectation_closed_form(nak2, derive(nak2), decompose(nak2, derive(nak2)), 2.0)
+    j_nak = expectation_closed_form(nak2, 2.0)
     worst_degen = max(worst_degen, abs(j_nak - 0.33594340265867101637) / j_nak)
 
     ok = worst_shadowed <= 1e-8 and worst_degen <= 1e-9
@@ -219,7 +215,7 @@ def test_criterion_8_special_function_suite():
     # quadrature rule against the exact Rayleigh expectation z e^z E_A(z)
     for a, gbar in ((0.05, 1e8), (20.0, 1.0), (1e5, 1e-3)):
         p = ChannelParams(mu=1.0, m=0.5, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=gbar)
-        j, err = expectation_quadrature(p, derive(p), a, 1e-12)
+        j, err = expectation_quadrature(p, a, 1e-12)
         exact = rayleigh_j(gbar, a)
         checks.append((f"quadrature A={a:g} gbar={gbar:g} vs exact Rayleigh",
                        abs(j - exact) <= 1e-12 * exact and err <= 1e-12))

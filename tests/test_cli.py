@@ -63,6 +63,12 @@ class TestErCommand:
         assert code == 2
         assert "mu" in err
 
+    def test_bad_vary_value_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
+                               "--vary", "mu", "--vary-values", "0")
+        assert code == 2
+        assert "mu out of range" in err
+
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
                                "--snr-db", "10:0:1")

@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from fbrate import ChannelParams, ConvergenceError, ErRequest, derive, er_auto, specfun
+from fbrate import ChannelParams, ConvergenceError, ErRequest, er_auto, specfun
 from fbrate import _extended
 from fbrate._extended import mixture_series
 from fbrate.rate import U_SUM_TOL
@@ -13,7 +13,7 @@ from conftest import HIGH_MULT, HIGH_MULT_J, cluster_model_j, tricomi_u_integral
 
 def series_j(params, a):
     """J from the gamma-mixture series at the closed form's target."""
-    return mixture_series(params, derive(params), a, U_SUM_TOL)[0]
+    return mixture_series(params, a, U_SUM_TOL)[0]
 
 #: (j, b, z) triples the extended path evaluates on the cross-engine grid
 #: (A = 5 there, so b = j - 4 is an integer), plus non-integer b from other
@@ -132,7 +132,7 @@ def test_auto_falls_back_when_extended_u_fails(monkeypatch):
 def test_series_bound_covers_the_oracle(key):
     mu, m, snr_db, a = key
     p = ChannelParams(mu=mu, m=m, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
-    value, bound, _ = mixture_series(p, derive(p), a, U_SUM_TOL)
+    value, bound, _ = mixture_series(p, a, U_SUM_TOL)
     exact = HIGH_MULT_J[key]
     assert value == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert bound >= abs(value - exact)
@@ -150,7 +150,7 @@ EXTENDED_GRID_J = (1.386717367666344564595e-10, 3.038589795248719623299e-13,
     (params, a, exact) for (params, a), exact in zip(EXTENDED_GRID, EXTENDED_GRID_J)],
     ids=[f"params{i}-5.0" for i in range(len(EXTENDED_GRID))])
 def test_series_bound_covers_the_cluster_model(params, a, exact):
-    value, bound, _ = mixture_series(params, derive(params), a, U_SUM_TOL)
+    value, bound, _ = mixture_series(params, a, U_SUM_TOL)
     assert value == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert bound >= abs(value - exact)
     assert bound <= U_SUM_TOL * value
@@ -160,6 +160,15 @@ def test_negative_power_sum_is_refused(monkeypatch):
     # (1 + g s)^-2 (1 + 2 g s): the numerator factor sits below the top pole,
     # so c_r = -(1/2)^r < 0 and the weights would alternate
     monkeypatch.setattr(_extended, "mgf_factors",
-                        lambda params, derived: [(1.0, 2), (0.5, -1)])
+                        lambda params: [(1.0, 2), (0.5, -1)])
     with pytest.raises(ConvergenceError, match="power sum c_r is -5"):
         series_j(M40, 5.0)
+
+
+def test_non_finite_sum_is_refused():
+    # the residue majorant sends this shape to the series, whose sum
+    # overflows: it must raise rather than return (inf, inf, L)
+    p = ChannelParams(mu=6, m=5, kappa=0.0022068275643294466, eta=1734.221669092768,
+                      rho2=27.82277147330203, gamma_bar=0.15444758274885909)
+    with pytest.raises(ConvergenceError, match="value inf"):
+        mixture_series(p, 2.706991924825241, U_SUM_TOL)

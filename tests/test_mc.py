@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fbrate import (ChannelParams, ConvergenceError, McConfig, ParameterError,
-                    decompose, derive, estimate_er, expectation_quadrature, mgf,
+                    decompose, estimate_er, expectation_quadrature, mgf,
                     preset)
 from fbrate.mc import _chunk_rng, _sample_block
 
@@ -45,7 +45,7 @@ class TestSampling:
         gamma = _sample_block(p, _chunk_rng(11, 0), 1_000_000)
         values = np.exp(-gamma)
         stderr = values.std() / math.sqrt(values.size)
-        analytic = mgf(p, derive(p), 1.0).value
+        analytic = mgf(p, 1.0).value
         assert abs(values.mean() - analytic) <= 3.0 * stderr
 
     @pytest.mark.parametrize("case", MGF_CASES)
@@ -70,7 +70,7 @@ class TestSampling:
 
     def test_closed_form_density_ks(self):
         p = fig1_params()
-        expansion = decompose(p, derive(p))
+        expansion = decompose(p)
         cdf = expansion_cdf(expansion, p.gamma_bar)
         gamma = _sample_block(p, _chunk_rng(17, 0), 1_000_000)
         d = ks_distance(gamma, cdf)
@@ -94,7 +94,7 @@ class TestEstimateEr:
     def test_fig1_concordance(self):
         p = fig1_params()
         est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
-        j_quad, _ = expectation_quadrature(p, derive(p), 2.0)
+        j_quad, _ = expectation_quadrature(p, 2.0)
         assert abs(est.j_hat - j_quad) <= 3.0 * est.j_stderr
 
     def test_zero_exponent_rejected(self):
@@ -105,7 +105,7 @@ class TestEstimateEr:
         # fig-2 base: a fractional cluster count adds chi-square scatter
         p = fig1_params(mu=1.5)
         est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
-        j_quad, _ = expectation_quadrature(p, derive(p), 2.0)
+        j_quad, _ = expectation_quadrature(p, 2.0)
         assert j_quad == pytest.approx(FIG2_J_BY_M[1.0], rel=1e-8)
         assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
@@ -127,7 +127,7 @@ class TestEstimateEr:
         # quadrature of the exact m -> inf MGF
         p = preset("beckmann", kappa=1.0, eta=0.5, rho2=2.0, gamma_bar=10.0)
         est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
-        j_quad, _ = expectation_quadrature(p, derive(p), 2.0)
+        j_quad, _ = expectation_quadrature(p, 2.0)
         assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
     def test_deterministic_across_runs_and_workers(self):

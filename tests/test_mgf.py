@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbrate import ChannelParams, derive, log_mgf, mgf, preset
+from fbrate import ChannelParams, log_mgf, mgf, preset
 
 from conftest import (FIG1_MGF_AT_1, cluster_model_mgf, fig1_params, mgf_mean_check,
                       random_valid_params, unit_eta_shadowed_mgf)
@@ -13,19 +13,19 @@ def test_value_one_at_zero():
     rng = np.random.default_rng(3)
     for _ in range(25):
         p = random_valid_params(rng)
-        point = mgf(p, derive(p), 0.0)
+        point = mgf(p, 0.0)
         assert point.value == 1.0
         assert point.log_value == 0.0
 
 
 def test_rayleigh_half_at_one():
     p = preset("rayleigh", gamma_bar=1.0)
-    assert mgf(p, derive(p), 1.0).value == pytest.approx(0.5, rel=1e-14)
+    assert mgf(p, 1.0).value == pytest.approx(0.5, rel=1e-14)
 
 
 def test_fig1_value_at_one():
     p = fig1_params()
-    point = mgf(p, derive(p), 1.0)
+    point = mgf(p, 1.0)
     assert point.value == pytest.approx(FIG1_MGF_AT_1, rel=1e-13)
     assert point.value == pytest.approx(math.exp(point.log_value))
 
@@ -33,7 +33,7 @@ def test_fig1_value_at_one():
 def test_negative_argument_rejected():
     p = fig1_params()
     with pytest.raises(ValueError):
-        mgf(p, derive(p), -0.5)
+        mgf(p, -0.5)
 
 
 def test_monotone_decreasing_and_log_convex():
@@ -41,7 +41,7 @@ def test_monotone_decreasing_and_log_convex():
     s = np.linspace(0.0, 20.0, 200)
     for _ in range(20):
         p = random_valid_params(rng)
-        lv = log_mgf(p, derive(p), s)
+        lv = log_mgf(p, s)
         values = np.exp(lv)
         assert np.all(values > 0) and np.all(values <= 1.0)
         assert np.all(np.diff(values) < 0)
@@ -52,21 +52,20 @@ def test_monotone_decreasing_and_log_convex():
 class TestMeanCheck:
     def test_fig1_exact(self):
         p = fig1_params()
-        assert mgf_mean_check(p, derive(p)) == pytest.approx(1.0, rel=1e-14)
+        assert mgf_mean_check(p) == pytest.approx(1.0, rel=1e-14)
 
     def test_rayleigh_gbar3(self):
         p = preset("rayleigh", gamma_bar=3.0)
-        assert mgf_mean_check(p, derive(p)) == pytest.approx(3.0, rel=1e-12)
+        assert mgf_mean_check(p) == pytest.approx(3.0, rel=1e-12)
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             p = random_valid_params(rng, gamma_bar=0.5)
-            d = derive(p)
-            analytic = mgf_mean_check(p, d)
+            analytic = mgf_mean_check(p)
             assert analytic == pytest.approx(p.gamma_bar, rel=1e-12)
             h = 1e-6 / p.gamma_bar  # scale-aware central step
-            fd = -(math.exp(log_mgf(p, d, h)) - math.exp(log_mgf(p, d, -h))) / (2 * h)
+            fd = -(math.exp(log_mgf(p, h)) - math.exp(log_mgf(p, -h))) / (2 * h)
             assert fd == pytest.approx(analytic, rel=1e-6)
 
 
@@ -76,7 +75,7 @@ def test_unit_eta_matches_shadowed_oracle():
     for kappa, mu, m, gbar in [(2.0, 3.0, 2.0, 1.7), (0.5, 1.0, 4.0, 0.2),
                                (4.0, 2.5, 0.7, 10.0)]:
         p = ChannelParams(mu=mu, m=m, kappa=kappa, eta=1.0, rho2=1.0, gamma_bar=gbar)
-        mine = np.exp(log_mgf(p, derive(p), s))
+        mine = np.exp(log_mgf(p, s))
         oracle = unit_eta_shadowed_mgf(kappa, mu, m, gbar, s)
         np.testing.assert_allclose(mine, oracle, rtol=1e-10)
 
@@ -93,6 +92,6 @@ def test_matches_cluster_model_mgf():
                           eta=float(10.0 ** rng.uniform(-1.0, 1.0)),
                           rho2=float(rng.uniform(0.0, 4.0)),
                           gamma_bar=float(10.0 ** rng.uniform(-1.0, 2.0)))
-        mine = np.exp(log_mgf(p, derive(p), s))
+        mine = np.exp(log_mgf(p, s))
         oracle = cluster_model_mgf(p, s)
         np.testing.assert_allclose(mine, oracle, rtol=1e-11)

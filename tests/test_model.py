@@ -1,27 +1,31 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbrate import ChannelParams, ParameterError, derive, mgf, preset, validate
+from fbrate import ChannelParams, ParameterError, mgf, preset
 from fbrate.model import channel_constants
 
-from conftest import (FIG1_ALPHA1, FIG1_BETA, FIG1_C1, FIG1_C2, FIG1_OMEGA,
+from conftest import (FIG1, FIG1_ALPHA1, FIG1_BETA, FIG1_C1, FIG1_C2, FIG1_OMEGA,
                       cluster_model_mgf, fig1_params, random_valid_params,
                       unit_eta_shadowed_mgf)
 
 
 class TestValidate:
+    """Every field is checked when a ChannelParams is built or replaced."""
+
     def test_fig1_config_ok(self):
-        validate(fig1_params())
+        assert replace(fig1_params()) == fig1_params()
 
     def test_mu_zero_rejected(self):
-        with pytest.raises(ParameterError, match="mu"):
-            validate(ChannelParams(mu=0.0, m=1.0, kappa=1.0, eta=1.0, rho2=1.0))
+        message = r"^mu out of range: must be > 0, got 0\.0$"
+        with pytest.raises(ParameterError, match=message):
+            ChannelParams(mu=0.0, m=1.0, kappa=1.0, eta=1.0, rho2=1.0)
 
     def test_infinite_m_sentinel_accepted(self):
-        validate(ChannelParams(mu=2.0, m=math.inf, kappa=1.0, eta=1.0, rho2=1.0))
+        ChannelParams(mu=2.0, m=math.inf, kappa=1.0, eta=1.0, rho2=1.0)
 
     @pytest.mark.parametrize("field,value", [
         ("mu", -1.0), ("mu", math.nan), ("m", 0.0), ("m", -2.0),
@@ -29,14 +33,30 @@ class TestValidate:
         ("rho2", -0.5), ("gamma_bar", 0.0), ("gamma_bar", math.nan),
     ])
     def test_out_of_range_names_field(self, field, value):
-        params = ChannelParams(**{**fig1_params().__dict__, field: value})
         with pytest.raises(ParameterError, match=field):
-            validate(params)
+            ChannelParams(**{**FIG1, field: value})
+        with pytest.raises(ParameterError, match=field):
+            replace(fig1_params(), **{field: value})
+
+    def test_repr_eq_and_hash_see_the_fields_only(self):
+        p = fig1_params()
+        assert repr(p) == ("ChannelParams(mu=2.0, m=1.0, kappa=1.0, eta=0.1, rho2=0.1, "
+                           "gamma_bar=1.0)")
+        assert hash(p) == hash((2.0, 1.0, 1.0, 0.1, 0.1, 1.0))
+        assert p == ChannelParams(**FIG1) and p != replace(p, gamma_bar=2.0)
+
+    def test_replace_recomputes_the_constants(self):
+        p, q = replace(fig1_params(), eta=1.0), ChannelParams(**{**FIG1, "eta": 1.0})
+        for field in ("omega_cap", "alpha1", "beta", "c1", "c2"):
+            assert getattr(p, field) == getattr(q, field)
+        assert p.omega_cap != fig1_params().omega_cap
 
 
 class TestDerive:
+    """The MGF constants a ChannelParams computes at construction."""
+
     def test_fig1_derived_constants(self):
-        d = derive(fig1_params())
+        d = fig1_params()
         assert d.omega_cap == pytest.approx(FIG1_OMEGA, rel=1e-14)
         assert d.alpha1 == pytest.approx(FIG1_ALPHA1, rel=1e-14)
         assert d.beta == pytest.approx(FIG1_BETA, rel=1e-14)
@@ -44,17 +64,16 @@ class TestDerive:
         assert d.c2.real == pytest.approx(FIG1_C2, rel=1e-13)
         assert d.c1.imag == 0.0 and d.c2.imag == 0.0
         assert d.c1.real * d.c2.real == pytest.approx(1.0 / FIG1_ALPHA1, rel=1e-13)
-        assert d.exponent_e == 0.0
 
     def test_rayleigh_double_root(self):
-        d = derive(ChannelParams(mu=1.0, m=3.7, kappa=0.0, eta=1.0, rho2=1.0))
+        d = ChannelParams(mu=1.0, m=3.7, kappa=0.0, eta=1.0, rho2=1.0)
         assert d.omega_cap == 1.0
         assert d.alpha1 == 1.0
         assert d.beta == -2.0
         assert d.c1 == d.c2 == 1.0 + 0.0j
 
     def test_nakagami_style_double_root(self):
-        d = derive(ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0))
+        d = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0)
         assert d.omega_cap == 2.0
         assert d.alpha1 == 0.25
         assert d.beta == -1.0
@@ -62,26 +81,25 @@ class TestDerive:
 
     def test_infinite_m_accepted(self):
         # every kappa/m term vanishes: the non-fluctuating limit is exact
-        d = derive(ChannelParams(mu=1.0, m=math.inf, kappa=1.0, eta=1.0, rho2=1.0))
+        d = ChannelParams(mu=1.0, m=math.inf, kappa=1.0, eta=1.0, rho2=1.0)
         assert d.omega_cap == 2.0
         assert d.alpha1 == 0.25
         assert d.beta == -1.0
-        assert d.exponent_e == math.inf
 
     @pytest.mark.parametrize("mu", [1.0, 2.0, 3.7, 20.0, 40.0])
     @pytest.mark.parametrize("m", [0.3, 3.0, 40.0, math.inf])
     def test_double_root_discriminant_exactly_zero(self, mu, m):
         # kappa = 0, eta = 1 is a true double root; the sum-of-squares form
         # must not split it (the textbook beta^2 - 4 alpha1 goes negative)
-        d = derive(ChannelParams(mu=mu, m=m, kappa=0.0, eta=1.0, rho2=1.0))
+        d = ChannelParams(mu=mu, m=m, kappa=0.0, eta=1.0, rho2=1.0)
         assert channel_constants(mu, m, 0.0, 1.0, 1.0)[3] == 0.0
         assert d.c1 == pytest.approx(d.c2, rel=1e-15, abs=0.0)
 
     def test_pure_function_bit_identical(self):
         params = random_valid_params(np.random.default_rng(7))
-        a, b = derive(params), derive(params)
-        assert a == b
-        for field in ("omega_cap", "alpha1", "beta", "exponent_e"):
+        a, b = replace(params), replace(params)
+        for field in ("omega_cap", "alpha1", "beta", "c1", "c2"):
+            assert getattr(a, field) == getattr(b, field)
             assert math.copysign(1.0, getattr(a, field)) == math.copysign(
                 1.0, getattr(b, field))
 
@@ -90,23 +108,22 @@ class TestDerive:
         rng = np.random.default_rng(1234)
         for _ in range(10_000):
             p = random_valid_params(rng)
-            d = derive(p)
-            assert d.omega_cap > 0 and d.alpha1 > 0 and d.beta < 0
-            prod = d.c1 * d.c2
-            total = d.c1 + d.c2
-            assert abs(prod - 1.0 / d.alpha1) <= 1e-12 * abs(prod)
-            assert abs(total - (-d.beta / d.alpha1)) <= 1e-12 * abs(total)
+            assert p.omega_cap > 0 and p.alpha1 > 0 and p.beta < 0
+            prod = p.c1 * p.c2
+            total = p.c1 + p.c2
+            assert abs(prod - 1.0 / p.alpha1) <= 1e-12 * abs(prod)
+            assert abs(total - (-p.beta / p.alpha1)) <= 1e-12 * abs(total)
             if channel_constants(p.mu, p.m, p.kappa, p.eta, p.rho2)[3] >= 0:
-                assert d.c1.imag == 0 and d.c2.imag == 0
-                assert d.c1.real > 0 and d.c2.real > 0
-                assert abs(d.c1) >= abs(d.c2)
+                assert p.c1.imag == 0 and p.c2.imag == 0
+                assert p.c1.real > 0 and p.c2.real > 0
+                assert abs(p.c1) >= abs(p.c2)
 
     @settings(max_examples=200, deadline=None)
     @given(mu=st.floats(0.05, 20), m=st.floats(0.05, 50), kappa=st.floats(0, 10),
            eta=st.floats(0.01, 100), rho2=st.floats(0, 10))
     def test_roots_real_positive_property(self, mu, m, kappa, eta, rho2):
         # the discriminant is provably nonnegative over the valid domain
-        d = derive(ChannelParams(mu=mu, m=m, kappa=kappa, eta=eta, rho2=rho2))
+        d = ChannelParams(mu=mu, m=m, kappa=kappa, eta=eta, rho2=rho2)
         assert channel_constants(mu, m, kappa, eta, rho2)[3] >= 0
         assert d.c1.real > 0 and d.c2.real > 0
 
@@ -137,7 +154,7 @@ class TestPresets:
 
     # one MGF reduction per preset (the table in the README)
     def _mgf(self, params, s):
-        return np.array([mgf(params, derive(params), float(x)).value for x in s])
+        return np.array([mgf(params, float(x)).value for x in s])
 
     S_GRID = np.array([0.0, 0.1, 0.7, 2.0, 11.0])
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ErRequest, decompose,
-                    derive, er_auto, mgf, pdf, preset)
+                    er_auto, mgf, pdf, preset)
+from fbrate import poles
 from fbrate.poles import _taylor_coefficients, mgf_factors, pole_exponents
 
 from conftest import (FIG1_A11, FIG1_A21, cluster_model_j, expansion_cdf, fig1_params,
@@ -66,7 +68,7 @@ def closed_params(rng):
                           eta=float(10.0 ** rng.uniform(-1.0, 1.0)),
                           rho2=float(rng.uniform(0.0, 4.0)),
                           gamma_bar=float(10.0 ** rng.uniform(-1.0, 2.0)))
-        sep = _min_pole_separation(mgf_factors(p, derive(p)))
+        sep = _min_pole_separation(mgf_factors(p))
         if sep > 0.05 or sep == math.inf:
             return p
 
@@ -76,7 +78,7 @@ class TestBuildPoleSet:
 
     def test_simple_two_group(self):
         p = fig1_params()  # m=1, mu=2 -> exponents vanish
-        fs = mgf_factors(p, derive(p))
+        fs = mgf_factors(p)
         mu_half, m_eff = pole_exponents(p)
         assert not mu_half > m_eff  # two groups: the omega points are no poles
         assert sorted(m for _, m in _poles(fs)) == [1, 1]
@@ -84,18 +86,17 @@ class TestBuildPoleSet:
 
     def test_four_group_when_half_mu_exceeds_m(self):
         p = ChannelParams(mu=4.0, m=1.0, kappa=1.0, eta=0.1, rho2=0.1)
-        fs = mgf_factors(p, derive(p))
+        fs = mgf_factors(p)
         mu_half, m_eff = pole_exponents(p)
         assert mu_half > m_eff  # four groups: the omega points are poles
         assert sorted(m for _, m in _poles(fs)) == [1, 1, 1, 1]
-        d = derive(p)
         locations = sorted(t.real for t, _ in _poles(fs))
-        expected = sorted([d.c1.real, d.c2.real, d.omega_cap, d.omega_cap / p.eta])
+        expected = sorted([p.c1.real, p.c2.real, p.omega_cap, p.omega_cap / p.eta])
         np.testing.assert_allclose(locations, expected, rtol=1e-12)
 
     def test_numerator_when_half_mu_below_m(self):
         p = ChannelParams(mu=2.0, m=3.0, kappa=1.0, eta=0.1, rho2=0.1)
-        fs = mgf_factors(p, derive(p))
+        fs = mgf_factors(p)
         mu_half, m_eff = pole_exponents(p)
         assert not mu_half > m_eff
         assert sorted(m for _, m in _poles(fs)) == [3, 3]
@@ -104,7 +105,7 @@ class TestBuildPoleSet:
     def test_coincident_roots_merge(self):
         # kappa=0, eta=1 piles everything onto one point
         p = ChannelParams(mu=2.0, m=2.0, kappa=0.0, eta=1.0, rho2=1.0)
-        fs = mgf_factors(p, derive(p))
+        fs = mgf_factors(p)
         mu_half, m_eff = pole_exponents(p)
         assert not mu_half > m_eff
         assert len(_poles(fs)) == 1
@@ -118,26 +119,24 @@ class TestBuildPoleSet:
         # kappa-mu shadowed with m = mu is Nakagami-m: at eta = 1 the omega
         # numerators cancel the c1 pole exactly, leaving Gamma(mu) alone
         p = preset("kappa-mu-shadowed", kappa=1.5, mu=mu, m=mu, gamma_bar=2.0)
-        d = derive(p)
-        assert mgf_factors(p, d) == [(mu, int(mu))]
-        assert len(decompose(p, d).terms) == 1
+        assert mgf_factors(p) == [(mu, int(mu))]
+        assert len(decompose(p).terms) == 1
         j = er_auto(ErRequest(p, 2.0, method="closed_form")).expectation_j
         assert j == pytest.approx(cluster_model_j(p, 2.0), rel=1e-12)
 
     def test_numerator_on_a_pole_merges(self):
         # eta = 1 puts c1 on both omega points: order m + 2*(mu/2 - m) = -1
         p = ChannelParams(mu=2.0, m=3.0, kappa=1.0, eta=1.0, rho2=0.5, gamma_bar=2.0)
-        d = derive(p)
-        (theta, e), pole = mgf_factors(p, d)
-        assert theta == pytest.approx(d.omega_cap, rel=1e-12) and e == -1
-        assert pole == (d.c2, 3)
+        (theta, e), pole = mgf_factors(p)
+        assert theta == pytest.approx(p.omega_cap, rel=1e-12) and e == -1
+        assert pole == (p.c2, 3)
         j = er_auto(ErRequest(p, 2.0, method="closed_form")).expectation_j
         assert j == pytest.approx(cluster_model_j(p, 2.0), rel=1e-12)
 
     def test_unit_eta_kappa_mu_shadowed_merging(self):
         # c1 coincides with the omega point: mult m there plus mu/2 - m twice
         p = ChannelParams(mu=6.0, m=1.0, kappa=2.0, eta=1.0, rho2=1.0)
-        fs = mgf_factors(p, derive(p))
+        fs = mgf_factors(p)
         mu_half, m_eff = pole_exponents(p)
         assert mu_half > m_eff
         mults = sorted(m for _, m in _poles(fs))
@@ -146,22 +145,22 @@ class TestBuildPoleSet:
     def test_non_integer_m_rejected(self):
         p = ChannelParams(mu=2.0, m=1.7, kappa=1.0, eta=0.5, rho2=1.0)
         with pytest.raises(ClosedFormUnavailableError, match="m"):
-            mgf_factors(p, derive(p))
+            mgf_factors(p)
 
     def test_odd_mu_rejected(self):
         p = ChannelParams(mu=1.5, m=1.0, kappa=1.0, eta=0.5, rho2=1.0)
         with pytest.raises(ClosedFormUnavailableError, match="mu"):
-            mgf_factors(p, derive(p))
+            mgf_factors(p)
 
     def test_huge_multiplicity_rejected(self):
         p = ChannelParams(mu=2.0, m=300.0, kappa=1.0, eta=0.5, rho2=1.0)
         with pytest.raises(ClosedFormUnavailableError, match="multiplicity"):
-            mgf_factors(p, derive(p))
+            mgf_factors(p)
 
     def test_zero_los_shortcut_ignores_m(self):
         # kappa = 0 cancels every m-dependent factor, whatever m is
         p = ChannelParams(mu=4.0, m=2.75, kappa=0.0, eta=0.4, rho2=1.0)
-        fs = mgf_factors(p, derive(p))
+        fs = mgf_factors(p)
         assert sorted(m for _, m in _poles(fs)) == [2, 2]
 
 
@@ -214,7 +213,7 @@ class TestTaylorHelper:
 class TestResidues:
     def test_fig1_cover_up_values(self):
         p = fig1_params()
-        ex = decompose(p, derive(p))
+        ex = decompose(p)
         coeffs = {round(t.real, 3): c[0].real for t, _, c in ex.terms}
         assert coeffs[15.062] == pytest.approx(FIG1_A11, rel=1e-12)
         assert coeffs[1.071] == pytest.approx(FIG1_A21, rel=1e-12)
@@ -225,7 +224,7 @@ class TestResidues:
         rng = np.random.default_rng(21)
         for _ in range(50):
             p = closed_params(rng)
-            ex = decompose(p, derive(p))
+            ex = decompose(p)
             total = sum(sum(c) for _, _, c in ex.terms)
             assert total.real == pytest.approx(1.0, rel=1e-10)
             assert abs(total.imag) < 1e-12
@@ -239,10 +238,9 @@ class TestResidues:
         eps = np.finfo(float).eps
         for _ in range(60):
             p = closed_params(rng)
-            d = derive(p)
-            ex = decompose(p, d)
+            ex = decompose(p)
             seed = int(rng.integers(1 << 31))
-            err = reconstruction_error(p, d, ex, n_points=32, seed=seed)
+            err = reconstruction_error(p, ex, n_points=32, seed=seed)
             s = np.random.default_rng(seed).uniform(0, 10, 32) / p.gamma_bar
             conditioning = float(np.max(_expansion_conditioning(ex, p.gamma_bar, s)))
             assert err <= max(1e-10, 100.0 * eps * conditioning)
@@ -253,19 +251,28 @@ class TestResidues:
                   ChannelParams(mu=2.0, m=3.0, kappa=0.7, eta=1.0, rho2=0.3, gamma_bar=0.5),
                   ChannelParams(mu=4.0, m=2.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=1.0),
                   ChannelParams(mu=6.0, m=3.0, kappa=0.0, eta=0.2, rho2=1.0, gamma_bar=5.0)):
-            d = derive(p)
-            assert reconstruction_error(p, d, decompose(p, d)) <= 1e-10
+            assert reconstruction_error(p, decompose(p)) <= 1e-10
 
     def test_near_cliff_conditioning_documented(self):
         # poles separated by ~delta (just above the merge tolerance) carry
         # residues of size ~1/delta, so reconstruction degrades to ~eps/delta;
         # the merge tolerance keeps exact degeneracies out of this regime
         p = ChannelParams(mu=2.0, m=1.0, kappa=1e-6, eta=1.0, rho2=1.0, gamma_bar=1.0)
-        d = derive(p)
-        sep = _min_pole_separation(mgf_factors(p, d))
+        sep = _min_pole_separation(mgf_factors(p))
         assert 1e-9 < sep < 1e-5
-        err = reconstruction_error(p, d, decompose(p, d))
+        err = reconstruction_error(p, decompose(p))
         assert err < 1e-16 / sep * 100.0  # conditioning-model bound, with slack
+
+    def test_one_expansion_per_shape(self):
+        # g cancels from the residues: an SNR sweep reuses one expansion
+        p = fig1_params()
+        assert decompose(p) is decompose(replace(p, gamma_bar=1e3))
+
+    def test_closed_form_unchanged_after_cache_clear(self):
+        p = fig1_params(gamma_bar=10.0)
+        j = er_auto(ErRequest(p, 2.0, method="closed_form")).expectation_j
+        poles._shape_expansion.cache_clear()
+        assert er_auto(ErRequest(p, 2.0, method="closed_form")).expectation_j == j
 
 
 @st.composite
@@ -281,7 +288,7 @@ def closed_form_shapes(draw):
                       eta=draw(st.just(1.0) | st.floats(-1.0, 1.0).map(lambda x: 10.0**x)),
                       rho2=draw(st.floats(0.0, 4.0)),
                       gamma_bar=10.0 ** draw(st.floats(-1.0, 2.0)))
-    assume(_min_pole_separation(mgf_factors(p, derive(p))) > 0.05)
+    assume(_min_pole_separation(mgf_factors(p)) > 0.05)
     return p, draw(st.floats(0.5, 5.0))
 
 
@@ -298,10 +305,8 @@ class TestPdf:
     def test_gamma_density_degeneration(self):
         # mu=2, m=1, eta=1, kappa=0: density 4 g e^{-2g} at unit mean SNR
         p = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=1.0)
-        d = derive(p)
-        ex = decompose(p, d)
         g = np.linspace(0.0, 6.0, 200)
-        np.testing.assert_allclose(pdf(p, d, ex, g), 4.0 * g * np.exp(-2.0 * g),
+        np.testing.assert_allclose(pdf(p, g), 4.0 * g * np.exp(-2.0 * g),
                                    rtol=1e-12, atol=1e-300)
 
     @pytest.mark.parametrize("mu", [10.0, 20.0, 40.0])
@@ -310,12 +315,11 @@ class TestPdf:
         # SNR: one merged pole of order mu, no split double root
         gbar = 2.0
         p = preset("nakagami-m", mu=mu, gamma_bar=gbar)
-        d = derive(p)
         g = np.linspace(0.0, 4.0 * gbar, 81)
         rate = mu / gbar
         expected = np.exp(mu * np.log(rate) + (mu - 1.0) * np.log(g[1:])
                           - rate * g[1:] - math.lgamma(mu))
-        values = pdf(p, d, decompose(p, d), g)
+        values = pdf(p, g)
         assert values[0] == 0.0
         np.testing.assert_allclose(values[1:], expected, rtol=1e-12, atol=0.0)
 
@@ -323,13 +327,11 @@ class TestPdf:
         rng = np.random.default_rng(41)
         for _ in range(12):
             p = closed_params(rng)
-            d = derive(p)
-            ex = decompose(p, d)
             gbar = p.gamma_bar
             # scaled variable keeps the mass at order one for any mean SNR
-            mass = quad(lambda u: gbar * pdf(p, d, ex, gbar * u), 0.0, np.inf,
+            mass = quad(lambda u: gbar * pdf(p, gbar * u), 0.0, np.inf,
                         epsabs=1e-12, epsrel=1e-10, limit=300)[0]
-            mean = quad(lambda u: gbar**2 * u * pdf(p, d, ex, gbar * u), 0.0, np.inf,
+            mean = quad(lambda u: gbar**2 * u * pdf(p, gbar * u), 0.0, np.inf,
                         epsabs=1e-12, epsrel=1e-10, limit=300)[0]
             assert mass == pytest.approx(1.0, rel=1e-8)
             assert mean == pytest.approx(gbar, rel=1e-8)
@@ -338,36 +340,31 @@ class TestPdf:
         rng = np.random.default_rng(51)
         for _ in range(6):
             p = closed_params(rng)
-            d = derive(p)
-            ex = decompose(p, d)
             for s in (0.1, 1.0, 10.0):
                 transform = quad(
                     lambda u: p.gamma_bar * math.exp(-s * p.gamma_bar * u)
-                    * pdf(p, d, ex, p.gamma_bar * u),
+                    * pdf(p, p.gamma_bar * u),
                     0.0, np.inf, epsabs=1e-13, epsrel=1e-10, limit=300)[0]
-                assert transform == pytest.approx(mgf(p, d, s).value, rel=1e-6)
+                assert transform == pytest.approx(mgf(p, s).value, rel=1e-6)
 
     def test_nonnegative_on_grid(self):
         rng = np.random.default_rng(61)
         for _ in range(25):
             p = closed_params(rng)
-            d = derive(p)
-            values = pdf(p, d, decompose(p, d), np.linspace(0, 20 * p.gamma_bar, 400))
+            values = pdf(p, np.linspace(0, 20 * p.gamma_bar, 400))
             assert np.all(values >= 0.0)
 
     def test_negative_gamma_rejected(self):
         p = fig1_params()
-        d = derive(p)
         with pytest.raises(ValueError):
-            pdf(p, d, decompose(p, d), -1.0)
+            pdf(p, -1.0)
 
     def test_cdf_helper_consistency(self):
         # the test-side CDF matches numeric integration of the density
         p = fig1_params()
-        d = derive(p)
-        ex = decompose(p, d)
+        ex = decompose(p)
         cdf = expansion_cdf(ex, p.gamma_bar)
         for x in (0.2, 1.0, 3.0):
-            numeric = quad(lambda t: pdf(p, d, ex, t), 0.0, x,
+            numeric = quad(lambda t: pdf(p, t), 0.0, x,
                            epsabs=1e-13, epsrel=1e-11)[0]
             assert cdf(x) == pytest.approx(numeric, rel=1e-9)

@@ -11,8 +11,8 @@ from fbrate import _extended
 from fbrate.poles import pole_exponents
 from fbrate.rate import DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
-                    ErRequest, ParameterError, closed_form_applies, decompose,
-                    derive, effective_rate, er_auto, expectation_closed_form,
+                    ErRequest, FbrateError, ParameterError, closed_form_applies, decompose,
+                    effective_rate, er_auto, expectation_closed_form,
                     expectation_quadrature, preset)
 
 from conftest import (FIG1_J_A2, FIG1_J_MU1, FIG1_J_MU4, FIG1_R_A2, FIG1_R_MU1,
@@ -49,36 +49,36 @@ class TestEffectiveRate:
 class TestQuadrature:
     def test_rayleigh_golden(self):
         p = preset("rayleigh")
-        j, err = expectation_quadrature(p, derive(p), 2.0)
+        j, err = expectation_quadrature(p, 2.0)
         assert j == pytest.approx(J_RAYLEIGH, abs=1e-5)
         assert j == pytest.approx(J_RAYLEIGH, rel=1e-8)
         assert effective_rate(j, 2.0) == pytest.approx(R_RAYLEIGH, abs=1e-3)
 
     def test_fig1_golden(self):
         p = fig1_params()
-        j, err = expectation_quadrature(p, derive(p), 2.0)
+        j, err = expectation_quadrature(p, 2.0)
         assert j == pytest.approx(FIG1_J_A2, rel=1e-8)
         assert effective_rate(j, 2.0) == pytest.approx(FIG1_R_A2, abs=1e-3)
 
     def test_small_exponent_limit(self):
         p = fig1_params()
-        j, _ = expectation_quadrature(p, derive(p), 1e-6)
+        j, _ = expectation_quadrature(p, 1e-6)
         assert abs(j - 1.0) < 1e-4
 
     def test_fallback_engages_at_high_snr(self):
         p = fig1_params(gamma_bar=1000.0)
         diagnostics = []
-        j, err = expectation_quadrature(p, derive(p), 2.0, 1e-8, diagnostics)
+        j, err = expectation_quadrature(p, 2.0, 1e-8, diagnostics)
         assert diagnostics and diagnostics[0][0] == "quadrature_level"
         assert 1 <= int(diagnostics[0][1]) <= DE_LEVELS
         # cross-check against the closed form, which is fully independent here
-        j_closed = expectation_closed_form(p, derive(p), decompose(p, derive(p)), 2.0)
+        j_closed = expectation_closed_form(p, 2.0)
         assert j == pytest.approx(j_closed, rel=1e-8)
 
     def test_rejects_nonpositive_exponent(self):
         p = fig1_params()
         with pytest.raises(ValueError):
-            expectation_quadrature(p, derive(p), 0.0)
+            expectation_quadrature(p, 0.0)
 
     @pytest.mark.parametrize("mu", [1.5, 2.0, 6.0])
     def test_fallback_matches_mpmath_cluster_model(self, mu):
@@ -89,7 +89,7 @@ class TestQuadrature:
                 p = ChannelParams(mu=mu, m=1.0, kappa=1.0, eta=0.1, rho2=0.1,
                                   gamma_bar=10.0 ** (snr_db / 10.0))
                 diagnostics = []
-                j, err = expectation_quadrature(p, derive(p), a, 1e-10, diagnostics)
+                j, err = expectation_quadrature(p, a, 1e-10, diagnostics)
                 assert diagnostics and diagnostics[0][0] == "quadrature_level"
                 assert 1 <= int(diagnostics[0][1]) <= DE_LEVELS
                 assert err <= 1e-10
@@ -101,7 +101,7 @@ class TestQuadrature:
         # below where a window fixed by A alone would start
         p = ChannelParams(mu=mu, m=40.0, gamma_bar=10.0 ** 4.2, **HIGH_MULT)
         diagnostics = []
-        j, _ = expectation_quadrature(p, derive(p), 20.0, 1e-10, diagnostics)
+        j, _ = expectation_quadrature(p, 20.0, 1e-10, diagnostics)
         assert diagnostics and diagnostics[0][0] == "quadrature_level"
         assert 1 <= int(diagnostics[0][1]) <= DE_LEVELS
         assert j == pytest.approx(cluster_model_j(p, 20.0), rel=1e-10, abs=0.0)
@@ -109,9 +109,8 @@ class TestQuadrature:
     def test_fallback_honours_rel_tol(self):
         # a loose tolerance stops at a shallower level, still within its bound
         p = fig1_params(gamma_bar=1e4)
-        d = derive(p)
-        loose = fbrate.rate._adaptive_quadrature(p, d, 2.0, 1e-4)
-        tight = fbrate.rate._adaptive_quadrature(p, d, 2.0, 1e-12)
+        loose = fbrate.rate._adaptive_quadrature(p, 2.0, 1e-4)
+        tight = fbrate.rate._adaptive_quadrature(p, 2.0, 1e-12)
         assert loose[2] < tight[2]
         assert loose[1] <= 1e-4 and tight[1] <= 1e-12
         assert loose[0] == pytest.approx(tight[0], rel=1e-4, abs=0.0)
@@ -123,36 +122,33 @@ class TestQuadrature:
         # the peak-centred map and the Stirling form of K carry A up to 1e5
         p = ChannelParams(mu=1.0, m=0.5, kappa=0.0, eta=1.0, rho2=1.0,
                           gamma_bar=gamma_bar)
-        j, err = expectation_quadrature(p, derive(p), a, 1e-12)
+        j, err = expectation_quadrature(p, a, 1e-12)
         assert err <= 1e-12
         assert j == pytest.approx(rayleigh_j(gamma_bar, a), rel=1e-12, abs=0.0)
 
     def test_fallback_nan_integrand_raises(self, monkeypatch):
         monkeypatch.setattr(fbrate.rate, "log_mgf",
-                            lambda params, derived, s: np.full(np.shape(s), np.nan))
+                            lambda params, s: np.full(np.shape(s), np.nan))
         p = fig1_params(gamma_bar=1000.0)
         with pytest.raises(ConvergenceError) as info:
-            expectation_quadrature(p, derive(p), 2.0)
+            expectation_quadrature(p, 2.0)
         assert info.value.achieved is not None
 
 
 class TestClosedForm:
     def test_fig1_golden(self):
         p = fig1_params()
-        d = derive(p)
-        j = expectation_closed_form(p, d, decompose(p, d), 2.0)
+        j = expectation_closed_form(p, 2.0)
         assert j == pytest.approx(FIG1_J_A2, rel=1e-10)
 
     def test_nakagami_degeneration_vs_direct_integral(self):
         p = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=1.0)
-        d = derive(p)
-        j = expectation_closed_form(p, d, decompose(p, d), 2.0)
+        j = expectation_closed_form(p, 2.0)
         assert j == pytest.approx(J_NAKAGAMI_MU2, rel=1e-10)
 
     def test_merged_pole_golden(self):
         p = ChannelParams(mu=2.0, m=2.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=3.0)
-        d = derive(p)
-        j = expectation_closed_form(p, d, decompose(p, d), 0.5)
+        j = expectation_closed_form(p, 0.5)
         assert j == pytest.approx(J_MERGED_G3_A05, rel=1e-10)
 
     def test_unit_exponent_identity(self):
@@ -161,9 +157,8 @@ class TestClosedForm:
         from conftest import exp1 as _exp1
 
         p = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=0.4, rho2=1.0, gamma_bar=2.0)
-        d = derive(p)
-        ex = decompose(p, d)
-        j = expectation_closed_form(p, d, ex, 1.0)
+        ex = decompose(p)
+        j = expectation_closed_form(p, 1.0)
         oracle = sum(c[0].real * (t.real / 2.0) * math.exp(t.real / 2.0)
                      * _exp1(t.real / 2.0) for t, _, c in ex.terms)
         assert j == pytest.approx(oracle, rel=1e-10)
@@ -171,7 +166,7 @@ class TestClosedForm:
     def test_unit_exponent_identity_quadrature_route(self):
         # exponential SNR (single cluster) at gamma_bar = 2: J(A=1) = z e^z E1(z)
         p = preset("rayleigh", gamma_bar=2.0)
-        j, _ = expectation_quadrature(p, derive(p), 1.0)
+        j, _ = expectation_quadrature(p, 1.0)
         assert j == pytest.approx(J_RAYLEIGH_G2_A1, rel=1e-8)
 
     def test_split_double_root_near_zero_los(self):
@@ -187,9 +182,8 @@ class TestClosedForm:
         # limit; a U term certified only to 1e-10 (true error 1.1e-11) would
         # put J 3.4e-9 off, so the U share sends J to the series
         p = ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=1.0, gamma_bar=100.0)
-        d = derive(p)
         diagnostics = []
-        j = expectation_closed_form(p, d, decompose(p, d), 5.0, diagnostics)
+        j = expectation_closed_form(p, 5.0, diagnostics)
         assert len(diagnostics) == 1 and diagnostics[0][0] == "closed_form_series"
         assert diagnostics[0][1].startswith("U share ")
         assert j == pytest.approx(cluster_model_j(p, 5.0), rel=5e-10, abs=0.0)
@@ -199,11 +193,10 @@ class TestClosedForm:
         # gamma-mixture series, which must still match the quadrature route
         p = ChannelParams(mu=6.0, m=1.0, kappa=1.0, eta=1.0, rho2=0.1,
                           gamma_bar=1000.0)
-        d = derive(p)
         diagnostics = []
-        j_closed = expectation_closed_form(p, d, decompose(p, d), 5.0, diagnostics)
+        j_closed = expectation_closed_form(p, 5.0, diagnostics)
         assert diagnostics and diagnostics[0][0] == "closed_form_series"
-        j_quad, _ = expectation_quadrature(p, d, 5.0, 1e-10)
+        j_quad, _ = expectation_quadrature(p, 5.0, 1e-10)
         assert j_closed == pytest.approx(j_quad, rel=1e-8, abs=0.0)
         assert j_closed < 1e-11  # deep in the cancellation regime
 
@@ -301,6 +294,26 @@ class TestDispatch:
         assert result.expectation_j == pytest.approx(HIGH_MULT_J[mu, m, 30.0, 5.0],
                                                      rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("params, a, j_quad", [
+        (ChannelParams(mu=6, m=5, kappa=0.0022068275643294466, eta=1734.221669092768,
+                       rho2=27.82277147330203, gamma_bar=0.15444758274885909),
+         2.706991924825241, 0.6963491712266396),
+        (ChannelParams(mu=4, m=100, kappa=2.884455505814487, eta=1769.780162811736,
+                       rho2=2162.136092766108, gamma_bar=11140281.96285564),
+         5.840987076264172, 3.5573073873892693e-25),
+    ], ids=["series-not-finite", "residue-overflow"])
+    def test_closed_form_failures_are_typed(self, params, a, j_quad):
+        # the gamma-mixture series sums to inf, and prod a_k**e_k overflows
+        # in the residue recursion: both end in a ConvergenceError, and auto
+        # returns the quadrature value
+        with pytest.raises(FbrateError):
+            er_auto(ErRequest(params=params, a_exponent=a, method="closed_form"))
+        result = er_auto(ErRequest(params=params, a_exponent=a))
+        assert result.method_used == "quadrature"
+        assert dict(result.diagnostics)["closed_form_failed"].startswith("ConvergenceError")
+        assert result.expectation_j == expectation_quadrature(params, a)[0]
+        assert result.expectation_j == pytest.approx(j_quad, rel=1e-12, abs=0.0)
+
     def test_closed_form_applies_predicate(self):
         assert closed_form_applies(fig1_params())
         assert closed_form_applies(ChannelParams(mu=4.0, m=math.inf, kappa=0.0,
@@ -397,11 +410,10 @@ class TestUnitEtaReduction:
                         break
                     p = ChannelParams(mu=mu, m=m, kappa=kappa, eta=1.0, rho2=1.0,
                                       gamma_bar=gbar)
-                    d = derive(p)
                     if mu == round(mu) and round(mu) % 2 == 0:
-                        mine = expectation_closed_form(p, d, decompose(p, d), a)
+                        mine = expectation_closed_form(p, a)
                     else:
-                        mine = expectation_quadrature(p, d, a, 1e-10)[0]
+                        mine = expectation_quadrature(p, a, 1e-10)[0]
                     oracle = unit_eta_shadowed_j(kappa, mu, m, gbar, a)
                     assert mine == pytest.approx(oracle, rel=1e-8)
                     points += 1
