@@ -13,7 +13,8 @@ from .mgf import MgfPoint, log_mgf, mgf
 from .model import ChannelParams, PRESET_NAMES, preset
 from .poles import PartialFractionExpansion, decompose, pdf
 from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
-                   er_auto, expectation_closed_form, expectation_quadrature)
+                   er_auto, er_sweep, expectation_closed_form, expectation_quadrature,
+                   quadrature_sweep)
 from .specfun import ln_gamma
 
 __version__ = "0.1.0"
@@ -25,7 +26,7 @@ __all__ = [
     "preset", "PRESET_NAMES", "mgf", "log_mgf",
     "decompose", "pdf", "ln_gamma",
     "effective_rate", "expectation_quadrature", "expectation_closed_form",
-    "er_auto", "closed_form_applies",
+    "quadrature_sweep", "er_auto", "er_sweep", "closed_form_applies",
     "estimate_er",
     "FbrateError", "ParameterError", "ClosedFormUnavailableError",
     "ConvergenceError",

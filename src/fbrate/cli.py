@@ -25,7 +25,7 @@ from .mc import McConfig
 from .mgf import mgf
 from .model import ChannelParams, PRESET_NAMES, preset
 from .poles import pdf
-from .rate import ErRequest, er_auto
+from .rate import ErRequest, er_sweep
 
 SEED_ENV_VAR = "FBRATE_SEED"
 
@@ -54,21 +54,27 @@ def _parse_grid(spec: str, what: str) -> np.ndarray:
     """start:stop:step (inclusive stop) -> grid; a bare number is one point."""
     parts = spec.split(":")
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        start, stop, step = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError:
         raise CliError(f"cannot parse {what} grid {spec!r}; "
                        f"expected start:stop:step", 2) from None
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"{what} grid {spec!r} must be finite", 2)
+    if len(values) == 1:
+        return np.array(values)
+    start, stop, step = values
     if start == stop:
         return np.array([start])
     if step <= 0:
         raise CliError(f"{what} grid step must be > 0", 2)
     if start > stop:
         raise CliError(f"{what} grid start must be <= stop", 2)
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise CliError(f"{what} grid {spec!r} has a non-finite point count", 2)
+    n = int(math.floor(span + 1e-9)) + 1
     if n > 100_000:
         raise CliError(f"{what} grid has {n} points; limit is 100000", 2)
     return start + step * np.arange(n)
@@ -131,19 +137,19 @@ def cmd_er(args) -> int:
         if not vary_values:
             raise CliError("--vary-values is empty", 2)
 
-    mc_config = McConfig(n_samples=args.samples, seed=_default_seed(args))
-    rows = []
-    for snr_db in snr_grid:
-        for vary in sorted(vary_values, key=lambda v: -math.inf if v is None else v):
-            params = _build_params(args, gamma_bar=db_to_linear(float(snr_db)))
-            if vary is not None:
-                params = replace(params, **{args.vary: vary})
-            request = ErRequest(params=params, a_exponent=a, method=method,
-                                rel_tol=args.rel_tol)
-            result = er_auto(request, mc_config=mc_config)
-            rows.append((float(snr_db), "" if vary is None else vary,
-                         result.rate, result.expectation_j, result.method_used,
-                         result.error_estimate))
+    vary_values.sort(key=lambda v: -math.inf if v is None else v)
+
+    base = _build_params(args, gamma_bar=1.0)
+    shapes = {v: base if v is None else replace(base, **{args.vary: v})
+              for v in vary_values}
+    points = [(float(snr_db), v) for snr_db in snr_grid for v in vary_values]
+    requests = [ErRequest(params=replace(shapes[v], gamma_bar=db_to_linear(snr_db)),
+                          a_exponent=a, method=method, rel_tol=args.rel_tol)
+                for snr_db, v in points]
+    results = er_sweep(requests, McConfig(n_samples=args.samples, seed=_default_seed(args)))
+    rows = [(snr_db, "" if v is None else v, result.rate, result.expectation_j,
+             result.method_used, result.error_estimate)
+            for (snr_db, v), result in zip(points, results)]
     _emit(rows, ("snr_db", "vary", "rate", "j", "method", "err"),
           args.format, header)
     return 0

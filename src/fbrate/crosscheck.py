@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .mc import McConfig, estimate_er
 from .model import ChannelParams, preset
-from .rate import CROSS_REL_TOL, expectation_closed_form, expectation_quadrature
+from .rate import (CROSS_REL_TOL, expectation_closed_form, expectation_quadrature,
+                   quadrature_sweep)
 
 MC_Z_LIMIT = 4.0
 MC_PASS_FRACTION = 0.95
@@ -62,15 +63,28 @@ class CrossCheckReport:
 
 
 def run_cross_check(grid=None, rel_tol: float = 1e-8) -> CrossCheckReport:
-    """Quadrature vs closed form over the grid; reports the worst config."""
+    """Quadrature vs closed form over the grid; reports the worst config.
+
+    The quadrature runs once per (shape, A) over all of its mean SNRs
+    (:func:`quadrature_sweep`); the closed form runs per point, in grid order.
+    """
     if grid is None:
         grid = closed_form_grid()
+    groups: dict[tuple, list[int]] = {}
+    for i, (p, a) in enumerate(grid):
+        groups.setdefault((p.shape, a), []).append(i)
+    j_quad = [0.0] * len(grid)
+    for indices in groups.values():
+        params, a = grid[indices[0]]
+        values, _, _ = quadrature_sweep(params, [grid[i][0].gamma_bar for i in indices],
+                                        a, rel_tol)
+        for i, value in zip(indices, values.tolist()):
+            j_quad[i] = value
     worst = None
     max_diff = 0.0
-    for params, a in grid:
+    for (params, a), j in zip(grid, j_quad):
         j_closed = expectation_closed_form(params, a)
-        j_quad, _ = expectation_quadrature(params, a, rel_tol)
-        diff = abs(j_quad - j_closed) / j_closed
+        diff = abs(j - j_closed) / j_closed
         if diff > max_diff:
             max_diff = diff
             worst = (params, a)

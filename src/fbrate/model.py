@@ -77,11 +77,15 @@ class ChannelParams:
         if self.gamma_bar <= 0:
             raise ParameterError(
                 f"gamma_bar out of range: must be > 0, got {self.gamma_bar!r}")
-        omega, alpha1, beta, _, c1, c2 = channel_constants(
-            self.mu, self.m, self.kappa, self.eta, self.rho2)
+        omega, alpha1, beta, _, c1, c2 = channel_constants(*self.shape)
         for name, value in (("omega_cap", omega), ("alpha1", alpha1), ("beta", beta),
                             ("c1", c1), ("c2", c2)):
             object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[float, float, float, float, float]:
+        """(mu, m, kappa, eta, rho2): the channel shape, every field but gamma_bar."""
+        return (self.mu, self.m, self.kappa, self.eta, self.rho2)
 
 
 def channel_constants(mu, m, kappa, eta, rho2):

@@ -190,7 +190,7 @@ def decompose(params: ChannelParams) -> PartialFractionExpansion:
     The expansion depends on the channel shape alone (g cancels), so it is
     memoised per (mu, m, kappa, eta, rho2): an SNR sweep builds it once.
     """
-    return _shape_expansion(params.mu, params.m, params.kappa, params.eta, params.rho2)
+    return _shape_expansion(*params.shape)
 
 
 @lru_cache(maxsize=256)

@@ -3,18 +3,21 @@
 The quadrature route integrates the MGF against the weight s**(A-1) e**(-s)
 with one nested double-exponential rule in log s, centred on the weight's
 peak; it resolves the second scale the integrand gains at s ~ 1/gamma_bar at
-high SNR and stops at the caller's ``rel_tol``.
+high SNR and stops at the caller's ``rel_tol``.  The MGF depends on
+gamma_bar only through gamma_bar*s, so ``quadrature_sweep`` runs the rule
+for many mean SNRs of one channel shape at once.
 The closed-form route expands the rational MGF into partial fractions and
 evaluates each distinct pole's Tricomi-U family at once: one exponential
 integral and a recurrence, certified term by term; where its terms cancel
 the gamma-mixture series (``_extended``) replaces it.  Both compute the
-identical scalar; ``er_auto`` dispatches and cross-checks.
+identical scalar; ``er_auto`` dispatches and cross-checks, and ``er_sweep``
+does the same for a list of requests, batching their quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,10 +94,11 @@ def _log_peak(a: float) -> float:
             - (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a)
 
 
-def _adaptive_quadrature(params: ChannelParams, a_exponent: float,
-                         rel_tol: float) -> tuple[float, float, int]:
-    """Nested exp-sinh trapezoid rule for s^(A-1) e^-s M(s) / Gamma(A).
+def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent: float,
+                     rel_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J at every mean SNR in ``gamma_bars`` for one channel shape, by the MGF integral.
 
+    A nested exp-sinh trapezoid rule for s^(A-1) e^-s M(s) / Gamma(A).
     With x = ln s = c + w (pi/2) sinh t the integrand decays double-
     exponentially in t at both ends, and the two scales s ~ 1/gamma_bar and
     s ~ A become smooth bumps that the trapezoid rule resolves at geometric
@@ -103,74 +107,104 @@ def _adaptive_quadrature(params: ChannelParams, a_exponent: float,
     w = 1.  The log integrand is written about the peak,
     A (y - expm1 y) + K with y = x - ln A (see :func:`_log_peak`), so that
     nothing of size A ln A cancels at large A.  Each level halves the step
-    from h = 1/2, reuses the previous sum and samples the log integrand with
-    one vectorized ``log_mgf`` call.  The x-window drops under 1e-19 of J:
-    the mass below x_lo is at most e^(-45-5A)/Gamma(A+1) of J by the Jensen
-    bound J >= (1+gamma_bar)^-A, and the mass above s = 60 + 2A at most
-    Q(A, s)/P(A, A) of J, since M(s) decreases.
+    from h = 1/2 and reuses the previous sum.  The x-window drops under
+    1e-19 of J: the mass below x_lo is at most e^(-45-5A)/Gamma(A+1) of J by
+    the Jensen bound J >= (1+gamma_bar)^-A, and the mass above s = 60 + 2A at
+    most Q(A, s)/P(A, A) of J, since M(s) decreases.
 
-    Returns (value, relative difference of the last two levels, level) once
-    that difference is within ``rel_tol``; raises :class:`ConvergenceError`
-    otherwise.
+    M depends on gamma_bar only through gamma_bar*s, so the shape's own
+    ``gamma_bar`` is ignored and every SNR shares one rule: each level
+    samples the log integrand of all unconverged rows as one (rows x nodes)
+    array over the widest of their windows, and sums each row over its own
+    window alone, so every row gets the value the rule gives it on its own.
+    A row leaves once its last two levels agree within ``rel_tol``.
+
+    Returns (values, relative differences of each row's last two levels,
+    levels reached); raises :class:`ConvergenceError`, naming the mean SNR,
+    if a row does not converge.
     """
+    if a_exponent <= 0:
+        raise ValueError(f"A must be > 0, got {a_exponent!r}")
+    gamma_bar = np.asarray(gamma_bars, dtype=float)
+    if not np.all(np.isfinite(gamma_bar) & (gamma_bar > 0.0)):
+        raise ParameterError(f"gamma_bars must be finite and > 0, got {gamma_bars!r}")
+    if shape.gamma_bar != 1.0:
+        shape = replace(shape, gamma_bar=1.0)
     a = a_exponent
     log_a = math.log(a)
     c = max(log_a, 0.0)
     scale = min(1.0, 2.0 / math.sqrt(a)) * _HALF_PI
     log_peak = _log_peak(a)
-    x_lo = -45.0 / a - 5.0 - math.log1p(params.gamma_bar)
     x_hi = math.log(60.0 + 2.0 * a)
-    t_lo = math.asinh((x_lo - c) / scale)
     t_hi = math.asinh((x_hi - c) / scale)
+    t_lo = [math.asinh((-45.0 / a - 5.0 - math.log1p(g) - c) / scale)
+            for g in gamma_bar.tolist()]
 
-    def node_sum(h: float, step: int) -> float:
-        # integrand summed over t = k*h in the window; step 2 keeps the odd k,
-        # the nodes the previous level lacks
-        k0 = math.ceil(t_lo / h)
+    def node_sums(rows: np.ndarray, h: float, step: int) -> np.ndarray:
+        # each row's integrand summed over t = k*h in its window; step 2
+        # keeps the odd k, the nodes the previous level lacks
+        k0 = [math.ceil(t_lo[i] / h) for i in rows.tolist()]
         if step == 2:
-            k0 |= 1
-        t = h * np.arange(k0, math.floor(t_hi / h) + 1, step)
+            k0 = [k | 1 for k in k0]
+        first = min(k0)
+        t = h * np.arange(first, math.floor(t_hi / h) + 1, step)
         u = scale * np.sinh(t)
         y = u + (c - log_a)
         log_f = (a * (y - np.expm1(y)) + log_peak
-                 + log_mgf(params, np.exp(c + u))
+                 + log_mgf(shape, gamma_bar[rows, None] * np.exp(c + u))
                  + np.log(scale * np.cosh(t)))
-        return float(np.sum(np.exp(log_f)))
+        f = np.exp(log_f)
+        return np.array([np.add.reduce(f_row[(k - first) // step:])
+                         for f_row, k in zip(f, k0)])
 
+    values = np.zeros_like(gamma_bar)
+    errors = np.full_like(gamma_bar, math.inf)
+    levels = np.zeros(gamma_bar.shape, dtype=int)
+    active = np.arange(gamma_bar.size)
+    if not active.size:
+        return values, errors, levels
     h = 0.5
-    total = h * node_sum(h, 1)
-    diff = math.inf
+    total = h * node_sums(active, h, 1)
     for level in range(1, DE_LEVELS + 1):
         h /= 2.0
-        prev, total = total, 0.5 * total + h * node_sum(h, 2)
-        if not (math.isfinite(total) and total > 0.0):
+        prev, total = total, 0.5 * total + h * node_sums(active, h, 2)
+        failed = ~(np.isfinite(total) & (total > 0.0))
+        if failed.any():
             break
-        diff = abs(total - prev) / total
-        if diff <= rel_tol:
-            return total, diff, level
+        diff = np.abs(total - prev) / total
+        errors[active] = diff
+        done = diff <= rel_tol
+        values[active[done]] = total[done]
+        levels[active[done]] = level
+        active, total = active[~done], total[~done]
+        if not active.size:
+            return values, errors, levels
+    else:
+        failed = np.ones(active.size, dtype=bool)
+    row = int(np.argmax(failed))
+    i = int(active[row])
     raise ConvergenceError(
-        f"double-exponential quadrature reached rel diff {diff:.2e} on value "
-        f"{total!r} at level {level} (target {rel_tol:.1e}) for A={a_exponent}, "
-        f"params={params}",
-        achieved=diff)
+        f"double-exponential quadrature reached rel diff {errors[i]:.2e} on value "
+        f"{float(total[row])!r} at level {level} (target {rel_tol:.1e}) for "
+        f"A={a_exponent}, params={replace(shape, gamma_bar=float(gamma_bar[i]))}",
+        achieved=float(errors[i]))
 
 
 def expectation_quadrature(params: ChannelParams, a_exponent: float, rel_tol: float = 1e-8,
                            diagnostics: list | None = None) -> tuple[float, float]:
     """J by the MGF integral; returns (value, relative error estimate).
 
-    Runs the nested double-exponential rule in log s
-    (:func:`_adaptive_quadrature`), which stops once two levels agree within
+    The one-row case of :func:`quadrature_sweep`: the nested
+    double-exponential rule in log s stops once two levels agree within
     ``rel_tol`` and raises :class:`ConvergenceError` if none do.  The error
     estimate is that last difference; the level reached is recorded in
     diagnostics as ``quadrature_level``.
     """
-    if a_exponent <= 0:
-        raise ValueError(f"A must be > 0, got {a_exponent!r}")
-    value, err, level = _adaptive_quadrature(params, a_exponent, rel_tol)
+    values, errors, levels = quadrature_sweep(params, [params.gamma_bar], a_exponent,
+                                              rel_tol)
     if diagnostics is not None:
-        diagnostics.append(("quadrature_level", str(level)))
-    return value, err
+        diagnostics.append(("quadrature_level", str(levels[0])))
+    return float(values[0]), float(errors[0])
 
 
 #: Hand J to the gamma-mixture series when the residue majorant
@@ -247,6 +281,34 @@ def closed_form_applies(params: ChannelParams) -> bool:
     return True
 
 
+def er_sweep(requests, mc_config=None) -> list[ErResult]:
+    """One :class:`ErResult` per request, in order, with the quadrature batched.
+
+    Requests that share a channel shape, A, method and ``rel_tol`` and need
+    the quadrature (``auto`` and ``quadrature``) are integrated together by
+    one :func:`quadrature_sweep`; each value is the one the request gets on
+    its own.  Everything else -- the closed form, the cross-check, the
+    diagnostics and Monte Carlo -- runs per request, as :func:`er_auto`
+    documents.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, request in enumerate(requests):
+        if request.method in ("auto", "quadrature"):
+            key = (request.params.shape, request.a_exponent, request.method,
+                   request.rel_tol)
+            groups.setdefault(key, []).append(i)
+    quadrature = {}
+    for indices in groups.values():
+        first = requests[indices[0]]
+        values, errors, levels = quadrature_sweep(
+            first.params, [requests[i].params.gamma_bar for i in indices],
+            first.a_exponent, first.rel_tol)
+        quadrature.update(zip(indices, zip(values.tolist(), errors.tolist(),
+                                           levels.tolist())))
+    return [_evaluate(request, quadrature.get(i), mc_config)
+            for i, request in enumerate(requests)]
+
+
 def er_auto(request: ErRequest, mc_config=None) -> ErResult:
     """Dispatching front end: closed form when available, else quadrature.
 
@@ -258,8 +320,14 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
     ``CROSS_REL_TOL`` (recorded as ``engines_disagree``, with the difference
     folded into the error estimate).  The explicit methods run exactly what
     was asked for (raising if unavailable); ``monte_carlo`` delegates to the
-    sampling engine.
+    sampling engine.  A one-request :func:`er_sweep`.
     """
+    return er_sweep([request], mc_config)[0]
+
+
+def _evaluate(request: ErRequest, quadrature: tuple[float, float, int] | None,
+              mc_config) -> ErResult:
+    """:func:`er_auto` for one request, given its quadrature (value, error, level)."""
     params = request.params
     a = request.a_exponent
     diagnostics: list[tuple[str, str]] = []
@@ -290,7 +358,8 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
         except (ConvergenceError, ClosedFormUnavailableError, ArithmeticError) as exc:
             diagnostics.append(("closed_form_failed", f"{type(exc).__name__}: {exc}"))
 
-    j_quad, err = expectation_quadrature(params, a, request.rel_tol, diagnostics)
+    j_quad, err, level = quadrature
+    diagnostics.append(("quadrature_level", str(level)))
     if j_closed is not None:
         diff = abs(j_quad - j_closed) / j_closed
         # unrounded, so that the error estimate below bounds the reported value

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import fbrate
+import fbrate.rate
+from fbrate import ChannelParams, ErRequest, McConfig, er_auto
 from fbrate.cli import main
 from fbrate.crosscheck import db_to_linear
 
@@ -73,6 +75,70 @@ class TestErCommand:
         code, _, err = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
                                "--snr-db", "10:0:1")
         assert code == 2
+
+    @pytest.mark.parametrize("command, flag", [("er", "--snr-db"), ("mgf", "--s"),
+                                               ("pdf", "--gamma")])
+    @pytest.mark.parametrize("grid", ["0:10:nan", "nan:10:1", "0:inf:1", "-inf:0:1",
+                                      "inf", "0:1e300:1e-300"])
+    def test_non_finite_grid_exits_2(self, capsys, command, flag, grid):
+        a_flags = ("--A", "2") if command == "er" else ()
+        code, out, err = run_cli(capsys, command, *FIG1_FLAGS, *a_flags, f"{flag}={grid}")
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {flag} grid ")
+
+    def test_duplicate_vary_values_keep_their_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
+                               "--snr-db=-5:5:10", "--vary", "mu",
+                               "--vary-values", "4,2,2")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            (-5.0, 2.0), (-5.0, 2.0), (-5.0, 4.0), (5.0, 2.0), (5.0, 2.0), (5.0, 4.0)]
+        assert rows[0] == rows[1] and rows[3] == rows[4]
+
+    def test_closed_method_runs_no_quadrature(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quadrature_sweep(*args, **kwargs)
+
+        quadrature_sweep = fbrate.rate.quadrature_sweep
+        monkeypatch.setattr(fbrate.rate, "quadrature_sweep", counted)
+        args = ("er", *FIG1_FLAGS, "--A", "2", "--snr-db=-10:30:10", "--vary", "mu",
+                "--vary-values", "2,4")
+        assert run_cli(capsys, *args, "--method", "closed")[0] == 0
+        assert calls == []
+        assert run_cli(capsys, *args)[0] == 0
+        assert len(calls) == 2  # one batch per vary value
+
+    def test_monte_carlo_sweep_matches_per_point(self, capsys):
+        code, out, _ = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
+                               "--snr-db=0:10:10", "--vary", "mu", "--vary-values", "1,2",
+                               "--method", "mc", "--samples", "20000", "--seed", "5",
+                               "--format", "jsonl")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        config = McConfig(n_samples=20000, seed=5)
+        expected = []
+        for snr_db in (0.0, 10.0):
+            for mu in (1.0, 2.0):
+                p = ChannelParams(mu=mu, m=1.0, kappa=1.0, eta=0.1, rho2=0.1,
+                                  gamma_bar=db_to_linear(snr_db))
+                result = er_auto(ErRequest(params=p, a_exponent=2.0, method="monte_carlo"),
+                                 mc_config=config)
+                expected.append(dict(snr_db=snr_db, vary=mu, rate=result.rate,
+                                     j=result.expectation_j, method="monte_carlo",
+                                     err=result.error_estimate))
+        assert rows == expected
+
+    def test_failing_point_prints_nothing(self, capsys, monkeypatch):
+        # at A = 0.5 the 80 dB row needs level 5 and the 0 dB row level 3
+        monkeypatch.setattr(fbrate.rate, "DE_LEVELS", 4)
+        code, out, err = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "0.5",
+                                 "--snr-db", "0:80:80", "--method", "quad")
+        assert code == 3
+        assert out == "" and "gamma_bar=100000000.0" in err
 
     def test_missing_a_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "er", *FIG1_FLAGS)

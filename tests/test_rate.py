@@ -12,8 +12,9 @@ from fbrate.poles import pole_exponents
 from fbrate.rate import DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
                     ErRequest, FbrateError, ParameterError, closed_form_applies, decompose,
-                    effective_rate, er_auto, expectation_closed_form,
-                    expectation_quadrature, preset)
+                    effective_rate, er_auto, er_sweep, expectation_closed_form,
+                    expectation_quadrature, preset, quadrature_sweep)
+from fbrate.crosscheck import GRID_A, GRID_SNR_DB, db_to_linear
 
 from conftest import (FIG1_J_A2, FIG1_J_MU1, FIG1_J_MU4, FIG1_R_A2, FIG1_R_MU1,
                       FIG1_R_MU4, FIG2_J_BY_M, HIGH_MULT, HIGH_MULT_J,
@@ -109,8 +110,8 @@ class TestQuadrature:
     def test_fallback_honours_rel_tol(self):
         # a loose tolerance stops at a shallower level, still within its bound
         p = fig1_params(gamma_bar=1e4)
-        loose = fbrate.rate._adaptive_quadrature(p, 2.0, 1e-4)
-        tight = fbrate.rate._adaptive_quadrature(p, 2.0, 1e-12)
+        loose = [x[0] for x in fbrate.rate.quadrature_sweep(p, [p.gamma_bar], 2.0, 1e-4)]
+        tight = [x[0] for x in fbrate.rate.quadrature_sweep(p, [p.gamma_bar], 2.0, 1e-12)]
         assert loose[2] < tight[2]
         assert loose[1] <= 1e-4 and tight[1] <= 1e-12
         assert loose[0] == pytest.approx(tight[0], rel=1e-4, abs=0.0)
@@ -133,6 +134,81 @@ class TestQuadrature:
         with pytest.raises(ConvergenceError) as info:
             expectation_quadrature(p, 2.0)
         assert info.value.achieved is not None
+
+
+def _per_point(shape, gamma_bars, a, rel_tol=1e-8):
+    """(J, error, level) of each mean SNR through expectation_quadrature."""
+    rows = []
+    for g in gamma_bars:
+        diagnostics = []
+        j, err = expectation_quadrature(ChannelParams(*shape.shape, gamma_bar=g), a,
+                                        rel_tol, diagnostics)
+        rows.append((j, err, int(dict(diagnostics)["quadrature_level"])))
+    return rows
+
+
+class TestQuadratureSweep:
+    @pytest.mark.parametrize("offset", [0.0, 0.3, 0.7])
+    @pytest.mark.parametrize("shape", [
+        ChannelParams(mu=1.0, m=1.0, kappa=1.0, eta=0.1, rho2=0.1),  # fig-1, mu = 1
+        ChannelParams(mu=1.5, m=0.5, kappa=1.0, eta=0.1, rho2=0.1),  # fig-2, m = 0.5
+    ], ids=["fig-1", "fig-2"])
+    def test_figure_row_is_bit_identical_to_per_point(self, shape, offset):
+        # the README sweeps' 41-point rows, with the SNRs `fbrate er` forms
+        snr_db = -10.0 + offset + 1.0 * np.arange(41)
+        gamma_bars = [db_to_linear(float(db)) for db in snr_db]
+        values, errors, levels = quadrature_sweep(shape, gamma_bars, 2.0, 1e-8)
+        assert list(zip(values.tolist(), errors.tolist(), levels.tolist())) == \
+            _per_point(shape, gamma_bars, 2.0)
+
+    @pytest.mark.parametrize("a", GRID_A)
+    def test_validate_grid_shape_is_bit_identical_to_per_point(self, a):
+        # the shape's own gamma_bar (here 10 dB) takes no part in the sweep
+        shape = ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=0.1, gamma_bar=10.0)
+        gamma_bars = [db_to_linear(db) for db in GRID_SNR_DB]
+        values, errors, levels = quadrature_sweep(shape, gamma_bars, a, 1e-8)
+        assert list(zip(values.tolist(), errors.tolist(), levels.tolist())) == \
+            _per_point(shape, gamma_bars, a)
+
+    def test_rows_leave_at_their_own_level(self):
+        shape = fig1_params()
+        gamma_bars = [1e8, 0.1, 1e6]
+        values, errors, levels = quadrature_sweep(shape, gamma_bars, 0.5, 1e-8)
+        assert levels.tolist() == [5, 3, 4]
+        assert np.all(errors <= 1e-8)
+        assert list(zip(values.tolist(), errors.tolist(), levels.tolist())) == \
+            _per_point(shape, gamma_bars, 0.5)
+
+    def test_single_and_duplicate_rows(self):
+        shape = fig1_params()
+        single = quadrature_sweep(shape, [1e3], 2.0)
+        double = quadrature_sweep(shape, [1e3, 1e3], 2.0)
+        assert [x.tolist() for x in single] == [x.tolist()[:1] for x in double]
+        assert [x.tolist() for x in single] == [x.tolist()[1:] for x in double]
+        assert [x.size for x in quadrature_sweep(shape, [], 2.0)] == [0, 0, 0]
+
+    def test_unconverged_row_raises_naming_its_snr(self, monkeypatch):
+        # 80 dB needs level 5 at A = 0.5; the 0 dB row converges at level 3
+        monkeypatch.setattr(fbrate.rate, "DE_LEVELS", 4)
+        with pytest.raises(ConvergenceError, match=r"gamma_bar=100000000\.0\)") as info:
+            quadrature_sweep(fig1_params(), [1.0, 1e8], 0.5, 1e-8)
+        assert info.value.achieved > 1e-8
+
+    def test_rejects_bad_mean_snr(self):
+        with pytest.raises(ParameterError):
+            quadrature_sweep(fig1_params(), [1.0, 0.0], 2.0)
+
+    def test_empty_sweep(self):
+        assert er_sweep([]) == []
+
+    def test_sweep_matches_per_point_requests(self):
+        # mixed methods and shapes in one list: results keep the request order
+        requests = [ErRequest(params=fig1_params(gamma_bar=g, mu=mu), a_exponent=2.0,
+                              method=method)
+                    for method in ("auto", "quadrature", "closed_form")
+                    for g in (0.1, 10.0, 1e3) for mu in (2.0, 4.0)]
+        requests.reverse()
+        assert er_sweep(requests) == [er_auto(r) for r in requests]
 
 
 class TestClosedForm:
