@@ -163,16 +163,20 @@ class McCheckReport:
         return self.n_within >= math.ceil(MC_PASS_FRACTION * len(self.results))
 
 
-def run_mc_check(grid=None, n_samples: int = 1_000_000, seed: int = 42,
-                 n_workers: int = 1) -> McCheckReport:
-    """Sampled vs quadrature expectations over the concordance grid."""
+def run_mc_check(grid=None, n_samples: int = 1_000_000,
+                 seed: int = 42) -> McCheckReport:
+    """Sampled vs quadrature expectations over the concordance grid.
+
+    Each estimate runs its chunks on every CPU the process may run on
+    (:func:`estimate_er`'s default); the report is the same as a serial run's.
+    """
     if grid is None:
         grid = mc_grid()
     config = McConfig(n_samples=n_samples, seed=seed)
     results = []
     for params, a in grid:
         j_quad, _ = expectation_quadrature(params, a)
-        estimate = estimate_er(params, a, config, n_workers=n_workers)
+        estimate = estimate_er(params, a, config)
         results.append(McCheckResult(params=params, a_exponent=a, j_quad=j_quad,
                                      j_hat=estimate.j_hat,
                                      j_stderr=estimate.j_stderr))

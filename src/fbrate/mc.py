@@ -17,12 +17,16 @@ Determinism: samples are generated in fixed-size chunks, each from its own
 counter-based Philox stream keyed by (seed, chunk index), and per-chunk
 partial sums are combined with exact (fsum) accumulation, so results are
 bit-identical for a given (seed, chunk_size) no matter how many workers run
-the chunks or in which order they finish.
+the chunks or in which order they finish.  By default the chunks run on one
+thread per CPU the process may run on (at most one per chunk); the result is
+the same as a serial run, bit for bit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -75,47 +79,81 @@ def _sample_block(params: ChannelParams, rng: np.random.Generator,
     """n SNR realizations as an ndarray (vectorized across samples).
 
     Draw order: xi, then (x, y) for each whole cluster, then the two
-    fractional-scatter gammas.  Requires mu >= 1 when kappa > 0.
+    fractional-scatter gammas.  Requires mu >= 1 when kappa > 0.  Works in
+    place on at most five n-sized arrays, in the same floating-point order
+    as the expression ``gamma_bar * w / normalization`` with
+    ``w = sum(x*x + y*y) + 2 (eta G1 + G2)``.
     """
     m = params.m
     if math.isinf(m):
         root_xi = 1.0  # no LoS fluctuation: xi = 1 exactly, no gamma draws
     else:
-        root_xi = np.sqrt(rng.gamma(shape=m, scale=1.0 / m, size=n))
+        root_xi = rng.gamma(shape=m, scale=1.0 / m, size=n)
+        np.sqrt(root_xi, out=root_xi)
     clusters = math.floor(params.mu)
     w = np.zeros(n)
+    x = np.empty(n)
+    y = np.empty(n)
     if clusters:
         q2 = params.kappa * params.mu * (params.eta + 1.0) / (1.0 + params.rho2)
         p_i = math.sqrt(params.rho2 * q2 / clusters)
         q_i = math.sqrt(q2 / clusters)
         sx = math.sqrt(params.eta)
+        los_y = root_xi * q_i
+        los_x = root_xi
+        los_x *= p_i  # reuses the array of xi when it is sampled
         for _ in range(clusters):
-            x = rng.standard_normal(n) * sx + root_xi * p_i
-            y = rng.standard_normal(n) + root_xi * q_i
-            w += x * x + y * y
+            rng.standard_normal(out=x)
+            x *= sx
+            x += los_x
+            rng.standard_normal(out=y)
+            y += los_y
+            x *= x
+            y *= y
+            x += y
+            w += x
     frac = params.mu - clusters
     if frac:
-        w += 2.0 * (params.eta * rng.standard_gamma(frac / 2, n)
-                    + rng.standard_gamma(frac / 2, n))
-    normalization = (1.0 + params.kappa) * params.mu * (params.eta + 1.0)
-    return params.gamma_bar * w / normalization
+        rng.standard_gamma(frac / 2, out=x)
+        x *= params.eta
+        rng.standard_gamma(frac / 2, out=y)
+        x += y
+        x *= 2.0
+        w += x
+    w *= params.gamma_bar
+    w /= (1.0 + params.kappa) * params.mu * (params.eta + 1.0)
+    return w
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
-                n_workers: int = 1) -> McEstimate:
+                n_workers: int | None = None) -> McEstimate:
     """Sample-mean estimate of J = E[(1+gamma)^-A] with its standard error.
 
     Chunks are independent substreams; each yields partial sums of
     (1+gamma)^-A and its square, which are combined exactly, so the estimate
-    does not depend on ``n_workers``.  Raises :class:`ParameterError` for
-    mu < 1 with LoS (kappa > 0), and :class:`ConvergenceError` when every
-    sampled (1+gamma)^-A underflows to 0.
+    does not depend on ``n_workers``.  By default (``None``) the chunks run on
+    one thread per CPU the process may run on, at most one per chunk; a
+    single chunk runs inline.  Raises :class:`ParameterError` for
+    ``n_workers`` other than ``None`` or an int >= 1 and for mu < 1 with LoS
+    (kappa > 0), and :class:`ConvergenceError` when every sampled
+    (1+gamma)^-A underflows to 0.
     """
     if not a_exponent > 0:
         raise ParameterError(f"A must be > 0, got {a_exponent!r}")
     if params.mu < 1 and params.kappa > 0:
         raise ParameterError(
             f"sampling with LoS (kappa > 0) requires mu >= 1, got mu={params.mu!r}")
+    if n_workers is not None and (isinstance(n_workers, bool)
+                                  or not isinstance(n_workers, int) or n_workers < 1):
+        raise ParameterError(f"n_workers must be None or an int >= 1, got {n_workers!r}")
 
     n = config.n_samples
     sizes = [config.chunk_size] * (n // config.chunk_size)
@@ -124,14 +162,21 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
 
     def run_chunk(idx_size):
         idx, size = idx_size
-        gamma = _sample_block(params, _chunk_rng(config.seed, idx), size)
-        values = (1.0 + gamma) ** -a_exponent
-        return float(values.sum()), float((values * values).sum())
+        values = _sample_block(params, _chunk_rng(config.seed, idx), size)
+        values += 1.0
+        values **= -a_exponent  # ndarray power: same fast paths as ``**``
+        s1 = float(values.sum())
+        values *= values
+        return s1, float(values.sum())
 
     tasks = list(enumerate(sizes))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(run_chunk, tasks))
+    workers = min(n_workers or _available_cpus(), len(tasks))
+    if workers > 1:
+        # pool threads start in an empty context: give each chunk the caller's,
+        # so that numpy error states (np.errstate) hold as in a serial run
+        context = contextvars.copy_context()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(lambda t: context.copy().run(run_chunk, t), tasks))
     else:
         partials = [run_chunk(t) for t in tasks]
 

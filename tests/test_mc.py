@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import fbrate.mc
 from fbrate import (ChannelParams, ConvergenceError, McConfig, ParameterError,
                     decompose, estimate_er, expectation_quadrature, mgf,
                     preset)
+from fbrate.crosscheck import McCheckReport, McCheckResult, mc_grid, run_mc_check
 from fbrate.mc import _chunk_rng, _sample_block
 
 from conftest import (FIG2_J_BY_M, J_RAYLEIGH, cluster_model_mgf, expansion_cdf,
@@ -130,13 +132,18 @@ class TestEstimateEr:
         j_quad, _ = expectation_quadrature(p, 2.0)
         assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs_and_workers(self, monkeypatch):
         config = McConfig(n_samples=300_000, seed=123, chunk_size=1 << 14)
         for p in (fig1_params(), fig1_params(mu=1.5)):
             first = estimate_er(p, 2.0, config, n_workers=1)
             again = estimate_er(p, 2.0, config, n_workers=1)
             threaded = estimate_er(p, 2.0, config, n_workers=4)
-            assert first == again == threaded  # bit-identical dataclasses
+            default = estimate_er(p, 2.0, config)
+            assert first == again == threaded == default  # bit-identical dataclasses
+        # the default runs a pool whatever the host: three CPUs for 19 chunks
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 3)
+        for p in (fig1_params(), fig1_params(mu=1.5)):
+            assert estimate_er(p, 2.0, config) == estimate_er(p, 2.0, config, n_workers=1)
 
     def test_chunk_layout_does_not_change_distribution(self):
         # different chunk sizes give different (but consistent) estimates
@@ -148,3 +155,103 @@ class TestEstimateEr:
     def test_small_sample_warning(self):
         with pytest.warns(UserWarning, match="standard errors"):
             McConfig(n_samples=100, seed=1)
+
+
+#: float.hex of (j_hat, j_stderr) at seed 42, frozen from the allocating
+#: sampler that preceded the in-place one: any change to the draw order or to
+#: the floating-point order of the kernel shows up here.
+#: name: (params, A, n_samples, chunk_size, j_hat, j_stderr)
+MC_GOLDEN = {
+    "mu6-m3-kappa2-A5": (
+        ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=0.1, gamma_bar=100.0),
+        5.0, 1 << 17, 1 << 16, "0x1.a26e9efa1eec9p-25", "0x1.6ff42c0448e7cp-28"),
+    "beckmann": (
+        preset("beckmann", kappa=1.0, eta=0.5, rho2=2.0, gamma_bar=10.0),
+        2.0, 1 << 17, 1 << 16, "0x1.e7b8d1b604a62p-5", "0x1.7cb2c58d3981dp-12"),
+    "mu1.5": (
+        ChannelParams(mu=1.5, m=1.0, kappa=1.0, eta=0.1, rho2=0.1, gamma_bar=1.0),
+        2.0, 1 << 17, 1 << 16, "0x1.a0b749ce39c2bp-2", "0x1.7c325a8668fc7p-11"),
+    "mu2.7-m0.5": (
+        ChannelParams(mu=2.7, m=0.5, kappa=2.0, eta=3.0, rho2=0.5, gamma_bar=2.0),
+        2.0, 1 << 17, 1 << 16, "0x1.e4a50cd499a46p-3", "0x1.15448337a9b9cp-11"),
+    "mu0.5-nlos": (
+        ChannelParams(mu=0.5, m=1.0, kappa=0.0, eta=0.3, rho2=1.0, gamma_bar=2.0),
+        2.0, 1 << 17, 1 << 16, "0x1.a263becc2b1dfp-2", "0x1.f15d7f14a8426p-11"),
+    "A0.5": (
+        ChannelParams(mu=4.0, m=2.0, kappa=0.5, eta=0.5, rho2=1.0, gamma_bar=10.0),
+        0.5, 1 << 17, 1 << 16, "0x1.51734c588b7a6p-2", "0x1.e7678f2fad91ap-13"),
+    "A1": (
+        preset("nakagami-m", mu=3, gamma_bar=10.0),
+        1.0, 1 << 17, 1 << 16, "0x1.f136c72862640p-4", "0x1.b5cd20994896ep-13"),
+    "ragged-chunks": (
+        fig1_params(gamma_bar=10.0),
+        2.0, 100_003, 1 << 14, "0x1.b15798359e52fp-5", "0x1.47c1815342a3bp-12"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("n_workers", [None, 1])
+    @pytest.mark.parametrize("case", MC_GOLDEN)
+    def test_estimate_bits(self, case, n_workers):
+        params, a, n, chunk, j_hex, stderr_hex = MC_GOLDEN[case]
+        config = McConfig(n_samples=n, seed=42, chunk_size=chunk)
+        est = estimate_er(params, a, config, n_workers=n_workers)
+        assert (est.j_hat.hex(), est.j_stderr.hex()) == (j_hex, stderr_hex)
+
+
+class TestWorkers:
+    CONFIG = McConfig(n_samples=300_000, seed=7, chunk_size=1 << 15)  # 10 chunks
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
+    def test_bad_worker_count_rejected(self, bad):
+        with pytest.raises(ParameterError, match="n_workers"):
+            estimate_er(fig1_params(), 2.0, self.CONFIG, n_workers=bad)
+
+    def test_default_pool_size(self, monkeypatch):
+        sizes = []
+        real_pool = fbrate.mc.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(fbrate.mc, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 64)
+        estimate_er(fig1_params(), 2.0, self.CONFIG)  # capped by the 10 chunks
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 3)
+        estimate_er(fig1_params(), 2.0, self.CONFIG)
+        estimate_er(fig1_params(), 2.0, self.CONFIG, n_workers=16)
+        assert sizes == [10, 3, 10]
+
+    @pytest.mark.parametrize("n_workers", [None, 1, 4])
+    def test_single_chunk_runs_inline(self, monkeypatch, n_workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk request started a thread pool")
+
+        monkeypatch.setattr(fbrate.mc, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 8)
+        for n in (1 << 16, 1000):
+            config = McConfig(n_samples=n, seed=3)  # n <= chunk_size
+            estimate_er(fig1_params(), 2.0, config, n_workers=n_workers)
+
+    def test_caller_error_state_reaches_every_chunk(self, monkeypatch):
+        # every (1+gamma)^-1000 at 30 dB underflows, in every chunk
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 3)
+        p = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0,
+                          gamma_bar=1000.0)
+        for n_workers in (1, None, 4):
+            with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+                estimate_er(p, 1000.0, self.CONFIG, n_workers=n_workers)
+
+    def test_run_mc_check_equals_serial_report(self):
+        grid = mc_grid()[::10]  # two fig-1 points, kappa-mu shadowed, beckmann
+        report = run_mc_check(grid, n_samples=200_000, seed=42)
+        config = McConfig(n_samples=200_000, seed=42)
+        serial = []
+        for params, a in grid:
+            est = estimate_er(params, a, config, n_workers=1)
+            serial.append(McCheckResult(
+                params=params, a_exponent=a,
+                j_quad=expectation_quadrature(params, a)[0],
+                j_hat=est.j_hat, j_stderr=est.j_stderr))
+        assert report == McCheckReport(results=tuple(serial))
