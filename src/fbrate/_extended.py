@@ -27,14 +27,19 @@ from .specfun import u_family
 _MAX_TERMS = 1 << 14  # longest series tried
 _EPS = 2.0**-52
 
+#: Largest share of J that the certified U errors of the partial-fraction
+#: sum, sum_ij |A_ij| err(W_ij), may reach before J is handed to the series
+#: (each U term is certified to ``specfun._U_TOL`` = 1e-10).  Also the bound
+#: the series meets, and the error estimate reported for a closed-form value.
+U_SUM_TOL = 1e-9
 
-def mixture_series(params: ChannelParams, a_exponent: float,
-                   rel_tol: float) -> tuple[float, float, int]:
+
+def mixture_series(params: ChannelParams, a_exponent: float) -> tuple[float, float, int]:
     """(J, error bound, terms used) from the gamma-mixture series.
 
     Sums w_n W_(mu+n) until the tail, at most (1 - sum w_n) W_(mu+L) after L
-    terms as W_j decreases in j, is under 1e-3 ``rel_tol`` of J.  One U
-    family, certified to ``rel_tol``/2, is long enough by the Chernoff bound
+    terms as W_j decreases in j, is under 1e-3 ``U_SUM_TOL`` of J.  One U
+    family, certified to ``U_SUM_TOL``/2, is long enough by the Chernoff bound
     sum_(n>=L) w_n <= G(u) u^-L, 1 < u < 1/max rho_k, on the weights'
     generating function G.  The bound adds sum w_n err(W_(mu+n)), the tail
     and (2L+4) eps of J for rounding, which sums of positive terms average
@@ -49,10 +54,10 @@ def mixture_series(params: ChannelParams, a_exponent: float,
     log_w0 = float(e @ np.log(theta / theta_max))
     n_terms = 1
     if rho.max() > 0.0:
-        # weights past L under 5e-4 rel_tol keep the tail under 1e-3 rel_tol of J
+        # weights past L under 5e-4 U_SUM_TOL keep the tail under 1e-3 U_SUM_TOL of J
         u = 1.0 + (1.0 / rho.max() - 1.0) * np.linspace(0.05, 0.95, 19)
         log_g = log_w0 - e @ np.log1p(-np.outer(rho, u))
-        n_terms = int(min(np.ceil((log_g - math.log(5e-4 * rel_tol)) / np.log(u)).min(),
+        n_terms = int(min(np.ceil((log_g - math.log(5e-4 * U_SUM_TOL)) / np.log(u)).min(),
                           _MAX_TERMS))
     c = e @ rho[:, None] ** np.arange(n_terms)
     c[0] = 0.0
@@ -60,7 +65,7 @@ def mixture_series(params: ChannelParams, a_exponent: float,
         raise ConvergenceError(
             f"gamma-mixture series for A={a_exponent}, params={params}: a power "
             f"sum c_r is {c.min():.3e} < 0, so the weights may cancel", achieved=math.inf)
-    family = u_family(a_exponent, theta_max / params.gamma_bar, mu + n_terms, rel_tol / 2)
+    family = u_family(a_exponent, theta_max / params.gamma_bar, mu + n_terms, U_SUM_TOL / 2)
     values, bounds = family.values[mu - 1:], family.bounds[mu - 1:]
     value = u_error = mass = 0.0
     for n, w in enumerate(power_series(math.exp(log_w0), c)):
@@ -68,7 +73,7 @@ def mixture_series(params: ChannelParams, a_exponent: float,
         u_error += w * bounds[n]
         mass += w
         tail = max(0.0, 1.0 - mass) * values[n + 1]
-        if tail <= 1e-3 * rel_tol * value:
+        if tail <= 1e-3 * U_SUM_TOL * value:
             bound = u_error + tail + (2 * n + 6) * _EPS * value
             if not math.isfinite(value + bound):
                 raise ConvergenceError(

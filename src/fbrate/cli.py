@@ -89,9 +89,11 @@ def _add_channel_flags(p: argparse.ArgumentParser):
     p.add_argument("--rho2", type=float, help="in-phase/quadrature LoS power ratio")
 
 
-def _build_params(args, gamma_bar: float) -> ChannelParams:
+def _build_params(args, gamma_bar: float, **fields: float) -> ChannelParams:
+    """The channel of the flags, with ``fields`` in place of their values."""
     overrides = {k: getattr(args, k) for k in ("mu", "m", "kappa", "eta", "rho2")
                  if getattr(args, k) is not None}
+    overrides.update(fields)
     if args.preset:
         return preset(args.preset, gamma_bar=gamma_bar, **overrides)
     defaults = {"mu": 1.0, "m": 1.0, "kappa": 0.0, "eta": 1.0, "rho2": 1.0}
@@ -133,14 +135,18 @@ def cmd_er(args) -> int:
     if args.vary:
         if not args.vary_values:
             raise CliError("--vary requires --vary-values", 2)
-        vary_values = [float(v) for v in args.vary_values.split(",") if v.strip()]
+        try:
+            vary_values = [float(v) for v in args.vary_values.split(",") if v.strip()]
+        except ValueError:
+            raise CliError(f"cannot parse --vary-values {args.vary_values!r}; "
+                           f"expected comma-separated numbers", 2) from None
         if not vary_values:
             raise CliError("--vary-values is empty", 2)
 
     vary_values.sort(key=lambda v: -math.inf if v is None else v)
 
     base = _build_params(args, gamma_bar=1.0)
-    shapes = {v: base if v is None else replace(base, **{args.vary: v})
+    shapes = {v: base if v is None else _build_params(args, 1.0, **{args.vary: v})
               for v in vary_values}
     points = [(float(snr_db), v) for snr_db in snr_grid for v in vary_values]
     requests = [ErRequest(params=replace(shapes[v], gamma_bar=db_to_linear(snr_db)),
@@ -175,7 +181,11 @@ def cmd_pdf(args) -> int:
 def _default_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(os.environ.get(SEED_ENV_VAR, "42"))
+    value = os.environ.get(SEED_ENV_VAR, "42")
+    try:
+        return int(value)
+    except ValueError:
+        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {value!r}", 2) from None
 
 
 def cmd_validate(args) -> int:

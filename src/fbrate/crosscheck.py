@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .mc import McConfig, estimate_er
 from .model import ChannelParams, preset
-from .rate import (CROSS_REL_TOL, expectation_closed_form, expectation_quadrature,
-                   quadrature_sweep)
+from .rate import CROSS_REL_TOL, ErRequest, _quadrature_batch, expectation_closed_form
 
 MC_Z_LIMIT = 4.0
 MC_PASS_FRACTION = 0.95
@@ -62,27 +61,19 @@ class CrossCheckReport:
         return self.max_rel_diff <= CROSS_REL_TOL
 
 
-def run_cross_check(grid=None, rel_tol: float = 1e-8) -> CrossCheckReport:
+def run_cross_check(grid=None) -> CrossCheckReport:
     """Quadrature vs closed form over the grid; reports the worst config.
 
-    The quadrature runs once per (shape, A) over all of its mean SNRs
-    (:func:`quadrature_sweep`); the closed form runs per point, in grid order.
+    The quadrature is batched over each (shape, A) as :func:`rate.er_sweep`
+    batches it, at the default ``rel_tol`` of 1e-8; the closed form runs per
+    point, in grid order.
     """
     if grid is None:
         grid = closed_form_grid()
-    groups: dict[tuple, list[int]] = {}
-    for i, (p, a) in enumerate(grid):
-        groups.setdefault((p.shape, a), []).append(i)
-    j_quad = [0.0] * len(grid)
-    for indices in groups.values():
-        params, a = grid[indices[0]]
-        values, _, _ = quadrature_sweep(params, [grid[i][0].gamma_bar for i in indices],
-                                        a, rel_tol)
-        for i, value in zip(indices, values.tolist()):
-            j_quad[i] = value
+    requests = [ErRequest(params=params, a_exponent=a) for params, a in grid]
     worst = None
     max_diff = 0.0
-    for (params, a), j in zip(grid, j_quad):
+    for (params, a), (j, _, _) in zip(grid, _quadrature_batch(requests)):
         j_closed = expectation_closed_form(params, a)
         diff = abs(j - j_closed) / j_closed
         if diff > max_diff:
@@ -167,15 +158,16 @@ def run_mc_check(grid=None, n_samples: int = 1_000_000,
                  seed: int = 42) -> McCheckReport:
     """Sampled vs quadrature expectations over the concordance grid.
 
-    Each estimate runs its chunks on every CPU the process may run on
-    (:func:`estimate_er`'s default); the report is the same as a serial run's.
+    The quadrature is batched as in :func:`run_cross_check`.  Each estimate
+    runs its chunks on every CPU the process may run on (see
+    :func:`estimate_er`); the report is the same as a serial run's.
     """
     if grid is None:
         grid = mc_grid()
     config = McConfig(n_samples=n_samples, seed=seed)
+    requests = [ErRequest(params=params, a_exponent=a) for params, a in grid]
     results = []
-    for params, a in grid:
-        j_quad, _ = expectation_quadrature(params, a)
+    for (params, a), (j_quad, _, _) in zip(grid, _quadrature_batch(requests)):
         estimate = estimate_er(params, a, config)
         results.append(McCheckResult(params=params, a_exponent=a, j_quad=j_quad,
                                      j_hat=estimate.j_hat,

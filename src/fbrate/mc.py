@@ -17,7 +17,7 @@ Determinism: samples are generated in fixed-size chunks, each from its own
 counter-based Philox stream keyed by (seed, chunk index), and per-chunk
 partial sums are combined with exact (fsum) accumulation, so results are
 bit-identical for a given (seed, chunk_size) no matter how many workers run
-the chunks or in which order they finish.  By default the chunks run on one
+the chunks or in which order they finish.  The chunks run on one
 thread per CPU the process may run on (at most one per chunk); the result is
 the same as a serial run, bit for bit.
 """
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .model import ChannelParams
+from .model import ChannelParams, _check_a_exponent
 
 
 @dataclass(frozen=True)
@@ -133,27 +133,21 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
-                n_workers: int | None = None) -> McEstimate:
+def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig) -> McEstimate:
     """Sample-mean estimate of J = E[(1+gamma)^-A] with its standard error.
 
     Chunks are independent substreams; each yields partial sums of
     (1+gamma)^-A and its square, which are combined exactly, so the estimate
-    does not depend on ``n_workers``.  By default (``None``) the chunks run on
-    one thread per CPU the process may run on, at most one per chunk; a
-    single chunk runs inline.  Raises :class:`ParameterError` for
-    ``n_workers`` other than ``None`` or an int >= 1 and for mu < 1 with LoS
-    (kappa > 0), and :class:`ConvergenceError` when every sampled
-    (1+gamma)^-A underflows to 0.
+    does not depend on how many threads run them.  The chunks run on one
+    thread per CPU the process may run on, at most one per chunk; a single
+    chunk runs inline.  Raises :class:`ParameterError` for an A that is not
+    finite and > 0 and for mu < 1 with LoS (kappa > 0), and
+    :class:`ConvergenceError` when every sampled (1+gamma)^-A underflows to 0.
     """
-    if not a_exponent > 0:
-        raise ParameterError(f"A must be > 0, got {a_exponent!r}")
+    _check_a_exponent(a_exponent)
     if params.mu < 1 and params.kappa > 0:
         raise ParameterError(
             f"sampling with LoS (kappa > 0) requires mu >= 1, got mu={params.mu!r}")
-    if n_workers is not None and (isinstance(n_workers, bool)
-                                  or not isinstance(n_workers, int) or n_workers < 1):
-        raise ParameterError(f"n_workers must be None or an int >= 1, got {n_workers!r}")
 
     n = config.n_samples
     sizes = [config.chunk_size] * (n // config.chunk_size)
@@ -170,7 +164,7 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig,
         return s1, float(values.sum())
 
     tasks = list(enumerate(sizes))
-    workers = min(n_workers or _available_cpus(), len(tasks))
+    workers = min(_available_cpus(), len(tasks))
     if workers > 1:
         # pool threads start in an empty context: give each chunk the caller's,
         # so that numpy error states (np.errstate) hold as in a serial run

@@ -88,6 +88,11 @@ class ChannelParams:
         return (self.mu, self.m, self.kappa, self.eta, self.rho2)
 
 
+def _check_a_exponent(a_exponent: float) -> None:
+    if not (math.isfinite(a_exponent) and a_exponent > 0):
+        raise ParameterError(f"A must be finite and > 0, got {a_exponent!r}")
+
+
 def channel_constants(mu, m, kappa, eta, rho2):
     """(omega, alpha1, beta, sqrt(beta**2 - 4*alpha1), c1, c2).
 

@@ -146,10 +146,6 @@ def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -
         raise ConvergenceError(
             f"residue recursion: T_0 = prod a_k**e_k overflows ({exc})",
             achieved=math.inf) from exc
-    if n_terms == 1:  # a simple pole: T_0 alone, without array overhead
-        if majorants is not None:
-            majorants.append(abs(t0))
-        return [t0]
     ratios = np.array([b / a for a, b, _ in factors])
     exponents = np.array([e for _, _, e in factors], dtype=float)
     c = -(exponents @ (-ratios[:, None]) ** np.arange(n_terms))  # (-1)^(r-1) q^r = -(-q)^r

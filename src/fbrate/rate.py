@@ -21,10 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._extended import mixture_series
+from ._extended import U_SUM_TOL, mixture_series
 from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
+from .mc import McConfig, estimate_er
 from .mgf import log_mgf
-from .model import ChannelParams
+from .model import ChannelParams, _check_a_exponent
 from .poles import PartialFractionExpansion, decompose, pole_exponents
 from .specfun import ln_gamma, u_family
 
@@ -50,9 +51,7 @@ class ErRequest:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (math.isfinite(self.a_exponent) and self.a_exponent > 0):
-            raise ParameterError(
-                f"a_exponent must be finite and > 0, got {self.a_exponent!r}")
+        _check_a_exponent(self.a_exponent)
         if self.method not in _METHODS:
             raise ParameterError(
                 f"method must be one of {_METHODS}, got {self.method!r}")
@@ -76,8 +75,7 @@ def effective_rate(j: float, a_exponent: float) -> float:
     """R = -log2(j) / A for j in (0, 1]."""
     if not 0.0 < j <= 1.0:
         raise ValueError(f"expectation must lie in (0, 1], got {j!r}")
-    if a_exponent <= 0:
-        raise ValueError(f"A must be > 0, got {a_exponent!r}")
+    _check_a_exponent(a_exponent)
     return -math.log2(j) / a_exponent
 
 
@@ -123,8 +121,7 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent: float,
     levels reached); raises :class:`ConvergenceError`, naming the mean SNR,
     if a row does not converge.
     """
-    if a_exponent <= 0:
-        raise ValueError(f"A must be > 0, got {a_exponent!r}")
+    _check_a_exponent(a_exponent)
     gamma_bar = np.asarray(gamma_bars, dtype=float)
     if not np.all(np.isfinite(gamma_bar) & (gamma_bar > 0.0)):
         raise ParameterError(f"gamma_bars must be finite and > 0, got {gamma_bars!r}")
@@ -190,21 +187,40 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent: float,
         achieved=float(errors[i]))
 
 
-def expectation_quadrature(params: ChannelParams, a_exponent: float, rel_tol: float = 1e-8,
-                           diagnostics: list | None = None) -> tuple[float, float]:
+def expectation_quadrature(params: ChannelParams, a_exponent: float,
+                           rel_tol: float = 1e-8) -> tuple[float, float]:
     """J by the MGF integral; returns (value, relative error estimate).
 
     The one-row case of :func:`quadrature_sweep`: the nested
     double-exponential rule in log s stops once two levels agree within
     ``rel_tol`` and raises :class:`ConvergenceError` if none do.  The error
-    estimate is that last difference; the level reached is recorded in
-    diagnostics as ``quadrature_level``.
+    estimate is that last difference; :func:`quadrature_sweep` also returns
+    the level reached.
     """
-    values, errors, levels = quadrature_sweep(params, [params.gamma_bar], a_exponent,
-                                              rel_tol)
-    if diagnostics is not None:
-        diagnostics.append(("quadrature_level", str(levels[0])))
+    values, errors, _ = quadrature_sweep(params, [params.gamma_bar], a_exponent, rel_tol)
     return float(values[0]), float(errors[0])
+
+
+def _quadrature_batch(requests) -> list[tuple[float, float, int]]:
+    """(J, error estimate, level) of each :class:`ErRequest` by the MGF integral.
+
+    Requests that share a channel shape, A and ``rel_tol`` are integrated
+    together by one :func:`quadrature_sweep` over their mean SNRs; each value
+    is the one the request gets on its own.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, request in enumerate(requests):
+        key = (request.params.shape, request.a_exponent, request.rel_tol)
+        groups.setdefault(key, []).append(i)
+    rows: list = [None] * len(requests)
+    for indices in groups.values():
+        first = requests[indices[0]]
+        values, errors, levels = quadrature_sweep(
+            first.params, [requests[i].params.gamma_bar for i in indices],
+            first.a_exponent, first.rel_tol)
+        for i, row in zip(indices, zip(values.tolist(), errors.tolist(), levels.tolist())):
+            rows[i] = row
+    return rows
 
 
 #: Hand J to the gamma-mixture series when the residue majorant
@@ -213,12 +229,6 @@ def expectation_quadrature(params: ChannelParams, a_exponent: float, rel_tol: fl
 #: amplifies the rounding of the residue table, to ~1e-10 of J per unit of
 #: pole multiplicity at this limit: a conditioning limit, not a bound on J.
 CLOSED_FORM_COND_LIMIT = 1e6
-
-#: Largest share of J that the certified U errors, sum_ij |A_ij| err(W_ij),
-#: may reach before J is handed to the series (each U term is certified to
-#: ``specfun._U_TOL`` = 1e-10).  Also the bound the series meets, and the
-#: error estimate reported for a closed-form value.
-U_SUM_TOL = 1e-9
 
 
 def _term_sums(expansion: PartialFractionExpansion, a_exponent: float,
@@ -252,8 +262,7 @@ def expectation_closed_form(params: ChannelParams, a_exponent: float,
     ``closed_form_series`` diagnostic records why, its length and its
     relative bound.  A value outside (0, 1) raises :class:`ConvergenceError`.
     """
-    if a_exponent <= 0:
-        raise ValueError(f"A must be > 0, got {a_exponent!r}")
+    _check_a_exponent(a_exponent)
     value, majorant, u_error = _term_sums(decompose(params), a_exponent, params.gamma_bar)
     reason = None
     if value <= 0.0:
@@ -263,7 +272,7 @@ def expectation_closed_form(params: ChannelParams, a_exponent: float,
     elif u_error > U_SUM_TOL * value:
         reason = f"U share {u_error / value:.1e}"
     if reason is not None:
-        value, bound, n_terms = mixture_series(params, a_exponent, U_SUM_TOL)
+        value, bound, n_terms = mixture_series(params, a_exponent)
         if diagnostics is not None:
             diagnostics.append(("closed_form_series",
                                 f"{reason}; {n_terms} terms; bound {bound / value:.1e}"))
@@ -284,27 +293,16 @@ def closed_form_applies(params: ChannelParams) -> bool:
 def er_sweep(requests, mc_config=None) -> list[ErResult]:
     """One :class:`ErResult` per request, in order, with the quadrature batched.
 
-    Requests that share a channel shape, A, method and ``rel_tol`` and need
-    the quadrature (``auto`` and ``quadrature``) are integrated together by
-    one :func:`quadrature_sweep`; each value is the one the request gets on
-    its own.  Everything else -- the closed form, the cross-check, the
+    Requests that need the quadrature (``auto`` and ``quadrature``) and share
+    a channel shape, A and ``rel_tol`` are integrated together by one
+    :func:`quadrature_sweep`; each value is the one the request gets on its
+    own.  Everything else -- the closed form, the cross-check, the
     diagnostics and Monte Carlo -- runs per request, as :func:`er_auto`
     documents.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, request in enumerate(requests):
-        if request.method in ("auto", "quadrature"):
-            key = (request.params.shape, request.a_exponent, request.method,
-                   request.rel_tol)
-            groups.setdefault(key, []).append(i)
-    quadrature = {}
-    for indices in groups.values():
-        first = requests[indices[0]]
-        values, errors, levels = quadrature_sweep(
-            first.params, [requests[i].params.gamma_bar for i in indices],
-            first.a_exponent, first.rel_tol)
-        quadrature.update(zip(indices, zip(values.tolist(), errors.tolist(),
-                                           levels.tolist())))
+    needs = [i for i, request in enumerate(requests)
+             if request.method in ("auto", "quadrature")]
+    quadrature = dict(zip(needs, _quadrature_batch([requests[i] for i in needs])))
     return [_evaluate(request, quadrature.get(i), mc_config)
             for i, request in enumerate(requests)]
 
@@ -333,8 +331,6 @@ def _evaluate(request: ErRequest, quadrature: tuple[float, float, int] | None,
     diagnostics: list[tuple[str, str]] = []
 
     if request.method == "monte_carlo":
-        from .mc import McConfig, estimate_er  # local import to avoid cycles
-
         estimate = estimate_er(params, a, mc_config or McConfig())
         diagnostics.extend([("n_samples", str(estimate.n_samples)),
                             ("seed", str(estimate.seed))])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import fbrate.mc
 from fbrate import (ChannelParams, decompose, estimate_er,
                     expectation_closed_form, expectation_quadrature, log_mgf,
                     mgf, pdf, preset)
@@ -182,16 +183,18 @@ def test_criterion_6_reduction_oracles():
                    f"max rel diff {worst_degen:.2e} (1e-9)")
 
 
-def test_criterion_7_monte_carlo_concordance():
+def test_criterion_7_monte_carlo_concordance(monkeypatch):
     start = time.perf_counter()
     report = run_mc_check(n_samples=1_000_000, seed=42)
     elapsed = time.perf_counter() - start
 
-    # determinism across worker counts on one configuration
+    # determinism across thread counts on one configuration
     p = fig1_params()
     config = McConfig(n_samples=200_000, seed=42)
-    serial = estimate_er(p, 2.0, config, n_workers=1)
-    threaded = estimate_er(p, 2.0, config, n_workers=4)
+    monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 1)
+    serial = estimate_er(p, 2.0, config)
+    monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 4)
+    threaded = estimate_er(p, 2.0, config)
     deterministic = serial == threaded
 
     ok = report.passed and deterministic and elapsed <= 120.0

@@ -71,6 +71,14 @@ class TestErCommand:
         assert code == 2
         assert "mu out of range" in err
 
+    @pytest.mark.parametrize("flags", [("--mu", "2"),
+                                       ("--vary", "mu", "--vary-values", "2")],
+                             ids=["flag", "vary"])
+    def test_preset_pins_hold_under_vary(self, capsys, flags):
+        code, out, err = run_cli(capsys, "er", "--preset", "rayleigh", "--A", "2", *flags)
+        assert code == 2
+        assert out == "" and "pins mu" in err
+
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
                                "--snr-db", "10:0:1")
@@ -284,14 +292,30 @@ def test_db_round_trip():
         assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
 
+def _fresh_env(**variables) -> dict:
+    """Environment for a fresh interpreter that imports this checkout's fbrate."""
+    src = str(Path(fbrate.__file__).resolve().parents[1])
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_cli_import_loads_neither_scipy_nor_mpmath():
     # a fresh interpreter: the CLI must start without scipy, and mpmath must
     # wait for the rare extended-precision re-run
-    src = str(Path(fbrate.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = ("import sys, fbrate.cli; "
              "print([m for m in ('scipy', 'mpmath') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True, env=env)
+                          text=True, check=True, env=_fresh_env())
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("flags, variables", [
+    (("--vary", "mu", "--vary-values", "1,abc"), {}),
+    (("--method", "mc"), {"FBRATE_SEED": "abc"}),
+], ids=["vary-values", "env-seed"])
+def test_bad_outside_input_exits_2_without_traceback(flags, variables):
+    proc = subprocess.run([sys.executable, "-m", "fbrate.cli", "er", "--A", "2", *flags],
+                          capture_output=True, text=True, env=_fresh_env(**variables))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

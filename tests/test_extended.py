@@ -13,7 +13,7 @@ from conftest import HIGH_MULT, HIGH_MULT_J, cluster_model_j, tricomi_u_integral
 
 def series_j(params, a):
     """J from the gamma-mixture series at the closed form's target."""
-    return mixture_series(params, a, U_SUM_TOL)[0]
+    return mixture_series(params, a)[0]
 
 #: (j, b, z) triples the extended path evaluates on the cross-engine grid
 #: (A = 5 there, so b = j - 4 is an integer), plus non-integer b from other
@@ -132,7 +132,7 @@ def test_auto_falls_back_when_extended_u_fails(monkeypatch):
 def test_series_bound_covers_the_oracle(key):
     mu, m, snr_db, a = key
     p = ChannelParams(mu=mu, m=m, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
-    value, bound, _ = mixture_series(p, a, U_SUM_TOL)
+    value, bound, _ = mixture_series(p, a)
     exact = HIGH_MULT_J[key]
     assert value == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert bound >= abs(value - exact)
@@ -150,7 +150,7 @@ EXTENDED_GRID_J = (1.386717367666344564595e-10, 3.038589795248719623299e-13,
     (params, a, exact) for (params, a), exact in zip(EXTENDED_GRID, EXTENDED_GRID_J)],
     ids=[f"params{i}-5.0" for i in range(len(EXTENDED_GRID))])
 def test_series_bound_covers_the_cluster_model(params, a, exact):
-    value, bound, _ = mixture_series(params, a, U_SUM_TOL)
+    value, bound, _ = mixture_series(params, a)
     assert value == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert bound >= abs(value - exact)
     assert bound <= U_SUM_TOL * value
@@ -171,4 +171,4 @@ def test_non_finite_sum_is_refused():
     p = ChannelParams(mu=6, m=5, kappa=0.0022068275643294466, eta=1734.221669092768,
                       rho2=27.82277147330203, gamma_bar=0.15444758274885909)
     with pytest.raises(ConvergenceError, match="value inf"):
-        mixture_series(p, 2.706991924825241, U_SUM_TOL)
+        mixture_series(p, 2.706991924825241)

@@ -134,16 +134,13 @@ class TestEstimateEr:
 
     def test_deterministic_across_runs_and_workers(self, monkeypatch):
         config = McConfig(n_samples=300_000, seed=123, chunk_size=1 << 14)
-        for p in (fig1_params(), fig1_params(mu=1.5)):
-            first = estimate_er(p, 2.0, config, n_workers=1)
-            again = estimate_er(p, 2.0, config, n_workers=1)
-            threaded = estimate_er(p, 2.0, config, n_workers=4)
-            default = estimate_er(p, 2.0, config)
-            assert first == again == threaded == default  # bit-identical dataclasses
-        # the default runs a pool whatever the host: three CPUs for 19 chunks
-        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 3)
-        for p in (fig1_params(), fig1_params(mu=1.5)):
-            assert estimate_er(p, 2.0, config) == estimate_er(p, 2.0, config, n_workers=1)
+        shapes = (fig1_params(), fig1_params(mu=1.5))
+        defaults = [estimate_er(p, 2.0, config) for p in shapes]  # this host's CPUs
+        # serial twice, then pools of 4 and 3 threads for the 19 chunks
+        for cpus in (1, 1, 4, 3):
+            monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: cpus)
+            # bit-identical dataclasses
+            assert [estimate_er(p, 2.0, config) for p in shapes] == defaults
 
     def test_chunk_layout_does_not_change_distribution(self):
         # different chunk sizes give different (but consistent) estimates
@@ -190,22 +187,18 @@ MC_GOLDEN = {
 
 
 class TestGolden:
-    @pytest.mark.parametrize("n_workers", [None, 1])
+    @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize("case", MC_GOLDEN)
-    def test_estimate_bits(self, case, n_workers):
+    def test_estimate_bits(self, monkeypatch, case, cpus):
         params, a, n, chunk, j_hex, stderr_hex = MC_GOLDEN[case]
         config = McConfig(n_samples=n, seed=42, chunk_size=chunk)
-        est = estimate_er(params, a, config, n_workers=n_workers)
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: cpus)
+        est = estimate_er(params, a, config)
         assert (est.j_hat.hex(), est.j_stderr.hex()) == (j_hex, stderr_hex)
 
 
 class TestWorkers:
     CONFIG = McConfig(n_samples=300_000, seed=7, chunk_size=1 << 15)  # 10 chunks
-
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
-    def test_bad_worker_count_rejected(self, bad):
-        with pytest.raises(ParameterError, match="n_workers"):
-            estimate_er(fig1_params(), 2.0, self.CONFIG, n_workers=bad)
 
     def test_default_pool_size(self, monkeypatch):
         sizes = []
@@ -220,36 +213,38 @@ class TestWorkers:
         estimate_er(fig1_params(), 2.0, self.CONFIG)  # capped by the 10 chunks
         monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 3)
         estimate_er(fig1_params(), 2.0, self.CONFIG)
-        estimate_er(fig1_params(), 2.0, self.CONFIG, n_workers=16)
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 16)
+        estimate_er(fig1_params(), 2.0, self.CONFIG)
         assert sizes == [10, 3, 10]
 
-    @pytest.mark.parametrize("n_workers", [None, 1, 4])
-    def test_single_chunk_runs_inline(self, monkeypatch, n_workers):
+    @pytest.mark.parametrize("cpus", [1, 4, 8])
+    def test_single_chunk_runs_inline(self, monkeypatch, cpus):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-chunk request started a thread pool")
 
         monkeypatch.setattr(fbrate.mc, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 8)
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: cpus)
         for n in (1 << 16, 1000):
             config = McConfig(n_samples=n, seed=3)  # n <= chunk_size
-            estimate_er(fig1_params(), 2.0, config, n_workers=n_workers)
+            estimate_er(fig1_params(), 2.0, config)
 
-    def test_caller_error_state_reaches_every_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 3, 4])
+    def test_caller_error_state_reaches_every_chunk(self, monkeypatch, cpus):
         # every (1+gamma)^-1000 at 30 dB underflows, in every chunk
-        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: cpus)
         p = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0,
                           gamma_bar=1000.0)
-        for n_workers in (1, None, 4):
-            with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-                estimate_er(p, 1000.0, self.CONFIG, n_workers=n_workers)
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            estimate_er(p, 1000.0, self.CONFIG)
 
-    def test_run_mc_check_equals_serial_report(self):
+    def test_run_mc_check_equals_serial_report(self, monkeypatch):
         grid = mc_grid()[::10]  # two fig-1 points, kappa-mu shadowed, beckmann
         report = run_mc_check(grid, n_samples=200_000, seed=42)
         config = McConfig(n_samples=200_000, seed=42)
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 1)
         serial = []
         for params, a in grid:
-            est = estimate_er(params, a, config, n_workers=1)
+            est = estimate_er(params, a, config)
             serial.append(McCheckResult(
                 params=params, a_exponent=a,
                 j_quad=expectation_quadrature(params, a)[0],

@@ -11,10 +11,12 @@ from fbrate import _extended
 from fbrate.poles import pole_exponents
 from fbrate.rate import DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
-                    ErRequest, FbrateError, ParameterError, closed_form_applies, decompose,
-                    effective_rate, er_auto, er_sweep, expectation_closed_form,
-                    expectation_quadrature, preset, quadrature_sweep)
-from fbrate.crosscheck import GRID_A, GRID_SNR_DB, db_to_linear
+                    ErRequest, FbrateError, McConfig, ParameterError, closed_form_applies,
+                    decompose, effective_rate, er_auto, er_sweep, estimate_er,
+                    expectation_closed_form, expectation_quadrature, preset,
+                    quadrature_sweep)
+from fbrate.crosscheck import (GRID_A, GRID_SNR_DB, CrossCheckReport, closed_form_grid,
+                               db_to_linear, run_cross_check)
 
 from conftest import (FIG1_J_A2, FIG1_J_MU1, FIG1_J_MU4, FIG1_R_A2, FIG1_R_MU1,
                       FIG1_R_MU4, FIG2_J_BY_M, HIGH_MULT, HIGH_MULT_J,
@@ -47,6 +49,39 @@ class TestEffectiveRate:
         assert effective_rate(j, a) > 0.0
 
 
+def _level(params, a, rel_tol):
+    """The level the quadrature of one point reaches."""
+    return int(quadrature_sweep(params, [params.gamma_bar], a, rel_tol)[2][0])
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("entry", [
+    lambda a: quadrature_sweep(fig1_params(), [1.0], a),
+    lambda a: expectation_quadrature(fig1_params(), a),
+    lambda a: expectation_closed_form(fig1_params(), a),
+    lambda a: effective_rate(0.5, a),
+    lambda a: ErRequest(params=fig1_params(), a_exponent=a),
+    lambda a: estimate_er(fig1_params(), a, McConfig(n_samples=1000, seed=1)),
+], ids=["quadrature_sweep", "expectation_quadrature", "expectation_closed_form",
+        "effective_rate", "ErRequest", "estimate_er"])
+def test_invalid_exponent_is_a_parameter_error(entry, a):
+    with pytest.raises(ParameterError, match="A must be finite and > 0"):
+        entry(a)
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """Record the arguments of every ``fbrate.rate.quadrature_sweep`` call."""
+    calls = []
+    sweep = fbrate.rate.quadrature_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(fbrate.rate, "quadrature_sweep", counted)
+    return calls
+
+
 class TestQuadrature:
     def test_rayleigh_golden(self):
         p = preset("rayleigh")
@@ -68,10 +103,8 @@ class TestQuadrature:
 
     def test_fallback_engages_at_high_snr(self):
         p = fig1_params(gamma_bar=1000.0)
-        diagnostics = []
-        j, err = expectation_quadrature(p, 2.0, 1e-8, diagnostics)
-        assert diagnostics and diagnostics[0][0] == "quadrature_level"
-        assert 1 <= int(diagnostics[0][1]) <= DE_LEVELS
+        j, err = expectation_quadrature(p, 2.0, 1e-8)
+        assert 1 <= _level(p, 2.0, 1e-8) <= DE_LEVELS
         # cross-check against the closed form, which is fully independent here
         j_closed = expectation_closed_form(p, 2.0)
         assert j == pytest.approx(j_closed, rel=1e-8)
@@ -89,10 +122,8 @@ class TestQuadrature:
             for a in (0.5, 2.0, 5.0):
                 p = ChannelParams(mu=mu, m=1.0, kappa=1.0, eta=0.1, rho2=0.1,
                                   gamma_bar=10.0 ** (snr_db / 10.0))
-                diagnostics = []
-                j, err = expectation_quadrature(p, a, 1e-10, diagnostics)
-                assert diagnostics and diagnostics[0][0] == "quadrature_level"
-                assert 1 <= int(diagnostics[0][1]) <= DE_LEVELS
+                j, err = expectation_quadrature(p, a, 1e-10)
+                assert 1 <= _level(p, a, 1e-10) <= DE_LEVELS
                 assert err <= 1e-10
                 assert j == pytest.approx(cluster_model_j(p, a), rel=1e-10, abs=0.0)
 
@@ -101,10 +132,8 @@ class TestQuadrature:
         # A=20 at 42 dB with mu > A: the mass sits near s ~ 1/gamma_bar, far
         # below where a window fixed by A alone would start
         p = ChannelParams(mu=mu, m=40.0, gamma_bar=10.0 ** 4.2, **HIGH_MULT)
-        diagnostics = []
-        j, _ = expectation_quadrature(p, 20.0, 1e-10, diagnostics)
-        assert diagnostics and diagnostics[0][0] == "quadrature_level"
-        assert 1 <= int(diagnostics[0][1]) <= DE_LEVELS
+        j, _ = expectation_quadrature(p, 20.0, 1e-10)
+        assert 1 <= _level(p, 20.0, 1e-10) <= DE_LEVELS
         assert j == pytest.approx(cluster_model_j(p, 20.0), rel=1e-10, abs=0.0)
 
     def test_fallback_honours_rel_tol(self):
@@ -140,10 +169,9 @@ def _per_point(shape, gamma_bars, a, rel_tol=1e-8):
     """(J, error, level) of each mean SNR through expectation_quadrature."""
     rows = []
     for g in gamma_bars:
-        diagnostics = []
-        j, err = expectation_quadrature(ChannelParams(*shape.shape, gamma_bar=g), a,
-                                        rel_tol, diagnostics)
-        rows.append((j, err, int(dict(diagnostics)["quadrature_level"])))
+        params = ChannelParams(*shape.shape, gamma_bar=g)
+        j, err = expectation_quadrature(params, a, rel_tol)
+        rows.append((j, err, _level(params, a, rel_tol)))
     return rows
 
 
@@ -209,6 +237,28 @@ class TestQuadratureSweep:
                     for g in (0.1, 10.0, 1e3) for mu in (2.0, 4.0)]
         requests.reverse()
         assert er_sweep(requests) == [er_auto(r) for r in requests]
+
+    def test_auto_and_quadrature_requests_share_one_batch(self, monkeypatch):
+        calls = _count_sweeps(monkeypatch)
+        requests = [ErRequest(params=fig1_params(gamma_bar=g), a_exponent=2.0,
+                              method=method)
+                    for method in ("auto", "quadrature") for g in (0.1, 10.0, 1e3)]
+        results = er_sweep(requests)
+        assert len(calls) == 1
+        assert results == [er_auto(r) for r in requests]
+
+    def test_cross_check_batches_each_shape_and_exponent(self, monkeypatch):
+        grid = closed_form_grid()[:40]  # two shapes x 5 mean SNRs x 4 exponents
+        calls = _count_sweeps(monkeypatch)
+        report = run_cross_check(grid)
+        assert len(calls) == len({(p.shape, a) for p, a in grid}) == 8
+        worst, max_diff = None, 0.0
+        for params, a in grid:
+            j_closed = expectation_closed_form(params, a)
+            diff = abs(expectation_quadrature(params, a)[0] - j_closed) / j_closed
+            if diff > max_diff:
+                worst, max_diff = (params, a), diff
+        assert report == CrossCheckReport(n_configs=40, max_rel_diff=max_diff, worst=worst)
 
 
 class TestClosedForm:
