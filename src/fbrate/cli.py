@@ -152,7 +152,10 @@ def cmd_er(args) -> int:
     requests = [ErRequest(params=replace(shapes[v], gamma_bar=db_to_linear(snr_db)),
                           a_exponent=a, method=method, rel_tol=args.rel_tol)
                 for snr_db, v in points]
-    results = er_sweep(requests, McConfig(n_samples=args.samples, seed=_default_seed(args)))
+    mc_config = None
+    if method == "monte_carlo":
+        mc_config = McConfig(n_samples=args.samples, seed=_default_seed(args))
+    results = er_sweep(requests, mc_config)
     rows = [(snr_db, "" if v is None else v, result.rate, result.expectation_j,
              result.method_used, result.error_estimate)
             for (snr_db, v), result in zip(points, results)]

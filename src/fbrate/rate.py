@@ -27,7 +27,7 @@ from .mc import McConfig, estimate_er
 from .mgf import log_mgf
 from .model import ChannelParams, _check_a_exponent
 from .poles import PartialFractionExpansion, decompose, pole_exponents
-from .specfun import ln_gamma, u_family
+from .specfun import log_gamma_peak, u_family
 
 
 #: Deepest level of the double-exponential rule (step 2**-(DE_LEVELS+1)).
@@ -74,25 +74,12 @@ class ErResult:
 def effective_rate(j: float, a_exponent: float) -> float:
     """R = -log2(j) / A for j in (0, 1]."""
     if not 0.0 < j <= 1.0:
-        raise ValueError(f"expectation must lie in (0, 1], got {j!r}")
+        raise ParameterError(f"expectation must lie in (0, 1], got {j!r}")
     _check_a_exponent(a_exponent)
     return -math.log2(j) / a_exponent
 
 
-def _log_peak(a: float) -> float:
-    """K = A ln A - A - ln Gamma(A), the log of the weight's peak s^A e^-s / Gamma(A).
-
-    Past A = 30 the two terms cancel to ~0.5 ln A, so K comes from the
-    Stirling remainder, whose first omitted term is under 1e-16 there.
-    """
-    if a < 30.0:
-        return a * math.log(a) - a - ln_gamma(a)
-    r = 1.0 / (a * a)
-    return (0.5 * math.log(a / (2.0 * math.pi))
-            - (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a)
-
-
-def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent: float,
+def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
                      rel_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J at every mean SNR in ``gamma_bars`` for one channel shape, by the MGF integral.
 
@@ -103,63 +90,82 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent: float,
     speed.  For A > 1 the map is centred on the weight's peak, c = ln A, and
     narrowed to its width, w = min(1, 2/sqrt(A)); for A <= 1, c = 0 and
     w = 1.  The log integrand is written about the peak,
-    A (y - expm1 y) + K with y = x - ln A (see :func:`_log_peak`), so that
+    A (y - expm1 y) + K with y = x - ln A (see :func:`specfun.log_gamma_peak`), so that
     nothing of size A ln A cancels at large A.  Each level halves the step
     from h = 1/2 and reuses the previous sum.  The x-window drops under
     1e-19 of J: the mass below x_lo is at most e^(-45-5A)/Gamma(A+1) of J by
     the Jensen bound J >= (1+gamma_bar)^-A, and the mass above s = 60 + 2A at
     most Q(A, s)/P(A, A) of J, since M(s) decreases.
 
-    M depends on gamma_bar only through gamma_bar*s, so the shape's own
-    ``gamma_bar`` is ignored and every SNR shares one rule: each level
-    samples the log integrand of all unconverged rows as one (rows x nodes)
-    array over the widest of their windows, and sums each row over its own
-    window alone, so every row gets the value the rule gives it on its own.
-    A row leaves once its last two levels agree within ``rel_tol``.
+    ``a_exponent`` is one A for every row or one per row.  M depends on
+    gamma_bar only through gamma_bar*s, so the shape's own ``gamma_bar`` is
+    ignored and every row shares one rule: each level samples the log
+    integrand of all unconverged rows as one (rows x nodes) array over the
+    widest of their t-windows, and sums each row over its own window alone,
+    so every row gets the value the rule gives it on its own.  A row leaves
+    once its last two levels agree within ``rel_tol``.
 
     Returns (values, relative differences of each row's last two levels,
-    levels reached); raises :class:`ConvergenceError`, naming the mean SNR,
-    if a row does not converge.
+    levels reached); raises :class:`ConvergenceError`, naming the mean SNR
+    and A, if a row does not converge.
     """
-    _check_a_exponent(a_exponent)
+    exponents = np.asarray(a_exponent, dtype=float)
+    a_rows = exponents.tolist() if exponents.ndim else [float(exponents)]
+    for a in set(a_rows):
+        _check_a_exponent(a)
     gamma_bar = np.asarray(gamma_bars, dtype=float)
     if not np.all(np.isfinite(gamma_bar) & (gamma_bar > 0.0)):
         raise ParameterError(f"gamma_bars must be finite and > 0, got {gamma_bars!r}")
+    if len(a_rows) == 1:
+        a_rows *= gamma_bar.size
+    elif len(a_rows) != gamma_bar.size:
+        raise ParameterError(
+            f"a_exponent must be one A or one per mean SNR, got {a_exponent!r}")
+    values = np.zeros_like(gamma_bar)
+    errors = np.full_like(gamma_bar, math.inf)
+    levels = np.zeros(gamma_bar.shape, dtype=int)
+    if not gamma_bar.size:
+        return values, errors, levels
     if shape.gamma_bar != 1.0:
         shape = replace(shape, gamma_bar=1.0)
-    a = a_exponent
-    log_a = math.log(a)
-    c = max(log_a, 0.0)
-    scale = min(1.0, 2.0 / math.sqrt(a)) * _HALF_PI
-    log_peak = _log_peak(a)
-    x_hi = math.log(60.0 + 2.0 * a)
-    t_hi = math.asinh((x_hi - c) / scale)
-    t_lo = [math.asinh((-45.0 / a - 5.0 - math.log1p(g) - c) / scale)
-            for g in gamma_bar.tolist()]
+    # one map per distinct A, from math so that each row's rule is the one a
+    # sweep over its A alone forms: (A, c, w pi/2, c - ln A, K) as columns
+    index = {a: i for i, a in enumerate(dict.fromkeys(a_rows))}
+    rules = []
+    for a in index:
+        log_a = math.log(a)
+        c = max(log_a, 0.0)
+        rules.append((a, c, min(1.0, 2.0 / math.sqrt(a)) * _HALF_PI, c - log_a, log_gamma_peak(a)))
+    a, c, scale, shift, log_peak = (rules[0] if len(rules) == 1  # scalars broadcast
+                                    else np.array(rules).T[:, :, None])
+    kind = [index[a_i] for a_i in a_rows]
+    t_hi = [math.asinh((math.log(60.0 + 2.0 * a_r) - c_r) / scale_r)
+            for a_r, c_r, scale_r, _, _ in rules]
+    t_lo = [math.asinh((-45.0 / a_i - 5.0 - math.log1p(g) - rules[k][1]) / rules[k][2])
+            for a_i, k, g in zip(a_rows, kind, gamma_bar.tolist())]
 
     def node_sums(rows: np.ndarray, h: float, step: int) -> np.ndarray:
         # each row's integrand summed over t = k*h in its window; step 2
         # keeps the odd k, the nodes the previous level lacks
-        k0 = [math.ceil(t_lo[i] / h) for i in rows.tolist()]
+        rows_list = rows.tolist()
+        k0 = [math.ceil(t_lo[i] / h) for i in rows_list]
         if step == 2:
             k0 = [k | 1 for k in k0]
         first = min(k0)
-        t = h * np.arange(first, math.floor(t_hi / h) + 1, step)
-        u = scale * np.sinh(t)
-        y = u + (c - log_a)
-        log_f = (a * (y - np.expm1(y)) + log_peak
-                 + log_mgf(shape, gamma_bar[rows, None] * np.exp(c + u))
-                 + np.log(scale * np.cosh(t)))
+        k1 = [math.floor(t / h) for t in t_hi]
+        ends = [(k - first) // step + 1 for k in k1]
+        t = h * np.arange(first, max(k1) + 1, step)
+        u = scale * np.sinh(t)  # one row per distinct A, if more than one
+        y = u + shift
+        rule = [kind[i] for i in rows_list] if len(rules) > 1 else slice(None)
+        log_f = ((a * (y - np.expm1(y)) + log_peak)[rule]
+                 + log_mgf(shape, gamma_bar[rows, None] * np.exp(c + u)[rule])
+                 + np.log(scale * np.cosh(t))[rule])
         f = np.exp(log_f)
-        return np.array([np.add.reduce(f_row[(k - first) // step:])
-                         for f_row, k in zip(f, k0)])
+        return np.array([np.add.reduce(f_row[(lo - first) // step:ends[kind[i]]])
+                         for f_row, lo, i in zip(f, k0, rows_list)])
 
-    values = np.zeros_like(gamma_bar)
-    errors = np.full_like(gamma_bar, math.inf)
-    levels = np.zeros(gamma_bar.shape, dtype=int)
     active = np.arange(gamma_bar.size)
-    if not active.size:
-        return values, errors, levels
     h = 0.5
     total = h * node_sums(active, h, 1)
     for level in range(1, DE_LEVELS + 1):
@@ -183,7 +189,7 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent: float,
     raise ConvergenceError(
         f"double-exponential quadrature reached rel diff {errors[i]:.2e} on value "
         f"{float(total[row])!r} at level {level} (target {rel_tol:.1e}) for "
-        f"A={a_exponent}, params={replace(shape, gamma_bar=float(gamma_bar[i]))}",
+        f"A={a_rows[i]}, params={replace(shape, gamma_bar=float(gamma_bar[i]))}",
         achieved=float(errors[i]))
 
 
@@ -204,20 +210,19 @@ def expectation_quadrature(params: ChannelParams, a_exponent: float,
 def _quadrature_batch(requests) -> list[tuple[float, float, int]]:
     """(J, error estimate, level) of each :class:`ErRequest` by the MGF integral.
 
-    Requests that share a channel shape, A and ``rel_tol`` are integrated
-    together by one :func:`quadrature_sweep` over their mean SNRs; each value
-    is the one the request gets on its own.
+    Requests that share a channel shape and ``rel_tol`` are integrated
+    together by one :func:`quadrature_sweep` over their mean SNRs and
+    exponents; each value is the one the request gets on its own.
     """
     groups: dict[tuple, list[int]] = {}
     for i, request in enumerate(requests):
-        key = (request.params.shape, request.a_exponent, request.rel_tol)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((request.params.shape, request.rel_tol), []).append(i)
     rows: list = [None] * len(requests)
     for indices in groups.values():
         first = requests[indices[0]]
         values, errors, levels = quadrature_sweep(
             first.params, [requests[i].params.gamma_bar for i in indices],
-            first.a_exponent, first.rel_tol)
+            [requests[i].a_exponent for i in indices], first.rel_tol)
         for i, row in zip(indices, zip(values.tolist(), errors.tolist(), levels.tolist())):
             rows[i] = row
     return rows
@@ -294,7 +299,7 @@ def er_sweep(requests, mc_config=None) -> list[ErResult]:
     """One :class:`ErResult` per request, in order, with the quadrature batched.
 
     Requests that need the quadrature (``auto`` and ``quadrature``) and share
-    a channel shape, A and ``rel_tol`` are integrated together by one
+    a channel shape and ``rel_tol`` are integrated together by one
     :func:`quadrature_sweep`; each value is the one the request gets on its
     own.  Everything else -- the closed form, the cross-check, the
     diagnostics and Monte Carlo -- runs per request, as :func:`er_auto`

@@ -1,22 +1,25 @@
 """Special functions backing the rate computation.
 
-Provides log-gamma and the Tricomi confluent hypergeometric function
-U(j; j-A+1; z) for positive integer j, a whole family at a time.  With
+Provides log-gamma, the log of a Gamma density's peak, and the Tricomi
+confluent hypergeometric function U(j; j-A+1; z) for positive integer j, a
+whole family at a time.  With
 X_j ~ Gamma(j, rate z),
 
     W_j = z^j U(j; j-A+1; z) = E[(1 + X_j)^-A],   W_0 = 1,   W_1 = z e^z E_A(z),
 
 and the b-recurrence (DLMF 13.3.8, after Kummer's transformation DLMF
 13.2.40) reads k W_{k+1} = (k-A-z) W_k + z W_{k-1}.  One exponential
-integral per (A, z) therefore yields every W_j.  Forward recursion is stable
-for k >= A+z; below that W is the minimal solution and the recursion loses
-digits, so each term carries a running absolute-error bound (Gil, Segura &
-Temme, *Numerical Methods for Special Functions*, SIAM 2007, ch. 4).  Where
-the large-z asymptotic series converges it replaces the recursion; terms
-neither certifies are recomputed by the same code over ``mpmath.mpf`` at
-rising precision up to just past A + z, and above it by double recursion
-from the last two mpf values.  Anything still uncertified raises
-:class:`ConvergenceError`.  mpmath is imported only for that re-run.
+integral per (A, z) therefore yields every W_j.  For k >= A+z both terms on
+the right are nonnegative and forward recursion is stable; below that W is
+the minimal solution and forward recursion loses digits, but there the
+backward step W_{k-1} = (k W_{k+1} + (A+z-k) W_k) / z adds two nonnegative
+terms instead (Gil, Segura & Temme, *Numerical Methods for Special
+Functions*, SIAM 2007, ch. 4).  Each term carries a running absolute-error
+bound.  Where the large-z asymptotic series converges it replaces the
+recursion.  Terms neither certifies come from two seeds next to the turning
+point A + z, integrated by a double-exponential rule, recurred backward
+below them and forward above them.  Anything still uncertified raises
+:class:`ConvergenceError`.  Everything runs in double precision.
 """
 
 from __future__ import annotations
@@ -24,9 +27,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError
 
 ln_gamma = math.lgamma  # C library lgamma: relative error well under 1e-14 for x > 0
+
+
+def log_gamma_peak(a: float) -> float:
+    """K = A ln A - A - ln Gamma(A), the log of the peak of s^A e^-s / Gamma(A).
+
+    Past A = 30 the two terms cancel to ~0.5 ln A, so K comes from the
+    Stirling remainder, whose first omitted term is under 1e-16 there.
+    """
+    if a < 30.0:
+        return a * math.log(a) - a - ln_gamma(a)
+    r = 1.0 / (a * a)
+    return (0.5 * math.log(a / (2.0 * math.pi))
+            - (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a)
 
 
 # --- Tricomi U for positive integer first argument ---------------------------
@@ -36,17 +54,24 @@ _UNIT = 2.0**-53  # unit roundoff of a double
 _EULER = 0.5772156649015329
 _TINY = 1e-300  # modified Lentz guard against a zero denominator
 _MAX_CF_TERMS = 100_000
-#: Working precisions (digits) of the mpf re-run in :func:`u_family`.
-_EXTENDED_DPS = (30, 60, 120, 240, 480)
+_HALF_PI = 0.5 * math.pi
+_LN2 = math.log(2.0)
+_SUBNORMAL = 5e-324  # spacing of the subnormal doubles
+_MIN_NORMAL = 2.0**-1022
+#: Finest step 2**-_SEED_LEVELS of the double-exponential rule for the seeds.
+_SEED_LEVELS = 8
 
 
 @dataclass(frozen=True)
 class UFamily:
     """W_j = z^j U(j; j-A+1; z) for j = 1..n, each certified to ``rel_tol``.
 
+    A W_j below the double range is certified to ``rel_tol`` of the smallest
+    normal double instead (see :func:`_certified`).
+
     ``bounds[j-1]`` bounds |error of values[j-1]|; ``branches[j-1]`` names
-    the evaluation that certified it: ``asymptotic``, ``recurrence`` or
-    ``extended`` (the mpf re-run).
+    the evaluation that certified it: ``asymptotic``, ``recurrence``
+    (forward), ``quadrature`` (a seed integral) or ``backward``.
     """
 
     values: tuple[float, ...]
@@ -75,16 +100,14 @@ def _w_asymptotic(j: int, a: float, z: float, tol: float):
     return None
 
 
-def _w1(a, z, unit, lib):
-    """(W_1, absolute error bound) with W_1 = z e^z E_A(z), in lib's scalar type.
+def _w1(a: float, z: float) -> tuple[float, float]:
+    """(W_1, absolute error bound) with W_1 = z e^z E_A(z).
 
-    ``lib`` supplies ``exp``, ``log`` and ``gamma`` (``math`` for floats,
-    ``mpmath`` for mpf) and ``unit`` is the unit roundoff.  For z >= 1 a
-    modified Lentz continued fraction (DLMF 8.19.17) gives e^z E_A(z)
-    directly.  Below that the power series (DLMF 8.19.10, or its psi(n) limit
-    8.19.8 at positive integer A) is summed with every term's magnitude
-    counted, so the cancellation of Gamma(1-A) z^(A-1) against the k = A-1
-    term near integer A shows in the bound.
+    For z >= 1 a modified Lentz continued fraction (DLMF 8.19.17) gives
+    e^z E_A(z) directly.  Below that the power series (DLMF 8.19.10, or its
+    psi(n) limit 8.19.8 at positive integer A) is summed with every term's
+    magnitude counted, so the cancellation of Gamma(1-A) z^(A-1) against the
+    k = A-1 term near integer A shows in the bound.
     """
     if z >= 1:
         b = z + a
@@ -101,25 +124,25 @@ def _w1(a, z, unit, lib):
                 c = _TINY
             delta = c * d
             h *= delta
-            if abs(delta - 1) <= unit:
+            if abs(delta - 1) <= _UNIT:
                 w = z * h
-                return w, (4 * i + 8) * unit * abs(w)
+                return w, (4 * i + 8) * _UNIT * abs(w)
         raise ConvergenceError(
             f"continued fraction for E_A(z) did not converge (A={a}, z={z})")
 
     n = round(a)
     integer_a = a == n and n >= 1
     if integer_a:
-        # (-z)^(n-1)/(n-1)! (psi(n) - ln z)
+        # (-z)^(n-1)/(n-1)! (psi(n) - ln z), psi(n) = H_(n-1) - Euler's constant
         coeff = 1
         for i in range(1, n):
             coeff *= -z / i
-        psi = _psi(n, lib)
-        log_z = lib.log(z)
+        psi = math.fsum(1.0 / i for i in range(1, n)) - _EULER
+        log_z = math.log(z)
         lead = coeff * (psi - log_z)
         lead_err = abs(coeff) * (abs(psi) + abs(log_z)) * (n + 4)
     else:
-        lead = lib.gamma(1 - a) * z ** (a - 1)
+        lead = math.gamma(1 - a) * z ** (a - 1)
         lead_err = 16 * abs(lead)
     # every denominator k+1-A summed is at least this far from zero
     gap = 1 if integer_a else min(1, abs(a - max(n, 1)))
@@ -136,31 +159,24 @@ def _w1(a, z, unit, lib):
         power *= -z / k
         # |z| < 1 halves |power| at least every step: the tail is below 2|power|/gap
         tail = 2 * abs(power) / gap
-        if tail <= unit * abs(total):
+        if tail <= _UNIT * abs(total):
             break
-    scale = z * lib.exp(z)
+    scale = z * math.exp(z)
     w = scale * total
-    return w, scale * (unit * magnitude + tail) + 3 * unit * abs(w)
+    return w, scale * (_UNIT * magnitude + tail) + 3 * _UNIT * abs(w)
 
 
-def _psi(n: int, lib):
-    """Digamma at a positive integer n: H_(n-1) minus Euler's constant."""
-    if lib is math:
-        return math.fsum(1.0 / i for i in range(1, n)) - _EULER
-    return lib.digamma(n)
-
-
-def _forward(a, z, n: int, unit, lib, asymptotic_tol=None, seed=None):
-    """W_1..W_n and error bounds by the forward b-recurrence, in lib's type.
+def _forward(a, z, n: int, asymptotic_tol=None, seed=None):
+    """W_1..W_n and error bounds by the forward b-recurrence.
 
     The bound of W_(k+1) carries the bounds of W_k and W_(k-1) through the
     recurrence plus the rounding of the step itself.  With
-    ``asymptotic_tol`` (double precision only) each term also tries
-    :func:`_w_asymptotic` until it first fails, and keeps whichever of the
-    two values has the smaller bound, so a good asymptotic value also seeds
-    the recursion.  A ``seed`` (k, W_(k-1), bound, W_k, bound) resumes at k.
+    ``asymptotic_tol`` each term also tries :func:`_w_asymptotic` until it
+    first fails, and keeps whichever of the two values has the smaller
+    bound, so a good asymptotic value also seeds the recursion.  A ``seed``
+    (k, W_(k-1), bound, W_k, bound) resumes at k.
     """
-    k0, w_prev, e_prev, w, e = seed or (1, 1, 0, *_w1(a, z, unit, lib))
+    k0, w_prev, e_prev, w, e = seed or (1, 1, 0, *_w1(a, z))
     values, bounds, branches = [], [], []
     for j in range(k0, n + 1):
         branch = "recurrence"
@@ -169,8 +185,8 @@ def _forward(a, z, n: int, unit, lib, asymptotic_tol=None, seed=None):
             c = k - a - z
             w_next = (c * w + z * w_prev) / k
             e_next = ((abs(c) * e + z * e_prev
-                       + 4 * unit * ((k + abs(a) + z) * abs(w) + z * abs(w_prev))) / k
-                      + unit * abs(w_next))
+                       + 4 * _UNIT * ((k + abs(a) + z) * abs(w) + z * abs(w_prev))) / k
+                      + _UNIT * abs(w_next) + _SUBNORMAL)
             w_prev, e_prev, w, e = w, e, w_next, e_next
         if asymptotic_tol is not None:
             series = _w_asymptotic(j, a, z, asymptotic_tol)
@@ -178,7 +194,7 @@ def _forward(a, z, n: int, unit, lib, asymptotic_tol=None, seed=None):
                 asymptotic_tol = None
             else:
                 # truncation under tol, plus the rounding of at most 60 terms
-                series_err = (asymptotic_tol + 256 * unit) * abs(series)
+                series_err = (asymptotic_tol + 256 * _UNIT) * abs(series)
                 if not e <= series_err:
                     w, e, branch = series, series_err, "asymptotic"
         values.append(w)
@@ -187,48 +203,163 @@ def _forward(a, z, n: int, unit, lib, asymptotic_tol=None, seed=None):
     return values, bounds, branches
 
 
+def _seeds(a: float, z: float, k: int, tol: float):
+    """(e, ((W_(k-1), bound), (W_k, bound)) times 2**-e) by a double-exponential rule.
+
+    In x = ln t, W_k = int exp(phi(x)) dx with
+    phi(x) = k (ln z + x) - z e^x - A ln(1 + e^x) - ln Gamma(k), which is
+    concave; its peak t_k = e^(x_k) solves z t^2 + (z + A - k) t = k.  The map
+    x = x_k + w sinh(u), w = (pi/2) min(1, 2/sqrt(-phi''(x_k))), makes the
+    integrand decay double-exponentially in u, and phi - phi(x_k) is written
+    in d = x - x_k so that nothing of size phi(x_k) cancels.  The Gamma(k-1)
+    density is the Gamma(k) one times (k-1)/(z t), so the same nodes give
+    W_(k-1).  The x-window drops under 1e-20 of both: for each j, with
+    L = 46 + A ln(1 + j/z) and Jensen's W_j >= (1 + j/z)^-A, the mass below t
+    is at most (z t)^j / j! and the mass above t = 2(j + L)/z at most e^-L, by
+    the Chernoff bound on the Gamma tail.  Each level halves the step from
+    1/2 and reuses the previous sums; a bound is the difference of the last
+    two levels plus the rounding of every node's exponent, and the rule stops
+    once both are under ``tol`` of their values or the step reaches
+    2**-_SEED_LEVELS.  The exponent e puts the integrand's peak near 1, so
+    seeds below the double range keep their digits.
+    """
+    b = z + a - k
+    root = math.sqrt(b * b + 4.0 * z * k)
+    # the positive root, without cancellation for either sign of b
+    t0 = 2.0 * k / (b + root) if b > 0.0 else (root - b) / (2.0 * z)
+    zt0 = z * t0
+    width = _HALF_PI * min(1.0, 2.0 / math.sqrt(zt0 + a * t0 / (1.0 + t0) ** 2))
+    x0 = math.log(t0)
+    log_z = math.log(z)
+    d_lo = d_hi = 0.0
+    for j in (k - 1, k):
+        window = 46.0 + a * math.log1p(j / z)  # 46 = ln 1e20
+        d_lo = min(d_lo, (ln_gamma(j + 1.0) - window) / j - log_z - x0)
+        d_hi = max(d_hi, math.log(2.0 * (j + window) / z) - x0)
+    u_lo, u_hi = math.asinh(d_lo / width), math.asinh(d_hi / width)
+    log_t0 = math.log1p(t0)
+    # phi(x_k) = K(k) + k (ln(1 + delta) - delta) - A ln(1 + t_k), delta = z t_k/k - 1:
+    # its terms of size k ln k cancel inside log_gamma_peak, and 1 + delta is
+    # formed only where it does not cancel
+    delta = (zt0 - k) / k
+    log_s = math.log1p(delta) if abs(delta) < 0.5 else math.log(zt0 / k)
+    log_peak = log_gamma_peak(k) + k * (log_s - delta) - a * log_t0
+    peak_err = 4.0 * _UNIT * (min(k, 30) * math.log(k + 1.0) + k * (abs(log_s) + abs(delta))
+                              + a * log_t0 + 2.0)
+
+    def node_sums(h: float, step: int):
+        # the integrands of W_(k-1) and W_k summed over u = i*h in the
+        # window, and the same weighted by their rounding; step 2 keeps the
+        # odd i, the nodes the previous level lacks
+        first = math.ceil(u_lo / h)
+        if step == 2:
+            first |= 1
+        u = h * np.arange(first, math.floor(u_hi / h) + 1, step)
+        d = width * np.sinh(u)
+        kd = k * d
+        zem = zt0 * np.expm1(d)
+        log_t = np.log1p(t0 * np.exp(d))  # ln(1+t) - ln(1+t0) cancels only to ~eps ln(1+t)
+        f = np.exp(kd - zem - a * (log_t - log_t0)) * (width * np.cosh(u))
+        rows = np.stack((f * np.exp(-d), f))
+        err = 4.0 * _UNIT * (np.abs(kd) + np.abs(zem) + a * (log_t + log_t0) + np.abs(d) + 4.0)
+        return rows.sum(axis=1), (rows * err).sum(axis=1)
+
+    h = 0.5
+    total, rounding = node_sums(h, 1)
+    total *= h
+    rounding *= h
+    for _ in range(1, _SEED_LEVELS):
+        h /= 2.0
+        more, more_rounding = node_sums(h, 2)
+        prev, total = total, 0.5 * total + h * more
+        rounding = 0.5 * rounding + h * more_rounding
+        bound = np.abs(total - prev) + rounding + 8.0 * _UNIT * total
+        if np.all(bound <= tol * total):
+            break
+    exponent = round(log_peak / _LN2)
+    scale = math.exp(log_peak - exponent * _LN2) * np.array([(k - 1) / zt0, 1.0])
+    values = scale * total
+    bounds = scale * bound + (peak_err + 3.0 * _UNIT) * values
+    return exponent, tuple(zip(values.tolist(), bounds.tolist()))
+
+
+def _backward(a: float, z: float, k: int, exponent: int, seeds):
+    """W_1..W_k and error bounds by the backward b-recurrence from :func:`_seeds`.
+
+    ``seeds`` is ((W_(k-1), bound), (W_k, bound)) times 2**-``exponent``,
+    with k - 1 <= A + z (or k = 2, which takes no step), so every step
+    W_(j-1) = (j W_(j+1) + (A+z-j) W_j) / z adds two nonnegative terms and
+    the relative error stays that of the seeds plus the rounding.  The
+    recurrence runs in that scale, moved by 2**500 whenever W passes it, and
+    each term is scaled back exactly; its bound adds the spacing of the
+    subnormal doubles.
+    """
+    (w, e), (w_next, e_next) = seeds
+    terms = [(w_next, e_next, exponent), (w, e, exponent)]
+    for j in range(k - 1, 1, -1):
+        c = a + z - j
+        w_new = (j * w_next + c * w) / z
+        e_new = ((j * e_next + abs(c) * e + 4 * _UNIT * (j * w_next + (j + a + z) * abs(w))) / z
+                 + _UNIT * w_new)
+        w_next, e_next, w, e = w, e, w_new, e_new
+        if w > 2.0**500:
+            w_next, e_next, w, e = (math.ldexp(v, -500) for v in (w_next, e_next, w, e))
+            exponent += 500
+        terms.append((w, e, exponent))
+    terms.reverse()
+    return ([math.ldexp(w, x) for w, _, x in terms],
+            [math.ldexp(e, x) + _SUBNORMAL for _, e, x in terms])
+
+
+def _certified(w: float, e: float, rel_tol: float) -> bool:
+    """Whether bound ``e`` certifies W = ``w`` to ``rel_tol``.
+
+    Relative to W, or to the smallest normal double for a W below the double
+    range, whose relative error no bound can hold to ``rel_tol``.  An
+    overflowed recurrence certifies nothing, though inf <= inf.
+    """
+    return w < math.inf and e <= rel_tol * max(w, _MIN_NORMAL)
+
+
 def u_family(a: float, z: float, n: int, rel_tol: float = _U_TOL) -> UFamily:
     """W_j = z^j U(j; j-A+1; z) = E[(1+X_j)^-A] for j = 1..n, A = ``a``, z > 0.
 
-    Runs :func:`_forward` in double precision with the asymptotic series
-    where it converges.  Terms whose bound exceeds ``rel_tol`` times their
-    value are recomputed over ``mpmath.mpf`` at 30, 60, ... digits up to
-    k* = ceil(A+z) + 3; past the turning point A + z forward recursion is
-    stable, so later ones resume it in double from the last two mpf values.
-    Raises :class:`ConvergenceError` carrying the largest relative bound left
-    when the last precision still fails.
+    Runs :func:`_forward` with the asymptotic series where it converges.
+    Terms whose bound exceeds ``rel_tol`` times their value come from the
+    seeds W_(k-1), W_k by :func:`_seeds`, at k = floor(A+z) + 1 or just past
+    the last such term if that is lower (and k >= 2): at or below k by
+    :func:`_backward`, stable below the turning point A + z, and above k by
+    :func:`_forward` resumed from them, stable above it.  The
+    backward W_1 must agree with the forward one within their two bounds,
+    which checks the seeds.  Raises :class:`ConvergenceError` if that check
+    fails, and carrying the largest relative bound left if a term stays
+    uncertified.
     """
-    values, bounds, branches = _forward(a, z, n, _UNIT, math,
-                                        min(rel_tol * 1e-2, 1e-14))
-    pending = [i for i in range(n) if not bounds[i] <= rel_tol * values[i]]
+    values, bounds, branches = _forward(a, z, n, min(rel_tol * 1e-2, 1e-14))
+    # the first test is _certified's common case, without a call per term
+    pending = [i for i in range(n) if not (bounds[i] <= rel_tol * values[i] < math.inf
+                                           or _certified(values[i], bounds[i], rel_tol))]
     if pending:
-        import mpmath as mp
-
-        last = pending[-1] + 1
-        k_star = min(last, math.ceil(a + z) + 3)
-        for dps in _EXTENDED_DPS:
-            with mp.workdps(dps):
-                ext_values, ext_bounds, _ = _forward(
-                    mp.mpf(a), mp.mpf(z), k_star, mp.eps / 2, mp)
-            ext = [(float(w), float(e) + _UNIT * abs(float(w)), "extended")
-                   for w, e in zip(ext_values, ext_bounds)]
-            if last > k_star:
-                seed = (k_star, *ext[-2][:2], *ext[-1][:2])
-                ext += list(zip(*_forward(a, z, last, _UNIT, math, seed=seed)))[1:]
-            uncertified = {}
-            for i in pending:
-                w, e, _ = ext[i]
-                if e <= rel_tol * w:
-                    values[i], bounds[i], branches[i] = ext[i]
-                else:
-                    uncertified[i] = e / w if w > 0 else math.inf
-            pending = list(uncertified)
-            if not pending:
-                break
-        else:
+        k = max(min(math.floor(a + z), pending[-1]) + 1, 2)
+        new = [(w, e, "quadrature" if j >= k - 1 else "backward") for j, (w, e) in
+               enumerate(zip(*_backward(a, z, k, *_seeds(a, z, k, rel_tol * 1e-2))), start=1)]
+        if not abs(new[0][0] - values[0]) <= new[0][1] + bounds[0]:
             raise ConvergenceError(
-                f"U(j; j-A+1; z) with A={a}, z={z} uncertified at j={pending[0] + 1} "
-                f"after {_EXTENDED_DPS[-1]} digits (target {rel_tol:.1e} relative)",
-                achieved=max(uncertified.values()))
+                f"U(j; j-A+1; z) with A={a}, z={z}: W_1 from the seeds at j={k} is "
+                f"{new[0][0]!r}, the direct one {values[0]!r}", achieved=math.inf)
+        last = pending[-1] + 1
+        if last > k:
+            seed = (k, *new[k - 2][:2], *new[k - 1][:2])
+            new += list(zip(*_forward(a, z, last, seed=seed)))[1:]
+        uncertified = {}
+        for i in pending:
+            w, e, _ = new[i]
+            if _certified(w, e, rel_tol):
+                values[i], bounds[i], branches[i] = new[i]
+            else:
+                uncertified[i] = e / w if w > 0 else math.inf
+        if uncertified:
+            raise ConvergenceError(
+                f"U(j; j-A+1; z) with A={a}, z={z} uncertified at j={min(uncertified) + 1} "
+                f"(target {rel_tol:.1e} relative)", achieved=max(uncertified.values()))
     return UFamily(values=tuple(values), bounds=tuple(bounds), branches=tuple(branches))
-

@@ -11,6 +11,8 @@ oracles below are coded independently of the package internals.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
+import fbrate
 from fbrate import ChannelParams, log_mgf
 from fbrate.mc import _sample_block
 from fbrate.specfun import _U_TOL, u_family
@@ -350,6 +353,13 @@ def random_valid_params(rng: np.random.Generator, gamma_bar=None) -> ChannelPara
         rho2=float(rng.uniform(0.0, 5.0)),
         gamma_bar=float(10.0 ** rng.uniform(-1.0, 3.0)) if gamma_bar is None else gamma_bar,
     )
+
+
+def fresh_env(**variables) -> dict:
+    """Environment for a fresh interpreter that imports this checkout's fbrate."""
+    src = str(Path(fbrate.__file__).resolve().parents[1])
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture

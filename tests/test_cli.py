@@ -1,9 +1,7 @@
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from fbrate import ChannelParams, ErRequest, McConfig, er_auto
 from fbrate.cli import main
 from fbrate.crosscheck import db_to_linear
 
-from conftest import FIG1_R_A2, FIG2_J_BY_M, J_RAYLEIGH, R_RAYLEIGH
+from conftest import FIG1_R_A2, FIG2_J_BY_M, J_RAYLEIGH, R_RAYLEIGH, fresh_env
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +224,19 @@ class TestErCommand:
         assert different != with_env
 
 
+@pytest.mark.parametrize("flags, variables", [
+    (("--samples", "0"), {}),
+    ((), {"FBRATE_SEED": "abc"}),
+], ids=["samples", "env-seed"])
+def test_monte_carlo_input_is_read_only_by_monte_carlo(capsys, monkeypatch, flags, variables):
+    for name, value in variables.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, "er", "--A", "2", *flags)
+    assert code == 0 and err == "" and out.count("\n") == 2
+    code, out, err = run_cli(capsys, "er", "--A", "2", *flags, "--method", "mc")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 class TestGridCommands:
     def test_mgf_at_zero_is_one(self, capsys):
         code, out, _ = run_cli(capsys, "mgf", *FIG1_FLAGS, "--s", "0:2:1")
@@ -292,20 +303,13 @@ def test_db_round_trip():
         assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
 
-def _fresh_env(**variables) -> dict:
-    """Environment for a fresh interpreter that imports this checkout's fbrate."""
-    src = str(Path(fbrate.__file__).resolve().parents[1])
-    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-
 def test_cli_import_loads_neither_scipy_nor_mpmath():
-    # a fresh interpreter: the CLI must start without scipy, and mpmath must
-    # wait for the rare extended-precision re-run
+    # a fresh interpreter: the CLI must start without scipy or mpmath, which
+    # only the tests use
     probe = ("import sys, fbrate.cli; "
              "print([m for m in ('scipy', 'mpmath') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True, env=_fresh_env())
+                          text=True, check=True, env=fresh_env())
     assert proc.stdout.strip() == "[]"
 
 
@@ -315,7 +319,7 @@ def test_cli_import_loads_neither_scipy_nor_mpmath():
 ], ids=["vary-values", "env-seed"])
 def test_bad_outside_input_exits_2_without_traceback(flags, variables):
     proc = subprocess.run([sys.executable, "-m", "fbrate.cli", "er", "--A", "2", *flags],
-                          capture_output=True, text=True, env=_fresh_env(**variables))
+                          capture_output=True, text=True, env=fresh_env(**variables))
     assert proc.returncode == 2
     assert proc.stdout == "" and proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr

@@ -1,14 +1,20 @@
-"""The gamma-mixture series: mpf U families, the certified sum, typed failures."""
+"""The gamma-mixture series: its U families, the certified sum, typed failures."""
+
+import math
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 
-from fbrate import ChannelParams, ConvergenceError, ErRequest, er_auto, specfun
+from fbrate import ChannelParams, ConvergenceError, ErRequest, er_auto
 from fbrate import _extended
 from fbrate._extended import mixture_series
 from fbrate.rate import U_SUM_TOL
+from fbrate.specfun import _U_TOL, UFamily, u_family
 
-from conftest import HIGH_MULT, HIGH_MULT_J, cluster_model_j, tricomi_u_integral_mp
+from conftest import (HIGH_MULT, HIGH_MULT_J, cluster_model_j, fresh_env,
+                      tricomi_u_integral_mp)
 
 
 def series_j(params, a):
@@ -33,20 +39,15 @@ U_TRIPLES = (
 
 @pytest.mark.parametrize("j,b,z", U_TRIPLES)
 def test_extended_u_matches_integral_oracle(j, b, z):
-    # W_j = z^j U(j; b; z) from the mpf family the extended sum uses, at the
-    # first rung of the precision ladder whose bound certifies 1e-25
-    for dps in specfun._EXTENDED_DPS:
-        with mp.workdps(dps):
-            values, bounds, _ = specfun._forward(j + 1 - mp.mpf(b), mp.mpf(z), j,
-                                                 mp.eps / 2, mp)
-        if bounds[-1] <= 1e-25 * values[-1]:
-            break
-    with mp.workdps(dps + 10):
+    # W_j = z^j U(j; b; z), the last term of the double family the series
+    # and the term sums use, against the defining integral
+    family = u_family(j + 1 - b, z, j)
+    with mp.workdps(30):
         z_mp = mp.mpf(z)
         oracle = z_mp**j * tricomi_u_integral_mp(j, mp.mpf(b), z_mp)
-        error = abs(values[-1] - oracle)
-    assert error <= 1e-25 * oracle
-    assert bounds[-1] >= error
+        error = float(abs(mp.mpf(family.values[-1]) - oracle))
+    assert error <= _U_TOL * float(oracle)
+    assert family.bounds[-1] >= error
 
 
 #: Grid configurations whose term sum cancels past the double-precision limit.
@@ -73,6 +74,30 @@ def test_extended_sum_at_high_multiplicity():
         HIGH_MULT_J[2.0, 40.0, 20.0, 5.0], rel=1e-9, abs=0.0)
 
 
+def test_cross_check_runs_without_mpmath():
+    # a fresh interpreter: the grid points whose U families the forward
+    # recurrence leaves pending, and the m = 40 row, run through the seeds
+    # and never import mpmath
+    grid = [*EXTENDED_GRID, (M40, 5.0)]
+    probe = f"""
+import sys
+from fbrate import ChannelParams, specfun
+from fbrate.crosscheck import run_cross_check
+seeds = specfun._seeds
+calls = []
+def counted(*args):
+    calls.append(args)
+    return seeds(*args)
+specfun._seeds = counted
+report = run_cross_check({grid!r})
+assert report.passed and calls, (report, calls)
+print('mpmath' in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=fresh_env())
+    assert proc.stdout.strip() == "False"
+
+
 def test_extended_sum_climbs_to_the_oracle_at_multiplicity_400():
     # mu = 20, m = 200: the partial-fraction terms cancel ~1e75-fold; the
     # series of positive terms needs no extra digits
@@ -86,9 +111,9 @@ def test_extended_sum_climbs_to_the_oracle_at_multiplicity_400():
     (ChannelParams(mu=6.0, m=3.0, kappa=0.5, eta=0.1, rho2=0.1, gamma_bar=1e4), 20.0),
     (ChannelParams(mu=20.0, m=3.0, kappa=1.0, eta=1.0, rho2=1.0, gamma_bar=0.1), 5.0),
 ])
-def test_u_share_climbs_a_rung(params, a):
-    # the recurrence loses digits below k = A + z, so these need the mpf
-    # re-run of the low terms; a 30-digit re-run left them 5e-9 and 4e-5 off
+def test_u_share_needs_the_seeds(params, a):
+    # the forward recurrence loses digits below k = A + z, so the low terms
+    # come from the seeds at the turning point
     assert series_j(params, a) == pytest.approx(cluster_model_j(params, a),
                                                 rel=1e-9, abs=0.0)
 
@@ -105,7 +130,7 @@ def test_extended_sum_needs_no_hyperu(monkeypatch, params, a):
 
 
 def _uncertified_family(a, z, n, rel_tol):
-    # what u_family raises when its last precision still fails
+    # what u_family raises when a term stays uncertified
     raise ConvergenceError(f"U(j; j-A+1; z) with A={a}, z={z} uncertified",
                            achieved=1e-3)
 
@@ -165,10 +190,19 @@ def test_negative_power_sum_is_refused(monkeypatch):
         series_j(M40, 5.0)
 
 
-def test_non_finite_sum_is_refused():
+def _overflowed_family(a, z, n, rel_tol):
+    # W_j that overflowed to inf, bound inf
+    return UFamily(values=(math.inf,) * n, bounds=(math.inf,) * n,
+                   branches=("recurrence",) * n)
+
+
+def test_non_finite_sum_is_refused(monkeypatch):
     # the residue majorant sends this shape to the series, whose sum
-    # overflows: it must raise rather than return (inf, inf, L)
+    # overflows with its U family: it must raise rather than return
+    # (inf, inf, L).  The family here once overflowed for real, when
+    # u_family passed inf terms through inf <= inf
     p = ChannelParams(mu=6, m=5, kappa=0.0022068275643294466, eta=1734.221669092768,
                       rho2=27.82277147330203, gamma_bar=0.15444758274885909)
+    monkeypatch.setattr(_extended, "u_family", _overflowed_family)
     with pytest.raises(ConvergenceError, match="value inf"):
         mixture_series(p, 2.706991924825241)

@@ -43,6 +43,11 @@ class TestEffectiveRate:
         with pytest.raises(ValueError):
             effective_rate(0.5, 0.0)
 
+    @pytest.mark.parametrize("j", [0.0, -1.0, 1.5, math.inf, math.nan])
+    def test_expectation_outside_unit_interval_is_a_parameter_error(self, j):
+        with pytest.raises(ParameterError, match="expectation must lie in"):
+            effective_rate(j, 2.0)
+
     @settings(max_examples=100, deadline=None)
     @given(j=st.floats(1e-300, 1.0, exclude_max=True), a=st.floats(1e-6, 1e3))
     def test_positive_rate_property(self, j, a):
@@ -198,6 +203,16 @@ class TestQuadratureSweep:
         assert list(zip(values.tolist(), errors.tolist(), levels.tolist())) == \
             _per_point(shape, gamma_bars, a)
 
+    def test_validate_grid_block_is_bit_identical_to_per_point(self):
+        # the shape's 5 SNR x 4 A block as one sweep, one A per row: each row
+        # keeps its own window, which depends on A
+        shape = ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=0.1, gamma_bar=10.0)
+        block = [(db_to_linear(db), a) for db in GRID_SNR_DB for a in GRID_A]
+        gamma_bars, exponents = zip(*block)
+        values, errors, levels = quadrature_sweep(shape, gamma_bars, exponents, 1e-8)
+        assert list(zip(values.tolist(), errors.tolist(), levels.tolist())) == \
+            [row for g, a in block for row in _per_point(shape, [g], a)]
+
     def test_rows_leave_at_their_own_level(self):
         shape = fig1_params()
         gamma_bars = [1e8, 0.1, 1e6]
@@ -226,6 +241,12 @@ class TestQuadratureSweep:
         with pytest.raises(ParameterError):
             quadrature_sweep(fig1_params(), [1.0, 0.0], 2.0)
 
+    def test_rejects_one_exponent_per_other_row(self):
+        with pytest.raises(ParameterError, match="one A or one per mean SNR"):
+            quadrature_sweep(fig1_params(), [1.0, 10.0, 100.0], [2.0, 5.0])
+        with pytest.raises(ParameterError, match="A must be finite and > 0"):
+            quadrature_sweep(fig1_params(), [1.0, 10.0], [2.0, 0.0])
+
     def test_empty_sweep(self):
         assert er_sweep([]) == []
 
@@ -247,11 +268,12 @@ class TestQuadratureSweep:
         assert len(calls) == 1
         assert results == [er_auto(r) for r in requests]
 
-    def test_cross_check_batches_each_shape_and_exponent(self, monkeypatch):
+    def test_cross_check_batches_each_shape(self, monkeypatch):
         grid = closed_form_grid()[:40]  # two shapes x 5 mean SNRs x 4 exponents
         calls = _count_sweeps(monkeypatch)
         report = run_cross_check(grid)
-        assert len(calls) == len({(p.shape, a) for p, a in grid}) == 8
+        assert len(calls) == len({p.shape for p, _ in grid}) == 2
+        assert [len(args[2]) for args in calls] == [20, 20]
         worst, max_diff = None, 0.0
         for params, a in grid:
             j_closed = expectation_closed_form(params, a)

@@ -99,16 +99,16 @@ FAMILY_Z = tuple(float(z) for z in np.geomspace(1e-4, 1e3, 8))
 FAMILY_N = 40
 
 
-def reference_family(a: float, z: float, n: int) -> list:
+def reference_family(a: float, z: float, n: int, digits: int = 140) -> list:
     """W_0..W_n from mpmath's E_A(z) and the b-recurrence at 140 digits.
 
     The forward recurrence loses up to ~90 digits on this grid (A = 20 at
-    small z, z = 1e3), so a 120-digit run must agree to 1e-20 before the
-    result is used; ``test_reference_matches_integral_oracle`` ties the
+    small z, z = 1e3), so a run 20 digits shorter must agree to 1e-20 before
+    the result is used; ``test_reference_matches_integral_oracle`` ties the
     recurrence itself to the defining integral.
     """
     runs = []
-    for dps in (120, 140):
+    for dps in (digits - 20, digits):
         with mp.workdps(dps):
             a_mp, z_mp = mp.mpf(a), mp.mpf(z)
             w = [mp.mpf(1), z_mp * mp.exp(z_mp) * mp.expint(a_mp, z_mp)]
@@ -158,7 +158,7 @@ class TestUFamily:
         for a in FAMILY_A:
             for z in FAMILY_Z:
                 branches.update(u_family(a, z, FAMILY_N).branches)
-        assert branches == {"asymptotic", "recurrence", "extended"}
+        assert branches == {"asymptotic", "recurrence", "quadrature", "backward"}
 
     @pytest.mark.parametrize("a", (0.5, 1.0, 2.0, 5.0, 2.0 + 1e-9))
     def test_first_term_is_rayleigh_j(self, a):
@@ -169,36 +169,82 @@ class TestUFamily:
 
     def test_near_integer_cancellation_shows_in_the_bound(self):
         # the double series for A = 2 + 1e-9 at z = 0.99 cancels Gamma(1-A)
-        # z^(A-1) against its k = 1 term; its bound must send W_1 to mpf
+        # z^(A-1) against its k = 1 term; its bound must send W_1 to the
+        # seeds W_1, W_2
         a, z = 2.0 + 1e-9, 0.99
-        w1, bound = _w1(a, z, 2.0**-53, math)
+        w1, bound = _w1(a, z)
         exact = float(reference_family(a, z, 1)[1])
         assert abs(w1 - exact) <= bound
         assert bound > _U_TOL * exact
         family = u_family(a, z, 1)
-        assert family.branches == ("extended",)
+        assert family.branches == ("quadrature",)
         assert family.values[0] == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert family.bounds[0] >= abs(family.values[0] - exact)
 
-    def test_mpf_rerun_stops_at_the_turning_point(self):
-        # A = 5, z = 0.004: the double recurrence loses ~eps/z^(j-1), so every
-        # term past j = 2 is pending, but only j <= ceil(A+z)+3 = 9 are re-run
-        # in mpf; the rest resume the forward recurrence, stable above A + z,
-        # from the last two mpf values
+    def test_seeds_sit_at_the_turning_point(self):
+        # A = 5, z = 0.004: the forward recurrence loses ~eps/z^(j-1), so every
+        # term past j = 2 is pending.  The seeds W_5, W_6 sit at k =
+        # floor(A+z) + 1 = 6; below them the backward recurrence and above
+        # them the forward one add nonnegative terms only
         a, z, n = 5.0, 0.004, 40
         family = u_family(a, z, n)
         exact = reference_family(a, z, n)
-        k_star = math.ceil(a + z) + 3
-        extended = {j for j, branch in enumerate(family.branches, start=1)
-                    if branch == "extended"}
-        assert extended == set(range(3, k_star + 1))
+        assert family.branches == (("recurrence",) * 2 + ("backward",) * 2
+                                   + ("quadrature",) * 2 + ("recurrence",) * (n - 6))
         for j in range(1, n + 1):
             error = abs(family.values[j - 1] - float(exact[j]))
             assert family.bounds[j - 1] >= error, j
             assert error <= _U_TOL * float(exact[j]), j
 
-    def test_uncertified_term_raises(self, monkeypatch):
-        # A = 20 at z = 1e-4 loses ~90 digits by j = 40; 30 cannot certify it
-        monkeypatch.setattr(specfun, "_EXTENDED_DPS", (30,))
-        with pytest.raises(ConvergenceError) as info:
-            u_family(20.0, 1e-4, FAMILY_N)
+    def test_seeds_below_the_double_range(self):
+        # A = 60, z = 1e-4: the seeds W_60 ~ 3e-320 and W_61 ~ 1e-322 lie
+        # below the double range, W_10 ~ 4e-58 well inside it.  The backward
+        # recurrence runs in the seeds' binary scale, and a term under
+        # 2**-1022 is held to _U_TOL of that instead of its own size
+        a, z, n = 60.0, 1e-4, 61
+        family = u_family(a, z, n)
+        exact = reference_family(a, z, n, digits=400)
+        assert family.branches[-2:] == ("quadrature", "quadrature")
+        tiny = 2.0**-1022
+        assert float(exact[n]) < tiny < float(exact[10])
+        for j in range(1, n + 1):
+            error = abs(family.values[j - 1] - float(exact[j]))
+            assert family.bounds[j - 1] >= error, j
+            assert family.bounds[j - 1] <= _U_TOL * max(family.values[j - 1], tiny), j
+
+    def test_overflowed_recurrence_is_not_certified(self):
+        # at z ~ 3e4 the asymptotic series stops at j = 661 and the forward
+        # recurrence, unstable below A + z, overflows from j = 860 on: inf
+        # with bound inf must stay pending, not pass inf <= rel_tol * inf.
+        # The seeds sit at the last pending term, far below A + z
+        a, z, n = 47.62627798898563, 31483.729571022093, 862
+        family = u_family(a, z, n)
+        assert family.branches[-3:] == ("backward", "quadrature", "quadrature")
+        for j in (n - 1, n):
+            with mp.workdps(30):
+                z_mp = mp.mpf(z)
+                exact = float(z_mp**j * tricomi_u_integral_mp(j, j + 1 - mp.mpf(a), z_mp))
+            error = abs(family.values[j - 1] - exact)
+            assert error <= _U_TOL * exact
+            assert family.bounds[j - 1] >= error
+
+    def test_seeds_are_checked_against_w1(self, monkeypatch):
+        # a seed 1e-6 off carries into the backward W_1, which then misses the
+        # direct W_1 by more than the two bounds
+        seeds = specfun._seeds
+
+        def perturbed(*args):
+            exponent, ((w_prev, e_prev), (w, e)) = seeds(*args)
+            return exponent, ((w_prev, e_prev), (w * (1.0 + 1e-6), e))
+
+        monkeypatch.setattr(specfun, "_seeds", perturbed)
+        with pytest.raises(ConvergenceError, match="W_1 from the seeds") as info:
+            u_family(5.0, 0.004, 40)
         assert info.value.achieved > _U_TOL
+
+    def test_uncertified_term_raises(self):
+        # no double-precision term reaches 1e-17 relative: the rounding of
+        # the seeds alone is ~1e-15
+        with pytest.raises(ConvergenceError, match="uncertified") as info:
+            u_family(20.0, 1e-4, FAMILY_N, rel_tol=1e-17)
+        assert info.value.achieved > 1e-17
