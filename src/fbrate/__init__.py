@@ -15,7 +15,6 @@ from .poles import PartialFractionExpansion, decompose, pdf
 from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
                    er_auto, er_sweep, expectation_closed_form, expectation_quadrature,
                    quadrature_sweep)
-from .specfun import ln_gamma
 
 __version__ = "0.1.0"
 
@@ -24,7 +23,7 @@ __all__ = [
     "PartialFractionExpansion", "ErRequest", "ErResult",
     "McConfig", "McEstimate",
     "preset", "PRESET_NAMES", "mgf", "log_mgf",
-    "decompose", "pdf", "ln_gamma",
+    "decompose", "pdf",
     "effective_rate", "expectation_quadrature", "expectation_closed_form",
     "quadrature_sweep", "er_auto", "er_sweep", "closed_form_applies",
     "estimate_er",

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -148,17 +147,20 @@ def cmd_er(args) -> int:
     base = _build_params(args, gamma_bar=1.0)
     shapes = {v: base if v is None else _build_params(args, 1.0, **{args.vary: v})
               for v in vary_values}
-    points = [(float(snr_db), v) for snr_db in snr_grid for v in vary_values]
-    requests = [ErRequest(params=replace(shapes[v], gamma_bar=db_to_linear(snr_db)),
-                          a_exponent=a, method=method, rel_tol=args.rel_tol)
-                for snr_db, v in points]
+    requests = {v: ErRequest(params=shape, a_exponent=a, method=method, rel_tol=args.rel_tol)
+                for v, shape in shapes.items()}
+    snr_dbs = [float(snr_db) for snr_db in snr_grid]
+    gamma_bars = [db_to_linear(snr_db) for snr_db in snr_dbs]
     mc_config = None
     if method == "monte_carlo":
         mc_config = McConfig(n_samples=args.samples, seed=_default_seed(args))
-    results = er_sweep(requests, mc_config)
-    rows = [(snr_db, "" if v is None else v, result.rate, result.expectation_j,
-             result.method_used, result.error_estimate)
-            for (snr_db, v), result in zip(points, results)]
+    sweeps = {v: er_sweep(request, gamma_bars, mc_config) for v, request in requests.items()}
+    rows = []
+    for i, snr_db in enumerate(snr_dbs):
+        for v in vary_values:
+            result = sweeps[v][i]
+            rows.append((snr_db, "" if v is None else v, result.rate, result.expectation_j,
+                         result.method_used, result.error_estimate))
     _emit(rows, ("snr_db", "vary", "rate", "j", "method", "err"),
           args.format, header)
     return 0

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .mc import McConfig, estimate_er
 from .model import ChannelParams, preset
-from .rate import CROSS_REL_TOL, ErRequest, _quadrature_batch, expectation_closed_form
+from .rate import (CROSS_REL_TOL, expectation_closed_form, expectation_quadrature,
+                   quadrature_sweep)
 
 MC_Z_LIMIT = 4.0
 MC_PASS_FRACTION = 0.95
@@ -64,21 +66,24 @@ class CrossCheckReport:
 def run_cross_check(grid=None) -> CrossCheckReport:
     """Quadrature vs closed form over the grid; reports the worst config.
 
-    The quadrature is batched over each (shape, A) as :func:`rate.er_sweep`
-    batches it, at the default ``rel_tol`` of 1e-8; the closed form runs per
-    point, in grid order.
+    Each run of consecutive points that share a channel shape is integrated
+    by one :func:`rate.quadrature_sweep`, one A per row, at the default
+    ``rel_tol`` of 1e-8; the closed form runs per point, in grid order.
     """
     if grid is None:
         grid = closed_form_grid()
-    requests = [ErRequest(params=params, a_exponent=a) for params, a in grid]
     worst = None
     max_diff = 0.0
-    for (params, a), (j, _, _) in zip(grid, _quadrature_batch(requests)):
-        j_closed = expectation_closed_form(params, a)
-        diff = abs(j - j_closed) / j_closed
-        if diff > max_diff:
-            max_diff = diff
-            worst = (params, a)
+    for _, run in groupby(grid, key=lambda point: point[0].shape):
+        run = list(run)
+        values, _, _ = quadrature_sweep(run[0][0], [params.gamma_bar for params, _ in run],
+                                        [a for _, a in run])
+        for (params, a), j in zip(run, values.tolist()):
+            j_closed = expectation_closed_form(params, a)
+            diff = abs(j - j_closed) / j_closed
+            if diff > max_diff:
+                max_diff = diff
+                worst = (params, a)
     return CrossCheckReport(n_configs=len(grid), max_rel_diff=max_diff, worst=worst)
 
 
@@ -158,16 +163,15 @@ def run_mc_check(grid=None, n_samples: int = 1_000_000,
                  seed: int = 42) -> McCheckReport:
     """Sampled vs quadrature expectations over the concordance grid.
 
-    The quadrature is batched as in :func:`run_cross_check`.  Each estimate
-    runs its chunks on every CPU the process may run on (see
+    Each estimate runs its chunks on every CPU the process may run on (see
     :func:`estimate_er`); the report is the same as a serial run's.
     """
     if grid is None:
         grid = mc_grid()
     config = McConfig(n_samples=n_samples, seed=seed)
-    requests = [ErRequest(params=params, a_exponent=a) for params, a in grid]
     results = []
-    for (params, a), (j_quad, _, _) in zip(grid, _quadrature_batch(requests)):
+    for params, a in grid:
+        j_quad, _ = expectation_quadrature(params, a)
         estimate = estimate_er(params, a, config)
         results.append(McCheckResult(params=params, a_exponent=a, j_quad=j_quad,
                                      j_hat=estimate.j_hat,

@@ -52,8 +52,8 @@ def log_mgf(params: ChannelParams, s):
 
 
 def mgf(params: ChannelParams, s: float) -> MgfPoint:
-    """Evaluate the SNR MGF at a single real argument s >= 0."""
-    if s < 0:
+    """Evaluate the SNR MGF at a single real argument s >= 0 (M(inf) = 0)."""
+    if not s >= 0:  # also rejects NaN
         raise ParameterError(f"transform argument must be >= 0, got {s!r}")
     lv = float(log_mgf(params, s))
     return MgfPoint(s=float(s), value=math.exp(lv), log_value=lv)

@@ -198,12 +198,15 @@ def pdf(params: ChannelParams, gamma) -> np.ndarray | float:
     """SNR density f(gamma) from the partial-fraction expansion.
 
     f(g) = sum_ij A_ij (theta_i/gbar)^j g^{j-1} e^{-theta_i g/gbar} / (j-1)!
-    A tiny negative excursion is clipped; anything beyond -1e-12 signals an
-    inconsistent residue table and raises :class:`ConvergenceError`.
+    and f(inf) = 0, its limit.  A tiny negative excursion is clipped; anything
+    beyond -1e-12 signals an inconsistent residue table and raises
+    :class:`ConvergenceError`.
     """
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all(gamma >= 0):  # also rejects NaN
         raise ParameterError("gamma must be >= 0")
+    at_inf = np.isinf(gamma)
+    g = np.where(at_inf, 0.0, gamma)
     gbar = params.gamma_bar
     total = np.zeros(g.shape)
     for theta, _, coeffs in decompose(params).terms:
@@ -217,5 +220,5 @@ def pdf(params: ChannelParams, gamma) -> np.ndarray | float:
     if np.any(total < -1e-12):
         raise ConvergenceError(
             f"density went negative ({total.min():.3e}); residue table is inconsistent")
-    result = np.maximum(total, 0.0)
+    result = np.where(at_inf, 0.0, np.maximum(total, 0.0))
     return result if result.shape else float(result)

@@ -10,8 +10,9 @@ The closed-form route expands the rational MGF into partial fractions and
 evaluates each distinct pole's Tricomi-U family at once: one exponential
 integral and a recurrence, certified term by term; where its terms cancel
 the gamma-mixture series (``_extended``) replaces it.  Both compute the
-identical scalar; ``er_auto`` dispatches and cross-checks, and ``er_sweep``
-does the same for a list of requests, batching their quadrature.
+identical scalar; ``er_sweep`` dispatches and cross-checks at every mean SNR
+of one request's channel shape, with one quadrature sweep for all of them,
+and ``er_auto`` is its one-SNR case.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
     for a in set(a_rows):
         _check_a_exponent(a)
     gamma_bar = np.asarray(gamma_bars, dtype=float)
-    if not np.all(np.isfinite(gamma_bar) & (gamma_bar > 0.0)):
-        raise ParameterError(f"gamma_bars must be finite and > 0, got {gamma_bars!r}")
+    bad = gamma_bar[~(np.isfinite(gamma_bar) & (gamma_bar > 0.0))]
+    if bad.size:  # named alone: a sweep may hold 1e5 mean SNRs
+        raise ParameterError(f"gamma_bars must be finite and > 0, got {float(bad[0])!r}")
     if len(a_rows) == 1:
         a_rows *= gamma_bar.size
     elif len(a_rows) != gamma_bar.size:
@@ -207,27 +209,6 @@ def expectation_quadrature(params: ChannelParams, a_exponent: float,
     return float(values[0]), float(errors[0])
 
 
-def _quadrature_batch(requests) -> list[tuple[float, float, int]]:
-    """(J, error estimate, level) of each :class:`ErRequest` by the MGF integral.
-
-    Requests that share a channel shape and ``rel_tol`` are integrated
-    together by one :func:`quadrature_sweep` over their mean SNRs and
-    exponents; each value is the one the request gets on its own.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, request in enumerate(requests):
-        groups.setdefault((request.params.shape, request.rel_tol), []).append(i)
-    rows: list = [None] * len(requests)
-    for indices in groups.values():
-        first = requests[indices[0]]
-        values, errors, levels = quadrature_sweep(
-            first.params, [requests[i].params.gamma_bar for i in indices],
-            [requests[i].a_exponent for i in indices], first.rel_tol)
-        for i, row in zip(indices, zip(values.tolist(), errors.tolist(), levels.tolist())):
-            rows[i] = row
-    return rows
-
-
 #: Hand J to the gamma-mixture series when the residue majorant
 #: sum_ij E_ij W_ij (E_ij >= |A_ij| the envelope of the residue recursion,
 #: ``poles._taylor_coefficients``) exceeds it by more than this.  The majorant
@@ -295,21 +276,21 @@ def closed_form_applies(params: ChannelParams) -> bool:
     return True
 
 
-def er_sweep(requests, mc_config=None) -> list[ErResult]:
-    """One :class:`ErResult` per request, in order, with the quadrature batched.
+def er_sweep(request: ErRequest, gamma_bars, mc_config=None) -> list[ErResult]:
+    """One :class:`ErResult` per mean SNR in ``gamma_bars``, in order.
 
-    Requests that need the quadrature (``auto`` and ``quadrature``) and share
-    a channel shape and ``rel_tol`` are integrated together by one
-    :func:`quadrature_sweep`; each value is the one the request gets on its
-    own.  Everything else -- the closed form, the cross-check, the
-    diagnostics and Monte Carlo -- runs per request, as :func:`er_auto`
-    documents.
+    Each is the result :func:`er_auto` gives for the request's channel at
+    that mean SNR; the request's own ``gamma_bar`` is ignored.  ``auto`` and
+    ``quadrature`` integrate every mean SNR in one :func:`quadrature_sweep`,
+    whose rows each get the value they get on their own.  The closed form,
+    the cross-check, the diagnostics and Monte Carlo run per mean SNR.
     """
-    needs = [i for i, request in enumerate(requests)
-             if request.method in ("auto", "quadrature")]
-    quadrature = dict(zip(needs, _quadrature_batch([requests[i] for i in needs])))
-    return [_evaluate(request, quadrature.get(i), mc_config)
-            for i, request in enumerate(requests)]
+    quadrature = [None] * len(gamma_bars)
+    if request.method in ("auto", "quadrature"):
+        values, errors, levels = quadrature_sweep(request.params, gamma_bars,
+                                                  request.a_exponent, request.rel_tol)
+        quadrature = zip(values.tolist(), errors.tolist(), levels.tolist())
+    return [_evaluate(request, g, q, mc_config) for g, q in zip(gamma_bars, quadrature)]
 
 
 def er_auto(request: ErRequest, mc_config=None) -> ErResult:
@@ -323,20 +304,20 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
     ``CROSS_REL_TOL`` (recorded as ``engines_disagree``, with the difference
     folded into the error estimate).  The explicit methods run exactly what
     was asked for (raising if unavailable); ``monte_carlo`` delegates to the
-    sampling engine.  A one-request :func:`er_sweep`.
+    sampling engine.  A one-SNR :func:`er_sweep`.
     """
-    return er_sweep([request], mc_config)[0]
+    return er_sweep(request, [request.params.gamma_bar], mc_config)[0]
 
 
-def _evaluate(request: ErRequest, quadrature: tuple[float, float, int] | None,
-              mc_config) -> ErResult:
-    """:func:`er_auto` for one request, given its quadrature (value, error, level)."""
-    params = request.params
+def _evaluate(request: ErRequest, gamma_bar: float,
+              quadrature: tuple[float, float, int] | None, mc_config) -> ErResult:
+    """:func:`er_auto` at one mean SNR, given its quadrature (value, error, level)."""
     a = request.a_exponent
     diagnostics: list[tuple[str, str]] = []
 
     if request.method == "monte_carlo":
-        estimate = estimate_er(params, a, mc_config or McConfig())
+        estimate = estimate_er(replace(request.params, gamma_bar=gamma_bar), a,
+                               mc_config or McConfig())
         diagnostics.extend([("n_samples", str(estimate.n_samples)),
                             ("seed", str(estimate.seed))])
         return ErResult(expectation_j=estimate.j_hat, rate=estimate.rate_hat,
@@ -349,11 +330,13 @@ def _evaluate(request: ErRequest, quadrature: tuple[float, float, int] | None,
                         error_estimate=err, diagnostics=tuple(diagnostics))
 
     if request.method == "closed_form":
+        params = replace(request.params, gamma_bar=gamma_bar)
         return result(expectation_closed_form(params, a, diagnostics), "closed_form",
                       U_SUM_TOL)
 
     j_closed = None
-    if request.method == "auto" and closed_form_applies(params):
+    if request.method == "auto" and closed_form_applies(request.params):
+        params = replace(request.params, gamma_bar=gamma_bar)
         try:
             j_closed = expectation_closed_form(params, a, diagnostics)
         except (ConvergenceError, ClosedFormUnavailableError, ArithmeticError) as exc:

@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-ln_gamma = math.lgamma  # C library lgamma: relative error well under 1e-14 for x > 0
-
 
 def log_gamma_peak(a: float) -> float:
     """K = A ln A - A - ln Gamma(A), the log of the peak of s^A e^-s / Gamma(A).
@@ -41,7 +39,7 @@ def log_gamma_peak(a: float) -> float:
     Stirling remainder, whose first omitted term is under 1e-16 there.
     """
     if a < 30.0:
-        return a * math.log(a) - a - ln_gamma(a)
+        return a * math.log(a) - a - math.lgamma(a)
     r = 1.0 / (a * a)
     return (0.5 * math.log(a / (2.0 * math.pi))
             - (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a)
@@ -234,7 +232,7 @@ def _seeds(a: float, z: float, k: int, tol: float):
     d_lo = d_hi = 0.0
     for j in (k - 1, k):
         window = 46.0 + a * math.log1p(j / z)  # 46 = ln 1e20
-        d_lo = min(d_lo, (ln_gamma(j + 1.0) - window) / j - log_z - x0)
+        d_lo = min(d_lo, (math.lgamma(j + 1.0) - window) / j - log_z - x0)
         d_hi = max(d_hi, math.log(2.0 * (j + window) / z) - x0)
     u_lo, u_hi = math.asinh(d_lo / width), math.asinh(d_hi / width)
     log_t0 = math.log1p(t0)

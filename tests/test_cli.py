@@ -118,6 +118,28 @@ class TestErCommand:
         assert run_cli(capsys, *args)[0] == 0
         assert len(calls) == 2  # one batch per vary value
 
+    @pytest.mark.parametrize("mu, vary, values, limit", [
+        ("2.0", "mu", "1.0,2.0,4.0", 86),  # plus the channel of each closed-form point
+        ("1.5", "m", "0.5,1.0,3.0", 4),
+    ], ids=["fig-1", "fig-2"])
+    def test_figure_sweep_builds_one_channel_per_shape(self, capsys, monkeypatch,
+                                                       mu, vary, values, limit):
+        # the base channel and one per vary value; mean SNR is no rebuild
+        args = ("er", "--mu", mu, "--m", "1.0", "--kappa", "1.0", "--eta", "0.1",
+                "--rho2", "0.1", "--A", "2.0", "--snr-db=-10.0:30.0:1", "--vary", vary,
+                "--vary-values", values, "--format", "jsonl")
+        assert run_cli(capsys, *args)[0] == 0  # fills the per-shape expansion cache
+        builds = []
+        post_init = ChannelParams.__post_init__
+
+        def counted(self):
+            builds.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ChannelParams, "__post_init__", counted)
+        assert run_cli(capsys, *args)[0] == 0
+        assert len(builds) <= limit
+
     def test_monte_carlo_sweep_matches_per_point(self, capsys):
         code, out, _ = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
                                "--snr-db=0:10:10", "--vary", "mu", "--vary-values", "1,2",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbrate import ChannelParams, log_mgf, mgf, preset
+from fbrate import ChannelParams, ParameterError, log_mgf, mgf, preset
 
 from conftest import (FIG1_MGF_AT_1, cluster_model_mgf, fig1_params, mgf_mean_check,
                       random_valid_params, unit_eta_shadowed_mgf)
@@ -30,10 +30,14 @@ def test_fig1_value_at_one():
     assert point.value == pytest.approx(math.exp(point.log_value))
 
 
-def test_negative_argument_rejected():
-    p = fig1_params()
-    with pytest.raises(ValueError):
-        mgf(p, -0.5)
+@pytest.mark.parametrize("s", [-0.5, math.nan])
+def test_negative_or_nan_argument_rejected(s):
+    with pytest.raises(ParameterError, match="must be >= 0"):
+        mgf(fig1_params(), s)
+
+
+def test_infinite_argument_is_the_limit():
+    assert mgf(fig1_params(), math.inf).value == 0.0
 
 
 def test_monotone_decreasing_and_log_convex():

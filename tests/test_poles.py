@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from fbrate import (ChannelParams, ClosedFormUnavailableError, ErRequest, decompose,
-                    er_auto, mgf, pdf, preset)
+from fbrate import (ChannelParams, ClosedFormUnavailableError, ErRequest, ParameterError,
+                    decompose, er_auto, mgf, pdf, preset)
 from fbrate import poles
 from fbrate.poles import _taylor_coefficients, mgf_factors, pole_exponents
 
@@ -354,10 +354,17 @@ class TestPdf:
             values = pdf(p, np.linspace(0, 20 * p.gamma_bar, 400))
             assert np.all(values >= 0.0)
 
-    def test_negative_gamma_rejected(self):
+    @pytest.mark.parametrize("gamma", [-1.0, math.nan, [1.0, math.nan]])
+    def test_negative_or_nan_gamma_rejected(self, gamma):
+        with pytest.raises(ParameterError, match="gamma must be >= 0"):
+            pdf(fig1_params(), gamma)
+
+    def test_infinite_gamma_is_the_limit(self):
+        # exactly 0, with no numpy warning (the suite turns warnings into errors)
         p = fig1_params()
-        with pytest.raises(ValueError):
-            pdf(p, -1.0)
+        assert pdf(p, math.inf) == 0.0
+        values = pdf(p, [0.5, math.inf])
+        assert values.tolist() == [pdf(p, 0.5), 0.0]
 
     def test_cdf_helper_consistency(self):
         # the test-side CDF matches numeric integration of the density

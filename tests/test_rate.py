@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fbrate.rate
 from fbrate import _extended
 from fbrate.poles import pole_exponents
-from fbrate.rate import DE_LEVELS
+from fbrate.rate import _METHODS, DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
                     ErRequest, FbrateError, McConfig, ParameterError, closed_form_applies,
                     decompose, effective_rate, er_auto, er_sweep, estimate_er,
@@ -74,16 +75,16 @@ def test_invalid_exponent_is_a_parameter_error(entry, a):
         entry(a)
 
 
-def _count_sweeps(monkeypatch) -> list:
-    """Record the arguments of every ``fbrate.rate.quadrature_sweep`` call."""
+def _count_sweeps(monkeypatch, module=fbrate.rate) -> list:
+    """Record the arguments of every ``quadrature_sweep`` call made from ``module``."""
     calls = []
-    sweep = fbrate.rate.quadrature_sweep
+    sweep = module.quadrature_sweep
 
     def counted(*args):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(fbrate.rate, "quadrature_sweep", counted)
+    monkeypatch.setattr(module, "quadrature_sweep", counted)
     return calls
 
 
@@ -238,8 +239,9 @@ class TestQuadratureSweep:
         assert info.value.achieved > 1e-8
 
     def test_rejects_bad_mean_snr(self):
-        with pytest.raises(ParameterError):
-            quadrature_sweep(fig1_params(), [1.0, 0.0], 2.0)
+        # the first offending mean SNR alone is named, not the whole sweep
+        with pytest.raises(ParameterError, match=r"got 0\.0$"):
+            quadrature_sweep(fig1_params(), [1.0, 0.0, math.nan], 2.0)
 
     def test_rejects_one_exponent_per_other_row(self):
         with pytest.raises(ParameterError, match="one A or one per mean SNR"):
@@ -247,30 +249,31 @@ class TestQuadratureSweep:
         with pytest.raises(ParameterError, match="A must be finite and > 0"):
             quadrature_sweep(fig1_params(), [1.0, 10.0], [2.0, 0.0])
 
-    def test_empty_sweep(self):
-        assert er_sweep([]) == []
+    @pytest.mark.parametrize("method", _METHODS)
+    def test_empty_sweep(self, method):
+        assert er_sweep(ErRequest(params=fig1_params(), a_exponent=2.0, method=method), []) == []
 
-    def test_sweep_matches_per_point_requests(self):
-        # mixed methods and shapes in one list: results keep the request order
-        requests = [ErRequest(params=fig1_params(gamma_bar=g, mu=mu), a_exponent=2.0,
-                              method=method)
-                    for method in ("auto", "quadrature", "closed_form")
-                    for g in (0.1, 10.0, 1e3) for mu in (2.0, 4.0)]
-        requests.reverse()
-        assert er_sweep(requests) == [er_auto(r) for r in requests]
+    @pytest.mark.parametrize("method", _METHODS)
+    def test_sweep_matches_per_point_requests(self, method):
+        # the request's own mean SNR (3.0) is not among the sweep's, and is ignored
+        request = ErRequest(params=fig1_params(gamma_bar=3.0), a_exponent=2.0, method=method)
+        gamma_bars = [1e3, 0.1, 10.0, 0.1]
+        config = McConfig(n_samples=20_000, seed=7)
+        assert er_sweep(request, gamma_bars, config) == [
+            er_auto(replace(request, params=replace(request.params, gamma_bar=g)), config)
+            for g in gamma_bars]
 
-    def test_auto_and_quadrature_requests_share_one_batch(self, monkeypatch):
+    @pytest.mark.parametrize("method, n_sweeps", [
+        ("auto", 1), ("quadrature", 1), ("closed_form", 0)])
+    def test_one_quadrature_sweep_per_sweep(self, monkeypatch, method, n_sweeps):
         calls = _count_sweeps(monkeypatch)
-        requests = [ErRequest(params=fig1_params(gamma_bar=g), a_exponent=2.0,
-                              method=method)
-                    for method in ("auto", "quadrature") for g in (0.1, 10.0, 1e3)]
-        results = er_sweep(requests)
-        assert len(calls) == 1
-        assert results == [er_auto(r) for r in requests]
+        gamma_bars = [0.1, 10.0, 1e3]
+        er_sweep(ErRequest(params=fig1_params(), a_exponent=2.0, method=method), gamma_bars)
+        assert [list(args[1]) for args in calls] == [gamma_bars] * n_sweeps
 
     def test_cross_check_batches_each_shape(self, monkeypatch):
         grid = closed_form_grid()[:40]  # two shapes x 5 mean SNRs x 4 exponents
-        calls = _count_sweeps(monkeypatch)
+        calls = _count_sweeps(monkeypatch, fbrate.crosscheck)
         report = run_cross_check(grid)
         assert len(calls) == len({p.shape for p, _ in grid}) == 2
         assert [len(args[2]) for args in calls] == [20, 20]
