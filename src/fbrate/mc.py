@@ -1,17 +1,17 @@
 """Monte-Carlo sampling of the physical channel for any real cluster count.
 
-Each of the floor(mu) whole clusters contributes an in-phase Gaussian
-(variance eta, mean sqrt(xi) * p_i) and a quadrature Gaussian (variance 1,
-mean sqrt(xi) * q_i), with the LoS powers p^2 = rho2 q^2 and
-q^2 = kappa mu (1+eta)/(1+rho2) shared evenly, p_i^2 = p^2/floor(mu); a
-single unit-mean gamma variate xi with shape m modulates the whole LoS field
-per realization (xi = 1 at m = inf).  A fractional remainder f = mu - floor(mu)
-adds central chi-square scatter with f degrees of freedom per branch,
-2 (eta G1 + G2) with G1, G2 ~ Gamma(f/2, 1).  The in-phase power is then
-eta chi'^2(mu, xi p^2/eta) and the quadrature power chi'^2(mu, xi q^2), whose
-MGF is the real-mu model of :mod:`fbrate.mgf`.  Below one cluster only the
-scatter term is left, so mu < 1 is sampled without LoS only.  The received
-power is normalized by its mean so that the sampled SNR averages gamma_bar.
+Given the unit-mean gamma variate xi with shape m that modulates the LoS
+field (xi = 1 at m = inf, and not drawn at kappa = 0), the in-phase power is
+eta chi'^2(mu, xi p^2/eta) and the quadrature power chi'^2(mu, xi q^2), with
+the LoS powers p^2 = rho2 q^2 and q^2 = kappa mu (1+eta)/(1+rho2); their sum
+has the real-mu MGF of :mod:`fbrate.mgf`.  At eta = 1 the two branches are
+one chi'^2(2 mu, xi (p^2 + q^2)) and are drawn once.  Each noncentral
+chi-square is drawn whole, at a cost that does not grow with mu: from one
+degree of freedom up as (Z + sqrt(lam))^2 + chi^2(dof - 1), below as the
+Poisson mixture chi^2(dof + 2N) with N ~ Poisson(lam/2), and without LoS as
+a central chi^2(dof).  A chi^2(1) is a squared normal and any other chi^2(r)
+twice a Gamma(r/2) variate.  The received power is normalized by its mean so
+that the sampled SNR averages gamma_bar.
 
 Determinism: samples are generated in fixed-size chunks, each from its own
 counter-based Philox stream keyed by (seed, chunk index), and per-chunk
@@ -74,54 +74,54 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _chi2(rng: np.random.Generator, shape, n: int) -> np.ndarray:
+    """n chi-square variates with 2 shape degrees of freedom (shape a scalar,
+    or one per sample): a squared normal at shape 1/2, else 2 Gamma(shape)."""
+    if np.ndim(shape) == 0 and shape == 0.5:
+        z = rng.standard_normal(n)
+        return z * z
+    return 2.0 * rng.standard_gamma(shape, size=n)
+
+
 def _sample_block(params: ChannelParams, rng: np.random.Generator,
                   n: int) -> np.ndarray:
     """n SNR realizations as an ndarray (vectorized across samples).
 
-    Draw order: xi, then (x, y) for each whole cluster, then the two
-    fractional-scatter gammas.  Requires mu >= 1 when kappa > 0.  Works in
-    place on at most five n-sized arrays, in the same floating-point order
-    as the expression ``gamma_bar * w / normalization`` with
-    ``w = sum(x*x + y*y) + 2 (eta G1 + G2)``.
+    Draw order: xi (only when kappa > 0 and m is finite), then the LoS part
+    of each branch, in-phase first (a normal each from one degree of freedom
+    up, a Poisson count each below), then the scatter chi-square of each
+    branch.  Every draw covers all n samples, so the calls do not depend on
+    mu.  For mu in [1, 2) with kappa > 0 and eta != 1 these are the draws of
+    one Gaussian cluster plus fractional scatter, in the floating-point order
+    of ``gamma_bar * w / normalization`` with
+    ``w = (sqrt(eta) X + sqrt(xi) p)^2 + (Y + sqrt(xi) q)^2 + 2 (eta G1 + G2)``.
     """
-    m = params.m
-    if math.isinf(m):
-        root_xi = 1.0  # no LoS fluctuation: xi = 1 exactly, no gamma draws
+    mu, eta, kappa = params.mu, params.eta, params.kappa
+    q2 = kappa * mu * (eta + 1.0) / (1.0 + params.rho2)
+    if eta == 1.0:  # (variance, LoS power) of each branch; here one for both
+        dof, branches = 2.0 * mu, ((1.0, params.rho2 * q2 + q2),)
     else:
-        root_xi = rng.gamma(shape=m, scale=1.0 / m, size=n)
-        np.sqrt(root_xi, out=root_xi)
-    clusters = math.floor(params.mu)
-    w = np.zeros(n)
-    x = np.empty(n)
-    y = np.empty(n)
-    if clusters:
-        q2 = params.kappa * params.mu * (params.eta + 1.0) / (1.0 + params.rho2)
-        p_i = math.sqrt(params.rho2 * q2 / clusters)
-        q_i = math.sqrt(q2 / clusters)
-        sx = math.sqrt(params.eta)
-        los_y = root_xi * q_i
-        los_x = root_xi
-        los_x *= p_i  # reuses the array of xi when it is sampled
-        for _ in range(clusters):
-            rng.standard_normal(out=x)
-            x *= sx
-            x += los_x
-            rng.standard_normal(out=y)
-            y += los_y
-            x *= x
-            y *= y
-            x += y
-            w += x
-    frac = params.mu - clusters
-    if frac:
-        rng.standard_gamma(frac / 2, out=x)
-        x *= params.eta
-        rng.standard_gamma(frac / 2, out=y)
-        x += y
-        x *= 2.0
-        w += x
+        dof, branches = mu, ((eta, params.rho2 * q2), (1.0, q2))
+    xi = 1.0  # no LoS fluctuation at m = inf, and no LoS to modulate at kappa = 0
+    if kappa and not math.isinf(params.m):
+        xi = rng.gamma(shape=params.m, scale=1.0 / params.m, size=n)
+    w = 0.0
+    shapes = [dof / 2] * len(branches)  # scatter of each branch: chi^2(2 shape)
+    if kappa and dof >= 1.0:  # chi'^2(dof, lam) = (Z + sqrt(lam))^2 + chi^2(dof - 1)
+        root_xi = np.sqrt(xi)
+        w = sum((math.sqrt(var) * rng.standard_normal(n) + root_xi * math.sqrt(los)) ** 2
+                for var, los in branches)
+        shapes = [(dof - 1.0) / 2] * len(branches) if dof > 1.0 else []
+    elif kappa:  # chi'^2(dof, lam) = chi^2(dof + 2N) with N ~ Poisson(lam / 2)
+        try:
+            shapes = [dof / 2 + rng.poisson(xi * (los / (2.0 * var)), size=n)
+                      for var, los in branches]
+        except ValueError as exc:  # numpy's Poisson stops near lam/2 = 9.2e18
+            raise ParameterError(f"LoS noncentrality too large to sample at "
+                                 f"mu={mu!r}, kappa={kappa!r}") from exc
+    w = w + sum(var * _chi2(rng, shape, n) for (var, _), shape in zip(branches, shapes))
     w *= params.gamma_bar
-    w /= (1.0 + params.kappa) * params.mu * (params.eta + 1.0)
+    w /= (1.0 + kappa) * mu * (eta + 1.0)
     return w
 
 
@@ -140,14 +140,13 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig) -> M
     (1+gamma)^-A and its square, which are combined exactly, so the estimate
     does not depend on how many threads run them.  The chunks run on one
     thread per CPU the process may run on, at most one per chunk; a single
-    chunk runs inline.  Raises :class:`ParameterError` for an A that is not
-    finite and > 0 and for mu < 1 with LoS (kappa > 0), and
-    :class:`ConvergenceError` when every sampled (1+gamma)^-A underflows to 0.
+    chunk runs inline.  Every real mu > 0 is sampled, with or without LoS.
+    Raises :class:`ParameterError` for an A that is not finite and > 0, and
+    for a LoS noncentrality beyond numpy's Poisson range (lam/2 > ~9.2e18)
+    where it needs the Poisson mixture, and :class:`ConvergenceError` when
+    every sampled (1+gamma)^-A underflows to 0.
     """
     _check_a_exponent(a_exponent)
-    if params.mu < 1 and params.kappa > 0:
-        raise ParameterError(
-            f"sampling with LoS (kappa > 0) requires mu >= 1, got mu={params.mu!r}")
 
     n = config.n_samples
     sizes = [config.chunk_size] * (n // config.chunk_size)

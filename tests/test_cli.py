@@ -227,6 +227,19 @@ class TestErCommand:
         assert row[4] == "monte_carlo"
         assert abs(float(row[3]) - FIG2_J_BY_M[1.0]) <= 4.0 * float(row[5])
 
+    def test_monte_carlo_sub_unit_mu_with_los(self, capsys):
+        # below one cluster with LoS the sampler draws Poisson mixtures
+        code, out, _ = run_cli(capsys, "er", "--mu", "0.5", "--kappa", "1", "--A", "2",
+                               "--method", "mc")
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert row[4] == "monte_carlo"
+        p = ChannelParams(mu=0.5, m=1.0, kappa=1.0, eta=1.0, rho2=1.0,
+                          gamma_bar=db_to_linear(float(row[0])))
+        j_quad = er_auto(ErRequest(params=p, a_exponent=2.0,
+                                   method="quadrature")).expectation_j
+        assert abs(float(row[3]) - j_quad) <= 4.0 * float(row[5])
+
     def test_monte_carlo_underflow_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "er", "--mu", "2", "--A", "1000",
                                  "--snr-db", "30:30:1", "--method", "mc",

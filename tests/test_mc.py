@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fbrate.mc
-from fbrate import (ChannelParams, ConvergenceError, McConfig, ParameterError,
-                    decompose, estimate_er, expectation_quadrature, mgf,
-                    preset)
+from fbrate import (ChannelParams, ConvergenceError, FbrateError, McConfig,
+                    ParameterError, decompose, estimate_er, expectation_quadrature,
+                    mgf, preset)
 from fbrate.crosscheck import McCheckReport, McCheckResult, mc_grid, run_mc_check
 from fbrate.mc import _chunk_rng, _sample_block
 
@@ -17,7 +18,9 @@ KS_CRIT_1PCT = 1.6276  # asymptotic two-sided 1% critical coefficient / sqrt(n)
 
 #: Shape parameters the sampler must reproduce at the distribution level:
 #: no LoS, symmetric LoS, all LoS on one branch, a dominant in-phase scatter,
-#: strong LoS, fractional cluster counts, and fewer than one cluster.
+#: strong LoS, fractional cluster counts, and fewer than one cluster, without
+#: and with LoS (the Poisson mixture, for two branches and for the merged
+#: eta = 1 branch).
 MGF_CASES = {
     "kappa0": dict(mu=2.0, m=1.0, kappa=0.0, eta=0.5, rho2=1.0),
     "symmetric-los": dict(mu=1.0, m=1.0, kappa=1.0, eta=1.0, rho2=1.0),
@@ -27,7 +30,27 @@ MGF_CASES = {
     "mu1.5": dict(mu=1.5, m=1.0, kappa=1.0, eta=0.1, rho2=0.1),
     "mu2.7": dict(mu=2.7, m=0.5, kappa=2.0, eta=3.0, rho2=0.5),
     "mu0.5-nlos": dict(mu=0.5, m=1.0, kappa=0.0, eta=0.3, rho2=1.0),
+    "mu0.5-los": dict(mu=0.5, m=1.0, kappa=1.0, eta=0.3, rho2=1.0),
+    "mu0.3-eta1": dict(mu=0.3, m=2.0, kappa=2.0, eta=1.0, rho2=0.5),
 }
+
+
+class _RecordingGenerator:
+    """Generator proxy that records each call as (method, shape of its draw)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            result = method(*args, **kwargs)
+            self.calls.append((name, np.shape(result)))
+            return result
+
+        return record
 
 
 class TestSampling:
@@ -78,6 +101,40 @@ class TestSampling:
         d = ks_distance(gamma, cdf)
         assert d < KS_CRIT_1PCT / math.sqrt(gamma.size)
 
+    @pytest.mark.parametrize("shape", [dict(m=10.0, kappa=3.0, eta=0.2),
+                                       dict(m=2.0, kappa=1.0, eta=1.0),
+                                       dict(m=math.inf, kappa=0.0, eta=0.5)])
+    def test_draws_do_not_grow_with_mu(self, shape):
+        # one chunk at mu = 4 and mu = 37.3 makes the same generator calls,
+        # each drawing the whole chunk at once: a cost that does not grow with mu
+        calls = {}
+        for mu in (4.0, 37.3):
+            rng = _RecordingGenerator(_chunk_rng(3, 0))
+            _sample_block(ChannelParams(mu=mu, rho2=1.0, **shape), rng, 1000)
+            calls[mu] = rng.calls
+        assert calls[4.0] == calls[37.3]
+        assert len(calls[4.0]) <= 5
+        assert all(size == (1000,) for _, size in calls[4.0])
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(mu=st.floats(0.2, 50.0),
+           m=st.one_of(st.floats(0.2, 100.0), st.just(math.inf)),
+           kappa=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+           eta=st.one_of(st.just(1.0), st.floats(0.01, 100.0)),
+           rho2=st.floats(0.0, 10.0))
+    def test_sample_mean_is_gamma_bar(self, mu, m, kappa, eta, rho2):
+        p = ChannelParams(mu=mu, m=m, kappa=kappa, eta=eta, rho2=rho2, gamma_bar=3.0)
+        gamma = _sample_block(p, _chunk_rng(29, 0), 100_000)
+        stderr = gamma.std() / math.sqrt(gamma.size)
+        assert abs(gamma.mean() - 3.0) <= 5.0 * stderr
+
+    def test_poisson_beyond_numpy_range_is_typed(self):
+        # below one degree of freedom lam/2 = 3.75e19 is past numpy's Poisson
+        # limit (~9.2e18): a typed error, not numpy's bare ValueError
+        p = ChannelParams(mu=0.5, m=math.inf, kappa=1e20, eta=0.5, rho2=1.0)
+        with pytest.raises(FbrateError, match="noncentrality"):
+            estimate_er(p, 2.0, McConfig(n_samples=1000, seed=1))
+
     def test_small_shape_gamma_ok(self):
         # shadowing index below one must still sample correctly
         p = ChannelParams(mu=1.0, m=0.4, kappa=2.0, eta=1.0, rho2=1.0, gamma_bar=1.0)
@@ -111,11 +168,13 @@ class TestEstimateEr:
         assert j_quad == pytest.approx(FIG2_J_BY_M[1.0], rel=1e-8)
         assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
-    def test_sub_unit_mu_with_los_rejected(self):
-        # below one cluster there is no Gaussian to carry the LoS mean
+    def test_sub_unit_mu_with_los_concordance(self):
+        # below one degree of freedom each branch is a Poisson mixture of
+        # central chi-squares, so LoS is sampled at any mu > 0
         p = ChannelParams(mu=0.5, m=1.0, kappa=1.0, eta=0.1, rho2=0.1)
-        with pytest.raises(ParameterError, match="mu"):
-            estimate_er(p, 2.0, McConfig(n_samples=1000, seed=1))
+        est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
+        j_quad, _ = expectation_quadrature(p, 2.0)
+        assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
     def test_underflow_raises_convergence_error(self):
         # every (1+gamma)^-1000 at 30 dB underflows; J = 4.0e-12 by quadrature
@@ -154,14 +213,15 @@ class TestEstimateEr:
             McConfig(n_samples=100, seed=1)
 
 
-#: float.hex of (j_hat, j_stderr) at seed 42, frozen from the allocating
-#: sampler that preceded the in-place one: any change to the draw order or to
-#: the floating-point order of the kernel shows up here.
+#: float.hex of (j_hat, j_stderr) at seed 42: any change to the draw order or
+#: to the floating-point order of the kernel shows up here.  beckmann and mu1.5
+#: (mu in [1, 2), kappa > 0, eta != 1) are frozen from the per-cluster sampler
+#: that the whole-branch draws replaced; the others from the whole-branch draws.
 #: name: (params, A, n_samples, chunk_size, j_hat, j_stderr)
 MC_GOLDEN = {
     "mu6-m3-kappa2-A5": (
         ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=0.1, gamma_bar=100.0),
-        5.0, 1 << 17, 1 << 16, "0x1.a26e9efa1eec9p-25", "0x1.6ff42c0448e7cp-28"),
+        5.0, 1 << 17, 1 << 16, "0x1.b0fcdd9f83aeep-25", "0x1.c21f770f729e3p-28"),
     "beckmann": (
         preset("beckmann", kappa=1.0, eta=0.5, rho2=2.0, gamma_bar=10.0),
         2.0, 1 << 17, 1 << 16, "0x1.e7b8d1b604a62p-5", "0x1.7cb2c58d3981dp-12"),
@@ -170,19 +230,19 @@ MC_GOLDEN = {
         2.0, 1 << 17, 1 << 16, "0x1.a0b749ce39c2bp-2", "0x1.7c325a8668fc7p-11"),
     "mu2.7-m0.5": (
         ChannelParams(mu=2.7, m=0.5, kappa=2.0, eta=3.0, rho2=0.5, gamma_bar=2.0),
-        2.0, 1 << 17, 1 << 16, "0x1.e4a50cd499a46p-3", "0x1.15448337a9b9cp-11"),
+        2.0, 1 << 17, 1 << 16, "0x1.e495e8e7e5f50p-3", "0x1.153932fc40cf8p-11"),
     "mu0.5-nlos": (
         ChannelParams(mu=0.5, m=1.0, kappa=0.0, eta=0.3, rho2=1.0, gamma_bar=2.0),
-        2.0, 1 << 17, 1 << 16, "0x1.a263becc2b1dfp-2", "0x1.f15d7f14a8426p-11"),
+        2.0, 1 << 17, 1 << 16, "0x1.a1c8be293ed21p-2", "0x1.f063cb481faeep-11"),
     "A0.5": (
         ChannelParams(mu=4.0, m=2.0, kappa=0.5, eta=0.5, rho2=1.0, gamma_bar=10.0),
-        0.5, 1 << 17, 1 << 16, "0x1.51734c588b7a6p-2", "0x1.e7678f2fad91ap-13"),
+        0.5, 1 << 17, 1 << 16, "0x1.517a69df8c52dp-2", "0x1.e747ec855b018p-13"),
     "A1": (
         preset("nakagami-m", mu=3, gamma_bar=10.0),
-        1.0, 1 << 17, 1 << 16, "0x1.f136c72862640p-4", "0x1.b5cd20994896ep-13"),
+        1.0, 1 << 17, 1 << 16, "0x1.f1697b8bd28c7p-4", "0x1.b8242f5d39434p-13"),
     "ragged-chunks": (
         fig1_params(gamma_bar=10.0),
-        2.0, 100_003, 1 << 14, "0x1.b15798359e52fp-5", "0x1.47c1815342a3bp-12"),
+        2.0, 100_003, 1 << 14, "0x1.b3e6795c29658p-5", "0x1.49de6572fcf9cp-12"),
 }
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -122,6 +124,28 @@ def reference_family(a: float, z: float, n: int, digits: int = 140) -> list:
     return runs[1]
 
 
+#: W_0..W_61 at A = 60, z = 1e-4 from ``reference_family(60.0, 1e-4, 61,
+#: digits=400)``, stored because that run takes several seconds; regenerate
+#: with ``PYTHONPATH=src python tests/test_specfun.py``.
+SEEDS_BELOW_DOUBLE = Path(__file__).with_name("u_family_a60_z1e-4.json")
+
+
+def stored_seeds_below_double() -> list:
+    """The stored W_0..W_61 as mpf at the digits they were written with."""
+    data = json.loads(SEEDS_BELOW_DOUBLE.read_text())
+    with mp.workdps(data["digits"]):
+        return [mp.mpf(value) for value in data["values"]]
+
+
+def write_seeds_below_double() -> None:
+    digits = 400
+    values = reference_family(60.0, 1e-4, 61, digits=digits)
+    SEEDS_BELOW_DOUBLE.write_text(json.dumps(
+        {"a": 60.0, "z": 1e-4, "n": 61, "digits": digits,
+         "command": "PYTHONPATH=src python tests/test_specfun.py",
+         "values": [mp.nstr(value, digits) for value in values]}, indent=1) + "\n")
+
+
 class TestUFamily:
     @pytest.mark.parametrize("a", (0.5, 2.0, 5.0 - 1e-7, 20.0))
     def test_reference_matches_integral_oracle(self, a):
@@ -205,7 +229,7 @@ class TestUFamily:
         # 2**-1022 is held to _U_TOL of that instead of its own size
         a, z, n = 60.0, 1e-4, 61
         family = u_family(a, z, n)
-        exact = reference_family(a, z, n, digits=400)
+        exact = stored_seeds_below_double()
         assert family.branches[-2:] == ("quadrature", "quadrature")
         tiny = 2.0**-1022
         assert float(exact[n]) < tiny < float(exact[10])
@@ -250,3 +274,7 @@ class TestUFamily:
         with pytest.raises(ConvergenceError, match="uncertified") as info:
             u_family(20.0, 1e-4, FAMILY_N, rel_tol=1e-17)
         assert info.value.achieved > 1e-17
+
+
+if __name__ == "__main__":
+    write_seeds_below_double()
