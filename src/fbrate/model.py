@@ -30,8 +30,9 @@ class ChannelParams:
     """The five fading shape parameters plus the average SNR (linear).
 
     Construction raises :class:`ParameterError` naming the first offending
-    field.  ``m = math.inf`` is accepted as the exact no-fluctuation limit;
-    every other field must be finite and inside its range.
+    field, or the shape if its MGF constants leave the double range.
+    ``m = math.inf`` is the exact no-fluctuation limit; every other field
+    must be finite and inside its range.
 
     ``c1`` and ``c2`` are the roots of ``alpha1 * z**2 + beta * z + 1``,
     ordered so that ``c1 >= c2 > 0``.  The discriminant ``beta**2 - 4*alpha1``
@@ -53,31 +54,21 @@ class ChannelParams:
     c2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        def _finite(name, value):
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-
-        _finite("mu", self.mu)
-        if self.mu <= 0:
-            raise ParameterError(f"mu out of range: must be > 0, got {self.mu!r}")
-        if not (self.m == math.inf or math.isfinite(self.m)):
-            raise ParameterError(f"m must be finite or +inf, got {self.m!r}")
-        if self.m <= 0:
-            raise ParameterError(f"m out of range: must be > 0, got {self.m!r}")
-        _finite("kappa", self.kappa)
-        if self.kappa < 0:
-            raise ParameterError(f"kappa out of range: must be >= 0, got {self.kappa!r}")
-        _finite("eta", self.eta)
-        if self.eta <= 0:
-            raise ParameterError(f"eta out of range: must be > 0, got {self.eta!r}")
-        _finite("rho2", self.rho2)
-        if self.rho2 < 0:
-            raise ParameterError(f"rho2 out of range: must be >= 0, got {self.rho2!r}")
-        _finite("gamma_bar", self.gamma_bar)
-        if self.gamma_bar <= 0:
-            raise ParameterError(
-                f"gamma_bar out of range: must be > 0, got {self.gamma_bar!r}")
-        omega, alpha1, beta, _, c1, c2 = channel_constants(*self.shape)
+        for name, floor in (("mu", "> 0"), ("m", "> 0"), ("kappa", ">= 0"), ("eta", "> 0"),
+                            ("rho2", ">= 0"), ("gamma_bar", "> 0")):
+            value = getattr(self, name)
+            if not (math.isfinite(value) or name == "m" and value == math.inf):
+                finite = "finite or +inf" if name == "m" else "finite"
+                raise ParameterError(f"{name} must be {finite}, got {value!r}")
+            if value < 0 or value == 0 and floor == "> 0":
+                raise ParameterError(f"{name} out of range: must be {floor}, got {value!r}")
+        try:
+            constants = channel_constants(*self.shape)
+        except ArithmeticError:  # a float power overflows, or a root divides by 0
+            constants = (math.nan,)
+        if not all(map(math.isfinite, constants)):
+            raise ParameterError(f"shape {self.shape} takes its MGF constants out of range")
+        omega, alpha1, beta, _, c1, c2 = constants
         for name, value in (("omega_cap", omega), ("alpha1", alpha1), ("beta", beta),
                             ("c1", c1), ("c2", c2)):
             object.__setattr__(self, name, value)

@@ -133,10 +133,10 @@ def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -
 
     T_0 = prod a_k**e_k and c_r = (-1)^(r-1) sum_k e_k (b_k/a_k)^r feed
     :func:`power_series`.  All a_k must be nonzero (coincident factors are
-    merged beforehand); a_k and b_k may be complex.  A ``majorants`` list
-    receives the envelope, the same series from |T_0| and |c_r|, which
-    bounds |T_n| and scales its rounding.  Raises :class:`ConvergenceError`
-    when T_0 overflows.
+    merged beforehand).  A ``majorants`` list receives the envelope, the
+    same series from |T_0| and |c_r|, which bounds |T_n| and scales its
+    rounding.  Raises :class:`ConvergenceError` if T_0 overflows or if c_r
+    may: its bound sum_k |e_k| max_k |b_k/a_k|^r is checked in logs first.
     """
     t0 = 1.0
     try:
@@ -148,6 +148,10 @@ def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -
             achieved=math.inf) from exc
     ratios = np.array([b / a for a, b, _ in factors])
     exponents = np.array([e for _, _, e in factors], dtype=float)
+    if factors and ((n_terms - 1) * math.log(max(abs(ratios)))
+                    + math.log(sum(abs(exponents))) > 709.0):  # ln of the largest double: 709.78
+        raise ConvergenceError("residue recursion: a power sum c_r may overflow",
+                               achieved=math.inf)
     c = -(exponents @ (-ratios[:, None]) ** np.arange(n_terms))  # (-1)^(r-1) q^r = -(-q)^r
     c[0] = 0.0
     if majorants is not None:

@@ -28,7 +28,7 @@ from .mc import McConfig, estimate_er
 from .mgf import log_mgf
 from .model import ChannelParams, _check_a_exponent
 from .poles import PartialFractionExpansion, decompose, pole_exponents
-from .specfun import log_gamma_peak, u_family
+from .specfun import log_gamma_peak, nested_trapezoid, u_family
 
 
 #: Deepest level of the double-exponential rule (step 2**-(DE_LEVELS+1)).
@@ -84,27 +84,23 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
                      rel_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J at every mean SNR in ``gamma_bars`` for one channel shape, by the MGF integral.
 
-    A nested exp-sinh trapezoid rule for s^(A-1) e^-s M(s) / Gamma(A).
-    With x = ln s = c + w (pi/2) sinh t the integrand decays double-
+    :func:`specfun.nested_trapezoid` for s^(A-1) e^-s M(s) / Gamma(A) in
+    t, with x = ln s = c + w (pi/2) sinh t: the integrand decays double-
     exponentially in t at both ends, and the two scales s ~ 1/gamma_bar and
-    s ~ A become smooth bumps that the trapezoid rule resolves at geometric
-    speed.  For A > 1 the map is centred on the weight's peak, c = ln A, and
-    narrowed to its width, w = min(1, 2/sqrt(A)); for A <= 1, c = 0 and
-    w = 1.  The log integrand is written about the peak,
+    s ~ A become smooth bumps.  For A > 1 the map is centred on the weight's
+    peak, c = ln A, and narrowed to its width, w = min(1, 2/sqrt(A)); for
+    A <= 1, c = 0 and w = 1.  The log integrand is written about the peak,
     A (y - expm1 y) + K with y = x - ln A (see :func:`specfun.log_gamma_peak`), so that
-    nothing of size A ln A cancels at large A.  Each level halves the step
-    from h = 1/2 and reuses the previous sum.  The x-window drops under
+    nothing of size A ln A cancels at large A.  The x-window drops under
     1e-19 of J: the mass below x_lo is at most e^(-45-5A)/Gamma(A+1) of J by
     the Jensen bound J >= (1+gamma_bar)^-A, and the mass above s = 60 + 2A at
     most Q(A, s)/P(A, A) of J, since M(s) decreases.
 
     ``a_exponent`` is one A for every row or one per row.  M depends on
     gamma_bar only through gamma_bar*s, so the shape's own ``gamma_bar`` is
-    ignored and every row shares one rule: each level samples the log
-    integrand of all unconverged rows as one (rows x nodes) array over the
-    widest of their t-windows, and sums each row over its own window alone,
-    so every row gets the value the rule gives it on its own.  A row leaves
-    once its last two levels agree within ``rel_tol``.
+    ignored and every mean SNR is one row of the rule, which gets the value
+    the rule gives it on its own.  A row leaves once its last two levels
+    agree within ``rel_tol``.
 
     Returns (values, relative differences of each row's last two levels,
     levels reached); raises :class:`ConvergenceError`, naming the mean SNR
@@ -123,11 +119,8 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
     elif len(a_rows) != gamma_bar.size:
         raise ParameterError(
             f"a_exponent must be one A or one per mean SNR, got {a_exponent!r}")
-    values = np.zeros_like(gamma_bar)
-    errors = np.full_like(gamma_bar, math.inf)
-    levels = np.zeros(gamma_bar.shape, dtype=int)
     if not gamma_bar.size:
-        return values, errors, levels
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)
     if shape.gamma_bar != 1.0:
         shape = replace(shape, gamma_bar=1.0)
     # one map per distinct A, from math so that each row's rule is the one a
@@ -146,64 +139,38 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
     t_lo = [math.asinh((-45.0 / a_i - 5.0 - math.log1p(g) - rules[k][1]) / rules[k][2])
             for a_i, k, g in zip(a_rows, kind, gamma_bar.tolist())]
 
-    def node_sums(rows: np.ndarray, h: float, step: int) -> np.ndarray:
-        # each row's integrand summed over t = k*h in its window; step 2
-        # keeps the odd k, the nodes the previous level lacks
-        rows_list = rows.tolist()
-        k0 = [math.ceil(t_lo[i] / h) for i in rows_list]
-        if step == 2:
-            k0 = [k | 1 for k in k0]
-        first = min(k0)
-        k1 = [math.floor(t / h) for t in t_hi]
-        ends = [(k - first) // step + 1 for k in k1]
-        t = h * np.arange(first, max(k1) + 1, step)
+    def integrand(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         u = scale * np.sinh(t)  # one row per distinct A, if more than one
         y = u + shift
-        rule = [kind[i] for i in rows_list] if len(rules) > 1 else slice(None)
-        log_f = ((a * (y - np.expm1(y)) + log_peak)[rule]
-                 + log_mgf(shape, gamma_bar[rows, None] * np.exp(c + u)[rule])
-                 + np.log(scale * np.cosh(t))[rule])
-        f = np.exp(log_f)
-        return np.array([np.add.reduce(f_row[(lo - first) // step:ends[kind[i]]])
-                         for f_row, lo, i in zip(f, k0, rows_list)])
+        rule = [kind[i] for i in rows.tolist()] if len(rules) > 1 else slice(None)
+        return np.exp((a * (y - np.expm1(y)) + log_peak)[rule]
+                      + log_mgf(shape, gamma_bar[rows, None] * np.exp(c + u)[rule])
+                      + np.log(scale * np.cosh(t))[rule])
 
-    active = np.arange(gamma_bar.size)
-    h = 0.5
-    total = h * node_sums(active, h, 1)
-    for level in range(1, DE_LEVELS + 1):
-        h /= 2.0
-        prev, total = total, 0.5 * total + h * node_sums(active, h, 2)
-        failed = ~(np.isfinite(total) & (total > 0.0))
-        if failed.any():
-            break
+    def settle(total: np.ndarray, prev: np.ndarray):
         diff = np.abs(total - prev) / total
-        errors[active] = diff
-        done = diff <= rel_tol
-        values[active[done]] = total[done]
-        levels[active[done]] = level
-        active, total = active[~done], total[~done]
-        if not active.size:
-            return values, errors, levels
-    else:
-        failed = np.ones(active.size, dtype=bool)
-    row = int(np.argmax(failed))
-    i = int(active[row])
-    raise ConvergenceError(
-        f"double-exponential quadrature reached rel diff {errors[i]:.2e} on value "
-        f"{float(total[row])!r} at level {level} (target {rel_tol:.1e}) for "
-        f"A={a_rows[i]}, params={replace(shape, gamma_bar=float(gamma_bar[i]))}",
-        achieved=float(errors[i]))
+        return diff, diff <= rel_tol
+
+    values, errors, levels = nested_trapezoid(integrand, t_lo, [t_hi[k] for k in kind],
+                                              DE_LEVELS, settle)
+    unsettled = ~(errors <= rel_tol)
+    if unsettled.any():
+        i = int(np.argmax(unsettled))
+        raise ConvergenceError(
+            f"double-exponential quadrature reached rel diff {errors[i]:.2e} on value "
+            f"{float(values[i])!r} at level {levels[i]} (target {rel_tol:.1e}) for "
+            f"A={a_rows[i]}, params={replace(shape, gamma_bar=float(gamma_bar[i]))}",
+            achieved=float(errors[i]))
+    return values, errors, levels
 
 
 def expectation_quadrature(params: ChannelParams, a_exponent: float,
                            rel_tol: float = 1e-8) -> tuple[float, float]:
     """J by the MGF integral; returns (value, relative error estimate).
 
-    The one-row case of :func:`quadrature_sweep`: the nested
-    double-exponential rule in log s stops once two levels agree within
-    ``rel_tol`` and raises :class:`ConvergenceError` if none do.  The error
-    estimate is that last difference; :func:`quadrature_sweep` also returns
-    the level reached.
+    The one-row case of :func:`quadrature_sweep`: the estimate is the
+    difference of its last two levels, and :class:`ConvergenceError` is
+    raised if none agree within ``rel_tol``.
     """
     values, errors, _ = quadrature_sweep(params, [params.gamma_bar], a_exponent, rel_tol)
     return float(values[0]), float(errors[0])

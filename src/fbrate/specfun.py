@@ -45,6 +45,56 @@ def log_gamma_peak(a: float) -> float:
             - (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a)
 
 
+def nested_trapezoid(integrand, lo, hi, levels: int, settle):
+    """Each row's trapezoid sum over its window [lo[r], hi[r]] in u, level by level.
+
+    The level loop of both double-exponential rules here (Takahasi & Mori,
+    Publ. RIMS 9 (1974) 721-741): ``integrand(rows, u)`` gives the rows'
+    values at the nodes u as a (rows x nodes) array, and row r sums
+    h f_r(i h) over the i h in its window.  The first sum is at h = 1/2; each
+    of ``levels`` levels halves h and adds the odd i, the nodes the previous
+    level lacks, to half the previous sum.  The nodes span the active rows'
+    windows and each row adds its own alone, so it gets the sum it gets on
+    its own.  ``settle(sums, previous)`` gives the active rows' errors and
+    which of them leave (a mask, or one flag for all); a sum that is not
+    finite and > 0 stops the rule.
+
+    Returns each row's last sum, its last error (inf if none) and the level
+    at which it left or the rule stopped.
+    """
+    active = np.arange(len(lo))
+    sums, errors, reached = np.zeros(len(lo)), np.full(len(lo), math.inf), np.zeros_like(active)
+
+    def node_sums(h: float, step: int) -> np.ndarray:
+        rows = active.tolist()
+        first_i = [math.ceil(lo[r] / h) | (step - 1) for r in rows]  # odd i at step 2
+        last_i = [math.floor(hi[r] / h) for r in rows]
+        first = min(first_i)
+        f = integrand(active, h * np.arange(first, max(last_i) + 1, step))
+        if len(set(first_i)) == len(set(last_i)) == 1:  # one window: one reduction
+            return np.add.reduce(f, axis=1)
+        return np.array([np.add.reduce(f_r[(i - first) // step:(j - first) // step + 1])
+                         for f_r, i, j in zip(f, first_i, last_i)])
+
+    h = 0.5
+    total = h * node_sums(h, 1)
+    for level in range(1, levels + 1):
+        h /= 2.0
+        prev, total = total, 0.5 * total + h * node_sums(h, 2)
+        if not all(0.0 < x < math.inf for x in total.tolist()):
+            break
+        errors[active], done = settle(total, prev)
+        if done.all():
+            break
+        if done.any():
+            sums[active[done]] = total[done]
+            reached[active[done]] = level
+            active, total = active[~done], total[~done]
+    sums[active] = total
+    reached[active] = level
+    return sums, errors, reached
+
+
 # --- Tricomi U for positive integer first argument ---------------------------
 
 _U_TOL = 1e-10  # one order tighter than the 1e-8 rate-pipeline budget... see tests
@@ -56,8 +106,8 @@ _HALF_PI = 0.5 * math.pi
 _LN2 = math.log(2.0)
 _SUBNORMAL = 5e-324  # spacing of the subnormal doubles
 _MIN_NORMAL = 2.0**-1022
-#: Finest step 2**-_SEED_LEVELS of the double-exponential rule for the seeds.
-_SEED_LEVELS = 8
+#: Deepest level of the seeds' double-exponential rule (step 2**-(_SEED_LEVELS+1)).
+_SEED_LEVELS = 7
 
 
 @dataclass(frozen=True)
@@ -214,12 +264,11 @@ def _seeds(a: float, z: float, k: int, tol: float):
     W_(k-1).  The x-window drops under 1e-20 of both: for each j, with
     L = 46 + A ln(1 + j/z) and Jensen's W_j >= (1 + j/z)^-A, the mass below t
     is at most (z t)^j / j! and the mass above t = 2(j + L)/z at most e^-L, by
-    the Chernoff bound on the Gamma tail.  Each level halves the step from
-    1/2 and reuses the previous sums; a bound is the difference of the last
-    two levels plus the rounding of every node's exponent, and the rule stops
-    once both are under ``tol`` of their values or the step reaches
-    2**-_SEED_LEVELS.  The exponent e puts the integrand's peak near 1, so
-    seeds below the double range keep their digits.
+    the Chernoff bound on the Gamma tail.  By :func:`nested_trapezoid`, a
+    bound is the last level difference plus every node's exponent rounding,
+    and both seeds leave once both bounds are under ``tol`` of their values.
+    The exponent e puts the integrand's peak near 1, so seeds below the
+    double range keep their digits.
     """
     b = z + a - k
     root = math.sqrt(b * b + 4.0 * z * k)
@@ -245,39 +294,27 @@ def _seeds(a: float, z: float, k: int, tol: float):
     peak_err = 4.0 * _UNIT * (min(k, 30) * math.log(k + 1.0) + k * (abs(log_s) + abs(delta))
                               + a * log_t0 + 2.0)
 
-    def node_sums(h: float, step: int):
-        # the integrands of W_(k-1) and W_k summed over u = i*h in the
-        # window, and the same weighted by their rounding; step 2 keeps the
-        # odd i, the nodes the previous level lacks
-        first = math.ceil(u_lo / h)
-        if step == 2:
-            first |= 1
-        u = h * np.arange(first, math.floor(u_hi / h) + 1, step)
+    def integrand(_, u):
+        # the integrands of W_(k-1) and W_k, and the same weighted by their rounding
         d = width * np.sinh(u)
         kd = k * d
         zem = zt0 * np.expm1(d)
         log_t = np.log1p(t0 * np.exp(d))  # ln(1+t) - ln(1+t0) cancels only to ~eps ln(1+t)
         f = np.exp(kd - zem - a * (log_t - log_t0)) * (width * np.cosh(u))
-        rows = np.stack((f * np.exp(-d), f))
+        g = f * np.exp(-d)
         err = 4.0 * _UNIT * (np.abs(kd) + np.abs(zem) + a * (log_t + log_t0) + np.abs(d) + 4.0)
-        return rows.sum(axis=1), (rows * err).sum(axis=1)
+        return np.array((g, f, g * err, f * err))
 
-    h = 0.5
-    total, rounding = node_sums(h, 1)
-    total *= h
-    rounding *= h
-    for _ in range(1, _SEED_LEVELS):
-        h /= 2.0
-        more, more_rounding = node_sums(h, 2)
-        prev, total = total, 0.5 * total + h * more
-        rounding = 0.5 * rounding + h * more_rounding
-        bound = np.abs(total - prev) + rounding + 8.0 * _UNIT * total
-        if np.all(bound <= tol * total):
-            break
+    def settle(total, prev):
+        # both seeds' bounds, twice over so that all four rows leave together
+        bound = np.abs(total[:2] - prev[:2]) + total[2:] + 8.0 * _UNIT * total[:2]
+        return np.concatenate((bound, bound)), (bound <= tol * total[:2]).all()
+
+    sums, bounds, _ = nested_trapezoid(integrand, (u_lo,) * 4, (u_hi,) * 4, _SEED_LEVELS, settle)
     exponent = round(log_peak / _LN2)
     scale = math.exp(log_peak - exponent * _LN2) * np.array([(k - 1) / zt0, 1.0])
-    values = scale * total
-    bounds = scale * bound + (peak_err + 3.0 * _UNIT) * values
+    values = scale * sums[:2]
+    bounds = scale * bounds[:2] + (peak_err + 3.0 * _UNIT) * values
     return exponent, tuple(zip(values.tolist(), bounds.tolist()))
 
 

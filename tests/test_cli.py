@@ -63,6 +63,11 @@ class TestErCommand:
         assert code == 2
         assert "mu" in err
 
+    def test_overflowing_shape_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "er", "--mu", "2", "--kappa", "1e300", "--A", "2")
+        assert code == 2
+        assert "(2.0, 1.0, 1e+300, 1.0, 1.0)" in err
+
     def test_bad_vary_value_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
                                "--vary", "mu", "--vary-values", "0")

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,17 @@ class TestValidate:
             ChannelParams(**{**FIG1, field: value})
         with pytest.raises(ParameterError, match=field):
             replace(fig1_params(), **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("kappa", 1e154), ("kappa", 1e200), ("kappa", 1e300), ("kappa", 1e308),
+        ("mu", 1e154), ("eta", 1e300),
+    ])
+    def test_overflowing_constants_name_the_shape(self, field, value):
+        # a float power overflows, or a constant leaves the double range
+        fields = {"mu": 2.0, "m": 1.0, "kappa": 1.0, "eta": 1.0, "rho2": 1.0, field: value}
+        shape = tuple(fields[k] for k in ("mu", "m", "kappa", "eta", "rho2"))
+        with pytest.raises(ParameterError, match=re.escape(repr(shape))):
+            ChannelParams(**fields)
 
     def test_repr_eq_and_hash_see_the_fields_only(self):
         p = fig1_params()

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from fbrate import (ChannelParams, ClosedFormUnavailableError, ErRequest, ParameterError,
-                    decompose, er_auto, mgf, pdf, preset)
+from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError, ErRequest,
+                    ParameterError, decompose, er_auto, mgf, pdf, preset)
 from fbrate import poles
 from fbrate.poles import _taylor_coefficients, mgf_factors, pole_exponents
 
@@ -198,6 +198,15 @@ class TestTaylorHelper:
         for n in range(n_terms):
             assert abs(envelope[n]) >= abs(loop[n])
             assert abs(taylor[n] - loop[n]) <= 4 * n_terms * 2.0**-52 * envelope[n], n
+
+    def test_power_sum_overflow_is_refused_before_the_powers(self):
+        # |b/a| = 1e3: c_r reaches ~e^(6.9 r), past the double range at r ~ 103
+        # (the suite turns numpy's overflow warning into an error)
+        factors = [(1e-3, 1.0, -1)]
+        assert len(_taylor_coefficients(factors, 100)) == 100
+        with pytest.raises(ConvergenceError, match="power sum") as info:
+            _taylor_coefficients(factors, 104)
+        assert info.value.achieved == math.inf
 
     def test_complex_conjugate_symmetry(self):
         theta_i = 1.0 + 2.0j

@@ -12,7 +12,7 @@ from fbrate import _extended
 from fbrate.poles import pole_exponents
 from fbrate.rate import _METHODS, DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
-                    ErRequest, FbrateError, McConfig, ParameterError, closed_form_applies,
+                    ErRequest, McConfig, ParameterError, closed_form_applies,
                     decompose, effective_rate, er_auto, er_sweep, estimate_er,
                     expectation_closed_form, expectation_quadrature, preset,
                     quadrature_sweep)
@@ -452,12 +452,16 @@ class TestDispatch:
         (ChannelParams(mu=4, m=100, kappa=2.884455505814487, eta=1769.780162811736,
                        rho2=2162.136092766108, gamma_bar=11140281.96285564),
          5.840987076264172, 3.5573073873892693e-25),
-    ], ids=["series-not-finite", "residue-overflow"])
+        # the README repro of a bare numpy overflow warning
+        (ChannelParams(mu=2, m=100, kappa=0.00021991277831343153, eta=545.1312826605314,
+                       rho2=14.652083516706965, gamma_bar=db_to_linear(74.27)),
+         2.2271527586935216, 2.446251914242614e-12),
+    ], ids=["series-not-finite", "residue-overflow", "power-sum-overflow"])
     def test_closed_form_failures_are_typed(self, params, a, j_quad):
-        # the gamma-mixture series sums to inf, and prod a_k**e_k overflows
-        # in the residue recursion: both end in a ConvergenceError, and auto
-        # returns the quadrature value
-        with pytest.raises(FbrateError):
+        # the gamma-mixture series sums to inf, prod a_k**e_k overflows in
+        # the residue recursion, and a power sum c_r would: each ends in a
+        # ConvergenceError, and auto returns the quadrature value
+        with pytest.raises(ConvergenceError):
             er_auto(ErRequest(params=params, a_exponent=a, method="closed_form"))
         result = er_auto(ErRequest(params=params, a_exponent=a))
         assert result.method_used == "quadrature"
