@@ -59,11 +59,10 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sampled expectation with its standard error and the implied rate."""
+    """Sampled expectation with its standard error."""
 
     j_hat: float
     j_stderr: float
-    rate_hat: float
     n_samples: int
     seed: int
 
@@ -182,6 +181,4 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig) -> M
     j_hat = s1 / n
     variance = max(s2 / n - j_hat * j_hat, 0.0) * n / max(n - 1, 1)
     j_stderr = math.sqrt(variance / n)
-    rate_hat = -math.log2(j_hat) / a_exponent
-    return McEstimate(j_hat=j_hat, j_stderr=j_stderr, rate_hat=rate_hat,
-                      n_samples=n, seed=config.seed)
+    return McEstimate(j_hat=j_hat, j_stderr=j_stderr, n_samples=n, seed=config.seed)

@@ -1,9 +1,16 @@
 """MGF of the instantaneous SNR, Laplace convention M(s) = E[exp(-s*gamma)].
 
-Evaluation is done in log space and kept purely real: the two root factors
-combine into the quadratic ``1 - beta*g*s + alpha1*(g*s)**2`` (Vieta), whose
-value is >= 1 for s >= 0.  The non-fluctuating limit m = inf is evaluated
-exactly, as the limit of the physical form of the LoS factor.
+One physical formula for every m, evaluated in log space and kept purely
+real: a Beckmann MGF whose LoS power fluctuates as a gamma variate,
+
+    log M(s) = -(mu/2)[log1p(eta*x) + log1p(x)] - m*log1p(u/m),
+
+with x = gamma_bar*s/omega and the bounded LoS term
+u = (q^2/2) x (rho2/(1 + eta*x) + 1/(1 + x)), q^2 = kappa mu (1+eta)/(1+rho2).
+Nothing of size m cancels, so large m loses no digits, and the non-fluctuating
+limit m = inf is the LoS factor's exact limit -u.  The quadratic coefficients
+``alpha1``/``beta`` and roots ``c1``/``c2`` of :class:`ChannelParams` serve
+the partial fractions, not this formula.
 """
 
 from __future__ import annotations
@@ -27,33 +34,23 @@ class MgfPoint:
 
 
 def log_mgf(params: ChannelParams, s):
-    """log M(s) for scalar or ndarray s >= 0.
-
-    log M(s) = e*[log1p(eta*g*s/O) + log1p(g*s/O)] - m*log1p(-beta*g*s + alpha1*(g*s)^2)
-    with e = m - mu/2; the e = 0 degeneracy (common for the even-cluster,
-    unit-shadowing grid) skips the first bracket entirely so 0*log stays 0.
-    At m = inf the LoS factor -m*log1p(u/m) of the physical form tends to -u:
-    log M(s) = -(mu/2)[log1p(eta*g*s/O) + log1p(g*s/O)] - u, with
-    u = kappa*g*s*(rho2/(1 + eta*g*s/O) + 1/(1 + g*s/O)) / ((1+kappa)(1+rho2)).
-    """
-    g = params.gamma_bar
-    gs = g * np.asarray(s, dtype=float)
-    if math.isinf(params.m):
-        x = gs / params.omega_cap
-        u = (params.kappa * gs * (params.rho2 / (1.0 + params.eta * x) + 1.0 / (1.0 + x))
-             / ((1.0 + params.kappa) * (1.0 + params.rho2)))
-        return -0.5 * params.mu * (np.log1p(params.eta * x) + np.log1p(x)) - u
-    out = -params.m * np.log1p(-params.beta * gs + params.alpha1 * gs * gs)
-    e = params.m - params.mu / 2.0
-    if e != 0.0:
-        omega = params.omega_cap
-        out = out + e * (np.log1p(params.eta * gs / omega) + np.log1p(gs / omega))
-    return out
+    """log M(s) for finite scalar or ndarray s >= 0, by the formula above."""
+    mu, m, kappa, eta, rho2 = params.shape
+    x = params.gamma_bar / params.omega_cap * np.asarray(s, dtype=float)
+    ex = eta * x
+    xw = x * (rho2 / (1.0 + ex) + 1.0 / (1.0 + x))  # u = (q^2/2) xw
+    half_q2 = kappa * mu * (1.0 + eta) / (2.0 * (1.0 + rho2))
+    scatter = -0.5 * mu * (np.log1p(ex) + np.log1p(x))
+    if math.isinf(m):
+        return scatter - half_q2 * xw
+    return scatter - m * np.log1p(half_q2 / m * xw)
 
 
 def mgf(params: ChannelParams, s: float) -> MgfPoint:
     """Evaluate the SNR MGF at a single real argument s >= 0 (M(inf) = 0)."""
     if not s >= 0:  # also rejects NaN
         raise ParameterError(f"transform argument must be >= 0, got {s!r}")
+    if s == math.inf:  # the scatter factors vanish there and u stays bounded
+        return MgfPoint(s=math.inf, value=0.0, log_value=-math.inf)
     lv = float(log_mgf(params, s))
     return MgfPoint(s=float(s), value=math.exp(lv), log_value=lv)

@@ -11,10 +11,10 @@ The fading model is parameterized by five shape parameters plus the mean SNR:
 * ``gamma_bar`` -- mean SNR on a linear scale.
 
 Constructing a :class:`ChannelParams` (directly, through :func:`preset` or
-through ``dataclasses.replace``) validates every field and computes what the
-MGF needs beyond the raw parameters: the power normalization ``omega_cap``,
-the quadratic coefficients ``alpha1``/``beta`` and its roots ``c1``/``c2``,
-once, by :func:`channel_constants`, in real arithmetic.
+through ``dataclasses.replace``) validates every field and computes, once, by
+:func:`channel_constants`, in real arithmetic: the power normalization
+``omega_cap`` of the MGF, and for its partial fractions the quadratic
+coefficients ``alpha1``/``beta`` and their roots ``c1``/``c2``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ class ChannelParams:
     ``c1`` and ``c2`` are the roots of ``alpha1 * z**2 + beta * z + 1``,
     ordered so that ``c1 >= c2 > 0``.  The discriminant ``beta**2 - 4*alpha1``
     is a sum of squares (see :func:`channel_constants`), so both roots are
-    real and positive for every valid parameter set.  These constants follow
-    from the fields, so they take no part in repr, == or hash.
+    real and positive for every valid parameter set; they are the pole
+    locations of the partial fractions (:func:`poles.mgf_factors`).  These
+    constants follow from the fields, so they take no part in repr, == or hash.
     """
 
     mu: float

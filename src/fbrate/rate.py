@@ -282,19 +282,16 @@ def _evaluate(request: ErRequest, gamma_bar: float,
     a = request.a_exponent
     diagnostics: list[tuple[str, str]] = []
 
+    def result(j: float, method: str, err: float) -> ErResult:
+        return ErResult(expectation_j=j, rate=effective_rate(j, a), method_used=method,
+                        error_estimate=err, diagnostics=tuple(diagnostics))
+
     if request.method == "monte_carlo":
         estimate = estimate_er(replace(request.params, gamma_bar=gamma_bar), a,
                                mc_config or McConfig())
         diagnostics.extend([("n_samples", str(estimate.n_samples)),
                             ("seed", str(estimate.seed))])
-        return ErResult(expectation_j=estimate.j_hat, rate=estimate.rate_hat,
-                        method_used="monte_carlo",
-                        error_estimate=estimate.j_stderr,
-                        diagnostics=tuple(diagnostics))
-
-    def result(j: float, method: str, err: float) -> ErResult:
-        return ErResult(expectation_j=j, rate=effective_rate(j, a), method_used=method,
-                        error_estimate=err, diagnostics=tuple(diagnostics))
+        return result(estimate.j_hat, "monte_carlo", estimate.j_stderr)
 
     if request.method == "closed_form":
         params = replace(request.params, gamma_bar=gamma_bar)

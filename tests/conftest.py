@@ -145,6 +145,23 @@ def cluster_model_mgf(params: ChannelParams, s):
     return g1 ** (-params.mu / 2.0) * g2 ** (-params.mu / 2.0) * los
 
 
+def cluster_model_log_mgf_mp(params: ChannelParams, s: float) -> float:
+    """log M(s) of the physical cluster model at 30 digits, for one scalar s.
+
+    The chain of ``cluster_model_mgf`` in mpmath, with the mixing factor as
+    -m log1p(u/m), so that no digit is lost at any m; -u at m = inf.
+    """
+    with mp.workdps(30):
+        mu, kappa, eta, rho2 = (mp.mpf(v) for v in (params.mu, params.kappa, params.eta,
+                                                     params.rho2))
+        q2 = kappa * mu * (eta + 1) / (1 + rho2)
+        t = mp.mpf(s) * params.gamma_bar / ((1 + kappa) * mu * (eta + 1))
+        g1, g2 = 1 + 2 * t * eta, 1 + 2 * t
+        u = rho2 * q2 * t / g1 + q2 * t / g2
+        los = u if math.isinf(params.m) else params.m * mp.log1p(u / params.m)
+        return float(-mu / 2 * (mp.log(g1) + mp.log(g2)) - los)
+
+
 def cluster_model_j(params: ChannelParams, a_exponent: float) -> float:
     """J = Gamma(A)^-1 int exp(A x - e^x) M(e^x) dx by mpmath tanh-sinh in x = ln s.
 

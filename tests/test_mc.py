@@ -148,7 +148,6 @@ class TestEstimateEr:
         p = preset("rayleigh")
         est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
         assert abs(est.j_hat - J_RAYLEIGH) <= 3.0 * est.j_stderr
-        assert est.rate_hat == pytest.approx(-math.log2(est.j_hat) / 2.0)
 
     def test_fig1_concordance(self):
         p = fig1_params()

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbrate import ChannelParams, ParameterError, log_mgf, mgf, preset
 
-from conftest import (FIG1_MGF_AT_1, cluster_model_mgf, fig1_params, mgf_mean_check,
-                      random_valid_params, unit_eta_shadowed_mgf)
+from conftest import (FIG1_MGF_AT_1, cluster_model_log_mgf_mp, cluster_model_mgf, fig1_params,
+                      mgf_mean_check, random_valid_params, unit_eta_shadowed_mgf)
 
 
 def test_value_one_at_zero():
@@ -36,8 +37,13 @@ def test_negative_or_nan_argument_rejected(s):
         mgf(fig1_params(), s)
 
 
-def test_infinite_argument_is_the_limit():
-    assert mgf(fig1_params(), math.inf).value == 0.0
+@pytest.mark.parametrize("params", [
+    fig1_params(), preset("rician", kappa=1.0), preset("eta-mu", eta=0.5, mu=1.5, m=2.0)],
+    ids=["finite-m", "rician", "no-los"])
+def test_infinite_argument_is_the_limit(params):
+    point = mgf(params, math.inf)
+    assert point.value == 0.0
+    assert point.log_value == -math.inf
 
 
 def test_monotone_decreasing_and_log_convex():
@@ -85,8 +91,8 @@ def test_unit_eta_matches_shadowed_oracle():
 
 
 def test_matches_cluster_model_mgf():
-    # the quadratic-root form must equal the MGF chained directly from the
-    # physical cluster geometry (integer cluster counts)
+    # log_mgf must equal the MGF chained directly from the physical cluster
+    # geometry (integer cluster counts)
     s = np.geomspace(1e-2, 30.0, 25)
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -99,3 +105,17 @@ def test_matches_cluster_model_mgf():
         mine = np.exp(log_mgf(p, s))
         oracle = cluster_model_mgf(p, s)
         np.testing.assert_allclose(mine, oracle, rtol=1e-11)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu=st.floats(0.3, 8.0), log_m=st.one_of(st.floats(2.0, 300.0), st.just(math.inf)),
+       kappa=st.floats(0.0, 10.0), log_eta=st.floats(-1.5, 1.5), rho2=st.floats(0.0, 5.0),
+       log_gamma_bar=st.floats(-1.0, 3.0))
+def test_large_m_matches_mp_cluster_model(mu, log_m, kappa, log_eta, rho2, log_gamma_bar):
+    # nothing of size m may cancel: m up to 1e300 keeps every digit of log M
+    p = ChannelParams(mu=mu, m=10.0 ** log_m, kappa=kappa, eta=10.0 ** log_eta, rho2=rho2,
+                      gamma_bar=10.0 ** log_gamma_bar)
+    s = np.geomspace(1e-3, 1e3, 13) / p.gamma_bar
+    for s_k, mine in zip(s.tolist(), log_mgf(p, s).tolist()):
+        ref = cluster_model_log_mgf_mp(p, s_k)
+        assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref))

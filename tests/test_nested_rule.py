@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,10 @@ from conftest import fig1_params
 #: Bits of the nested double-exponential rule, as ``float.hex``: the
 #: quadrature's (values, errors, levels) on two sweeps and the U families
 #: that reach the seeds.  Regenerate with ``PYTHONPATH=src python
-#: tests/test_nested_rule.py`` only when a change is meant to move them.
+#: tests/test_nested_rule.py [entry ...]`` only when a change is meant to
+#: move them: the named entries, or every entry if none is named.
 RULE_BITS = Path(__file__).with_name("nested_rule_bits.json")
+ENTRIES = ("fig1_a2", "grid_block", "u_family")
 
 #: (A, z, n) of U families that take terms from the seeds.
 SEEDED_FAMILIES = ((5.0, 0.004, 40), (60.0, 1e-4, 61), (2.0 + 1e-9, 0.99, 1))
@@ -43,7 +46,7 @@ def rule_bits() -> dict:
         families[f"{a!r},{z!r},{n}"] = {"values": _hex(family.values),
                                         "bounds": _hex(family.bounds),
                                         "branches": list(family.branches)}
-    return {"command": "PYTHONPATH=src python tests/test_nested_rule.py",
+    return {"command": "PYTHONPATH=src python tests/test_nested_rule.py [entry ...]",
             "fig1_a2": _sweep_bits(fig1_params(), fig1, 2.0),
             "grid_block": _sweep_bits(shape, *zip(*block)),
             "u_family": families}
@@ -101,11 +104,17 @@ def bits():
     return rule_bits(), json.loads(RULE_BITS.read_text())
 
 
-@pytest.mark.parametrize("key", ["fig1_a2", "grid_block", "u_family"])
+@pytest.mark.parametrize("key", ENTRIES)
 def test_rule_bits_are_frozen(bits, key):
     current, stored = bits
     assert current[key] == stored[key]
 
 
 if __name__ == "__main__":
-    RULE_BITS.write_text(json.dumps(rule_bits(), indent=1) + "\n")
+    names = sys.argv[1:]
+    if not set(names) <= set(ENTRIES):
+        sys.exit(f"unknown entries {sorted(set(names) - set(ENTRIES))}; choose from {ENTRIES}")
+    current = rule_bits()
+    stored = json.loads(RULE_BITS.read_text()) if names else {}
+    stored.update({key: current[key] for key in ("command", *(names or ENTRIES))})
+    RULE_BITS.write_text(json.dumps(stored, indent=1) + "\n")

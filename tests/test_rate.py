@@ -162,6 +162,17 @@ class TestQuadrature:
         assert err <= 1e-12
         assert j == pytest.approx(rayleigh_j(gamma_bar, a), rel=1e-12, abs=0.0)
 
+    def test_large_m_tends_to_the_infinite_m_limit(self):
+        # J(m) - J(inf) falls as 1/m, with no cancellation of size m in log M:
+        # no warning, no ConvergenceError, and m*(J(m) - J(inf)) holds still
+        shape = dict(mu=2.5, kappa=1.0, eta=0.5, rho2=1.0, gamma_bar=100.0)
+        j_inf, _ = expectation_quadrature(ChannelParams(m=math.inf, **shape), 2.0)
+        rel = {m: expectation_quadrature(ChannelParams(m=m, **shape), 2.0)[0] / j_inf - 1.0
+               for m in [1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e20, 1e300]}
+        for m in [1e6, 1e8, 1e10, 1e12]:
+            assert m * rel[m] == pytest.approx(1e4 * rel[1e4], rel=0.01)
+        assert abs(rel[1e20]) <= 1e-14 and abs(rel[1e300]) <= 1e-14
+
     def test_fallback_nan_integrand_raises(self, monkeypatch):
         monkeypatch.setattr(fbrate.rate, "log_mgf",
                             lambda params, s: np.full(np.shape(s), np.nan))
