@@ -9,8 +9,7 @@ physical cluster channel.
 from .errors import (ClosedFormUnavailableError, ConvergenceError, FbrateError,
                      ParameterError)
 from .mc import McConfig, McEstimate, estimate_er
-from .mgf import MgfPoint, log_mgf, mgf
-from .model import ChannelParams, PRESET_NAMES, preset
+from .model import ChannelParams, MgfPoint, PRESET_NAMES, log_mgf, mgf, preset
 from .poles import PartialFractionExpansion, decompose, pdf
 from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
                    er_auto, er_sweep, expectation_closed_form, expectation_quadrature,

@@ -10,6 +10,7 @@ FBRATE_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,8 +22,7 @@ from .crosscheck import (CROSS_REL_TOL, MC_Z_LIMIT, closed_form_grid, db_to_line
                          mc_grid, run_cross_check, run_mc_check)
 from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mc import McConfig
-from .mgf import mgf
-from .model import ChannelParams, PRESET_NAMES, preset
+from .model import ChannelParams, PRESET_NAMES, mgf, preset
 from .poles import pdf
 from .rate import ErRequest, er_sweep
 
@@ -228,6 +228,7 @@ def cmd_mc_validate(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache  # one per process: building it costs a large share of a short sweep
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fbrate",

@@ -4,14 +4,14 @@ Given the unit-mean gamma variate xi with shape m that modulates the LoS
 field (xi = 1 at m = inf, and not drawn at kappa = 0), the in-phase power is
 eta chi'^2(mu, xi p^2/eta) and the quadrature power chi'^2(mu, xi q^2), with
 the LoS powers p^2 = rho2 q^2 and q^2 = kappa mu (1+eta)/(1+rho2); their sum
-has the real-mu MGF of :mod:`fbrate.mgf`.  At eta = 1 the two branches are
+has the real-mu MGF of :mod:`fbrate.model`.  At eta = 1 the two branches are
 one chi'^2(2 mu, xi (p^2 + q^2)) and are drawn once.  Each noncentral
 chi-square is drawn whole, at a cost that does not grow with mu: from one
 degree of freedom up as (Z + sqrt(lam))^2 + chi^2(dof - 1), below as the
 Poisson mixture chi^2(dof + 2N) with N ~ Poisson(lam/2), and without LoS as
 a central chi^2(dof).  A chi^2(1) is a squared normal and any other chi^2(r)
-twice a Gamma(r/2) variate.  The received power is normalized by its mean so
-that the sampled SNR averages gamma_bar.
+twice a Gamma(r/2) variate.  The received power is normalized by its mean,
+2 omega, so that the sampled SNR averages gamma_bar.
 
 Determinism: samples are generated in fixed-size chunks, each from its own
 counter-based Philox stream keyed by (seed, chunk index), and per-chunk
@@ -95,8 +95,7 @@ def _sample_block(params: ChannelParams, rng: np.random.Generator,
     of ``gamma_bar * w / normalization`` with
     ``w = (sqrt(eta) X + sqrt(xi) p)^2 + (Y + sqrt(xi) q)^2 + 2 (eta G1 + G2)``.
     """
-    mu, eta, kappa = params.mu, params.eta, params.kappa
-    q2 = kappa * mu * (eta + 1.0) / (1.0 + params.rho2)
+    mu, eta, kappa, q2 = params.mu, params.eta, params.kappa, params.q2
     if eta == 1.0:  # (variance, LoS power) of each branch; here one for both
         dof, branches = 2.0 * mu, ((1.0, params.rho2 * q2 + q2),)
     else:
@@ -120,7 +119,7 @@ def _sample_block(params: ChannelParams, rng: np.random.Generator,
                                  f"mu={mu!r}, kappa={kappa!r}") from exc
     w = w + sum(var * _chi2(rng, shape, n) for (var, _), shape in zip(branches, shapes))
     w *= params.gamma_bar
-    w /= (1.0 + kappa) * mu * (eta + 1.0)
+    w /= 2.0 * params.omega_cap
     return w
 
 

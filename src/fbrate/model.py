@@ -1,4 +1,4 @@
-"""Channel parameters with their MGF constants, and named special-case presets.
+"""The channel: its parameters, the constants they fix, and its MGF.
 
 The fading model is parameterized by five shape parameters plus the mean SNR:
 
@@ -13,14 +13,27 @@ The fading model is parameterized by five shape parameters plus the mean SNR:
 Constructing a :class:`ChannelParams` (directly, through :func:`preset` or
 through ``dataclasses.replace``) validates every field and computes, once, by
 :func:`channel_constants`, in real arithmetic: the power normalization
-``omega_cap`` of the MGF, and for its partial fractions the quadratic
-coefficients ``alpha1``/``beta`` and their roots ``c1``/``c2``.
+``omega_cap``, the LoS power ``q2`` of the quadrature branch, and the poles
+``c1``/``c2`` of the LoS factor, which the partial fractions expand about.
+
+The MGF of the instantaneous SNR, Laplace convention M(s) = E[exp(-s*gamma)],
+is one physical formula for every m, evaluated in log space and kept purely
+real: a Beckmann MGF whose LoS power fluctuates as a gamma variate,
+
+    log M(s) = -(mu/2)[log1p(eta*x) + log1p(x)] - m*log1p(u/m),
+
+with x = gamma_bar*s/omega and the bounded LoS term
+u = (q^2/2) x (rho2/(1 + eta*x) + 1/(1 + x)), q^2 = kappa mu (1+eta)/(1+rho2).
+Nothing of size m cancels, so large m loses no digits, and the non-fluctuating
+limit m = inf is the LoS factor's exact limit -u.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -34,10 +47,10 @@ class ChannelParams:
     ``m = math.inf`` is the exact no-fluctuation limit; every other field
     must be finite and inside its range.
 
-    ``c1`` and ``c2`` are the roots of ``alpha1 * z**2 + beta * z + 1``,
-    ordered so that ``c1 >= c2 > 0``.  The discriminant ``beta**2 - 4*alpha1``
-    is a sum of squares (see :func:`channel_constants`), so both roots are
-    real and positive for every valid parameter set; they are the pole
+    ``omega_cap`` is half the mean received power, ``q2`` the LoS power q^2
+    of the quadrature branch (p^2 = rho2 q^2 in phase), and ``c1 >= c2 > 0``
+    locate the poles of the LoS factor: both are real and positive for every
+    valid parameter set (see :func:`channel_constants`), and they are pole
     locations of the partial fractions (:func:`poles.mgf_factors`).  These
     constants follow from the fields, so they take no part in repr, == or hash.
     """
@@ -49,8 +62,7 @@ class ChannelParams:
     rho2: float
     gamma_bar: float = 1.0
     omega_cap: float = field(init=False, repr=False, compare=False)
-    alpha1: float = field(init=False, repr=False, compare=False)
-    beta: float = field(init=False, repr=False, compare=False)
+    q2: float = field(init=False, repr=False, compare=False)
     c1: float = field(init=False, repr=False, compare=False)
     c2: float = field(init=False, repr=False, compare=False)
 
@@ -69,9 +81,7 @@ class ChannelParams:
             constants = (math.nan,)
         if not all(map(math.isfinite, constants)):
             raise ParameterError(f"shape {self.shape} takes its MGF constants out of range")
-        omega, alpha1, beta, _, c1, c2 = constants
-        for name, value in (("omega_cap", omega), ("alpha1", alpha1), ("beta", beta),
-                            ("c1", c1), ("c2", c2)):
+        for name, value in zip(("omega_cap", "q2", "c1", "c2"), constants):
             object.__setattr__(self, name, value)
 
     @property
@@ -86,12 +96,15 @@ def _check_a_exponent(a_exponent: float) -> None:
 
 
 def channel_constants(mu, m, kappa, eta, rho2):
-    """(omega, alpha1, beta, sqrt(beta**2 - 4*alpha1), c1, c2).
+    """(omega, q^2, c1, c2, alpha1, beta, sqrt(beta**2 - 4*alpha1)).
 
-    With the physical LoS powers q^2 = kappa mu (1+eta)/(1+rho2) and
-    p^2 = rho2 q^2 the discriminant is the sum of squares
+    c1 and c2 are the roots of alpha1 z^2 + beta z + 1.  :class:`ChannelParams`
+    keeps the first four; alpha1, beta and the root of the discriminant are
+    intermediates.  With the physical LoS powers q^2 = kappa mu (1+eta)/(1+rho2)
+    and p^2 = rho2 q^2 the discriminant is the sum of squares
     [(2(eta-1) + (p^2-q^2)/m)^2 + 4 p^2 q^2/m^2] / (2 omega)^2: it never goes
-    negative and is exactly 0 at the double root kappa = 0, eta = 1.  The larger root comes from the non-cancelling branch
+    negative and is exactly 0 at the double root kappa = 0, eta = 1.  The
+    larger root comes from the non-cancelling branch
     (beta < 0 always), the other from the product of roots, 1/alpha1.  Every
     kappa/m term vanishes at m = inf, which is the exact no-fluctuation limit.
     """
@@ -106,7 +119,38 @@ def channel_constants(mu, m, kappa, eta, rho2):
     root_disc = math.hypot(2 * (eta - 1) + (rho2 - 1) * q2 / m,
                            2 * math.sqrt(rho2) * q2 / m) / (2 * omega)
     root_q = (root_disc - beta) / 2
-    return omega, alpha1, beta, root_disc, root_q / alpha1, 1 / root_q
+    return omega, q2, root_q / alpha1, 1 / root_q, alpha1, beta, root_disc
+
+
+@dataclass(frozen=True)
+class MgfPoint:
+    """MGF sample at one transform argument: value = exp(log_value) in [0, 1]."""
+
+    s: float
+    value: float
+    log_value: float
+
+
+def log_mgf(params: ChannelParams, s):
+    """log M(s) for scalar or ndarray s >= 0, by the formula above; -inf at s = inf."""
+    m, eta, rho2 = params.m, params.eta, params.rho2
+    x = params.gamma_bar / params.omega_cap * np.asarray(s, dtype=float)
+    scatter = -0.5 * params.mu * (np.log1p(eta * x) + np.log1p(x))
+    # u = (q^2/2) xw; the cap leaves every x below it as it is and keeps
+    # xw finite at x = inf, where the scatter term alone gives log M = -inf
+    x_los = np.minimum(x, 2.0**500)
+    xw = x_los * (rho2 / (1.0 + eta * x_los) + 1.0 / (1.0 + x_los))
+    if math.isinf(m):
+        return scatter - 0.5 * params.q2 * xw
+    return scatter - m * np.log1p(0.5 * params.q2 / m * xw)
+
+
+def mgf(params: ChannelParams, s: float) -> MgfPoint:
+    """Evaluate the SNR MGF at a single real argument s >= 0 (M(inf) = 0)."""
+    if not s >= 0:  # also rejects NaN
+        raise ParameterError(f"transform argument must be >= 0, got {s!r}")
+    lv = float(log_mgf(params, s))
+    return MgfPoint(s=float(s), value=math.exp(lv), log_value=lv)
 
 
 # --- named special cases ----------------------------------------------------

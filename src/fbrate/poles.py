@@ -1,16 +1,18 @@
 """MGF factors, partial-fraction residues, and the closed-form SNR density.
 
-For integer shadowing index m and even integer cluster count mu the MGF is a
-rational function of s built from four first-order factors:
+For integer shadowing index m and even integer cluster count mu the MGF of
+:mod:`fbrate.model` is a rational function of s built from four first-order
+factors:
 
     M(s) = (1 + g*s/(O/eta))^e (1 + g*s/O)^e (1 + g*s/c1)^-m (1 + g*s/c2)^-m
 
-with e = m - mu/2.  :func:`mgf_factors` writes it as signed orders, positive
-for poles and negative for numerator factors, and is the one place where
-coincidences are decided: factors within the root-merge tolerance are one
-factor whose order is the sum, and zero orders drop out.  That is what makes
-the unit-eta, zero-LoS and m = mu (Nakagami-m) degeneracies work without
-special cases.
+with e = m - mu/2, and O = ``omega_cap``, ``c1`` and ``c2`` the constants a
+:class:`ChannelParams` stores.  :func:`mgf_factors` writes it as signed
+orders, positive for poles and negative for numerator factors, and is the one
+place where coincidences are decided: factors within the root-merge tolerance
+are one factor whose order is the sum, and zero orders drop out.  That is
+what makes the unit-eta, zero-LoS and m = mu (Nakagami-m) degeneracies work
+without special cases.
 
 Residues are computed exactly - no numerical differentiation.  Writing
 u = 1 + g*s/theta_i, every other factor becomes affine in u, so the partial
@@ -128,15 +130,16 @@ def power_series(t0, c: np.ndarray):
         yield coeffs[n].item()
 
 
-def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -> list:
-    """Taylor coefficients around u = 0 of prod_k (a_k + b_k u)**e_k.
+def _taylor_coefficients(factors, n_terms: int) -> tuple[list, list]:
+    """(T_n, E_n) for n < n_terms: the Taylor coefficients around u = 0 of
+    prod_k (a_k + b_k u)**e_k, and their envelope.
 
     T_0 = prod a_k**e_k and c_r = (-1)^(r-1) sum_k e_k (b_k/a_k)^r feed
     :func:`power_series`.  All a_k must be nonzero (coincident factors are
-    merged beforehand).  A ``majorants`` list receives the envelope, the
-    same series from |T_0| and |c_r|, which bounds |T_n| and scales its
-    rounding.  Raises :class:`ConvergenceError` if T_0 overflows or if c_r
-    may: its bound sum_k |e_k| max_k |b_k/a_k|^r is checked in logs first.
+    merged beforehand).  The envelope E_n is the same series from |T_0| and
+    |c_r|, which bounds |T_n| and scales its rounding.  Raises
+    :class:`ConvergenceError` if T_0 overflows or if c_r may: its bound
+    sum_k |e_k| max_k |b_k/a_k|^r is checked in logs first.
     """
     t0 = 1.0
     try:
@@ -154,9 +157,7 @@ def _taylor_coefficients(factors, n_terms: int, majorants: list | None = None) -
                                achieved=math.inf)
     c = -(exponents @ (-ratios[:, None]) ** np.arange(n_terms))  # (-1)^(r-1) q^r = -(-q)^r
     c[0] = 0.0
-    if majorants is not None:
-        majorants.extend(power_series(abs(t0), np.abs(c)))
-    return list(power_series(t0, c))
+    return list(power_series(t0, c)), list(power_series(abs(t0), np.abs(c)))
 
 
 def partial_fractions(factors: list[tuple[float, int]]) -> PartialFractionExpansion:
@@ -177,8 +178,7 @@ def partial_fractions(factors: list[tuple[float, int]]) -> PartialFractionExpans
         # a as an exact difference: no 1 - b cancellation
         others = [((theta_k - theta_i) / theta_k, theta_i / theta_k, -e_k)
                   for theta_k, e_k in factors if theta_k != theta_i]
-        envelope = []
-        taylor = _taylor_coefficients(others, w, envelope)
+        taylor, envelope = _taylor_coefficients(others, w)
         terms.append((theta_i, w, tuple(taylor[::-1])))
         majorants.append(tuple(envelope[::-1]))
     return PartialFractionExpansion(terms=tuple(terms), majorants=tuple(majorants))

@@ -25,8 +25,7 @@ import numpy as np
 from ._extended import U_SUM_TOL, mixture_series
 from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mc import McConfig, estimate_er
-from .mgf import log_mgf
-from .model import ChannelParams, _check_a_exponent
+from .model import ChannelParams, _check_a_exponent, log_mgf
 from .poles import PartialFractionExpansion, decompose, pole_exponents
 from .specfun import log_gamma_peak, nested_trapezoid, u_family
 

@@ -23,6 +23,7 @@ from scipy.special import gammainc
 import fbrate
 from fbrate import ChannelParams, log_mgf
 from fbrate.mc import _sample_block
+from fbrate.model import channel_constants
 from fbrate.specfun import _U_TOL, u_family
 
 # --- frozen goldens ----------------------------------------------------------
@@ -191,8 +192,9 @@ def mgf_mean_check(params: ChannelParams) -> float:
         return params.gamma_bar * (0.5 * params.mu * (1.0 + params.eta) / params.omega_cap
                                    + params.kappa / (1.0 + params.kappa))
     e_neg = params.mu / 2.0 - params.m  # -(m - mu/2)
+    beta = channel_constants(*params.shape)[5]
     return params.gamma_bar * (
-        e_neg * (1.0 + params.eta) / params.omega_cap - params.m * params.beta
+        e_neg * (1.0 + params.eta) / params.omega_cap - params.m * beta
     )
 
 

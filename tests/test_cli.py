@@ -9,7 +9,7 @@ import pytest
 import fbrate
 import fbrate.rate
 from fbrate import ChannelParams, ErRequest, McConfig, er_auto
-from fbrate.cli import main
+from fbrate.cli import build_parser, main
 from fbrate.crosscheck import db_to_linear
 
 from conftest import FIG1_R_A2, FIG2_J_BY_M, J_RAYLEIGH, R_RAYLEIGH, fresh_env
@@ -336,6 +336,31 @@ class TestValidateCommands:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main builds its parser once per process: calls made one after another
+    # print what each prints from a parser built for it alone
+    runs = [(("er", *FIG1_FLAGS, "--A", "2", "--method", "mc", "--seed", "5"), {}),
+            (("er", *FIG1_FLAGS, "--A", "2", "--method", "mc"), {"FBRATE_SEED": "7"}),
+            (("validate", "--skip-mc", "--max-configs", "30"), {})]
+
+    def outputs(fresh_parser):
+        results = []
+        for argv, variables in runs:
+            if fresh_parser:
+                build_parser.cache_clear()
+            with monkeypatch.context() as env:
+                for name, value in variables.items():
+                    env.setenv(name, value)
+                results.append(run_cli(capsys, *argv))
+        return results
+
+    fresh = outputs(True)
+    assert [code for code, _, _ in fresh] == [0, 0, 0]
+    assert fresh[0][1] != fresh[1][1]
+    assert outputs(False) == fresh
+    assert build_parser() is build_parser()
 
 
 def test_db_round_trip():

@@ -44,6 +44,8 @@ def test_infinite_argument_is_the_limit(params):
     point = mgf(params, math.inf)
     assert point.value == 0.0
     assert point.log_value == -math.inf
+    lv = log_mgf(params, np.array([0.0, 1.0, math.inf]))
+    assert lv[0] == 0.0 and lv[1] == mgf(params, 1.0).log_value and lv[2] == -math.inf
 
 
 def test_monotone_decreasing_and_log_convex():

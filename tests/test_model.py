@@ -59,9 +59,14 @@ class TestValidate:
 
     def test_replace_recomputes_the_constants(self):
         p, q = replace(fig1_params(), eta=1.0), ChannelParams(**{**FIG1, "eta": 1.0})
-        for field in ("omega_cap", "alpha1", "beta", "c1", "c2"):
+        for field in ("omega_cap", "q2", "c1", "c2"):
             assert getattr(p, field) == getattr(q, field)
         assert p.omega_cap != fig1_params().omega_cap
+
+
+def _alpha1_beta(params):
+    """The quadratic's coefficients, intermediates of channel_constants."""
+    return channel_constants(*params.shape)[4:6]
 
 
 class TestDerive:
@@ -69,9 +74,10 @@ class TestDerive:
 
     def test_fig1_derived_constants(self):
         d = fig1_params()
+        alpha1, beta = _alpha1_beta(d)
         assert d.omega_cap == pytest.approx(FIG1_OMEGA, rel=1e-14)
-        assert d.alpha1 == pytest.approx(FIG1_ALPHA1, rel=1e-14)
-        assert d.beta == pytest.approx(FIG1_BETA, rel=1e-14)
+        assert alpha1 == pytest.approx(FIG1_ALPHA1, rel=1e-14)
+        assert beta == pytest.approx(FIG1_BETA, rel=1e-14)
         assert d.c1.real == pytest.approx(FIG1_C1, rel=1e-13)
         assert d.c2.real == pytest.approx(FIG1_C2, rel=1e-13)
         assert d.c1.imag == 0.0 and d.c2.imag == 0.0
@@ -80,23 +86,21 @@ class TestDerive:
     def test_rayleigh_double_root(self):
         d = ChannelParams(mu=1.0, m=3.7, kappa=0.0, eta=1.0, rho2=1.0)
         assert d.omega_cap == 1.0
-        assert d.alpha1 == 1.0
-        assert d.beta == -2.0
+        assert _alpha1_beta(d) == (1.0, -2.0)
         assert d.c1 == d.c2 == 1.0 + 0.0j
 
     def test_nakagami_style_double_root(self):
         d = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0)
         assert d.omega_cap == 2.0
-        assert d.alpha1 == 0.25
-        assert d.beta == -1.0
+        assert _alpha1_beta(d) == (0.25, -1.0)
         assert d.c1 == d.c2 == 2.0 + 0.0j
 
     def test_infinite_m_accepted(self):
         # every kappa/m term vanishes: the non-fluctuating limit is exact
         d = ChannelParams(mu=1.0, m=math.inf, kappa=1.0, eta=1.0, rho2=1.0)
         assert d.omega_cap == 2.0
-        assert d.alpha1 == 0.25
-        assert d.beta == -1.0
+        assert d.q2 == 1.0
+        assert _alpha1_beta(d) == (0.25, -1.0)
 
     @pytest.mark.parametrize("mu", [1.0, 2.0, 3.7, 20.0, 40.0])
     @pytest.mark.parametrize("m", [0.3, 3.0, 40.0, math.inf])
@@ -104,13 +108,13 @@ class TestDerive:
         # kappa = 0, eta = 1 is a true double root; the sum-of-squares form
         # must not split it (the textbook beta^2 - 4 alpha1 goes negative)
         d = ChannelParams(mu=mu, m=m, kappa=0.0, eta=1.0, rho2=1.0)
-        assert channel_constants(mu, m, 0.0, 1.0, 1.0)[3] == 0.0
+        assert channel_constants(mu, m, 0.0, 1.0, 1.0)[6] == 0.0
         assert d.c1 == pytest.approx(d.c2, rel=1e-15, abs=0.0)
 
     def test_pure_function_bit_identical(self):
         params = random_valid_params(np.random.default_rng(7))
         a, b = replace(params), replace(params)
-        for field in ("omega_cap", "alpha1", "beta", "c1", "c2"):
+        for field in ("omega_cap", "q2", "c1", "c2"):
             assert getattr(a, field) == getattr(b, field)
             assert math.copysign(1.0, getattr(a, field)) == math.copysign(
                 1.0, getattr(b, field))
@@ -120,12 +124,13 @@ class TestDerive:
         rng = np.random.default_rng(1234)
         for _ in range(10_000):
             p = random_valid_params(rng)
-            assert p.omega_cap > 0 and p.alpha1 > 0 and p.beta < 0
+            alpha1, beta = _alpha1_beta(p)
+            assert p.omega_cap > 0 and alpha1 > 0 and beta < 0
             prod = p.c1 * p.c2
             total = p.c1 + p.c2
-            assert abs(prod - 1.0 / p.alpha1) <= 1e-12 * abs(prod)
-            assert abs(total - (-p.beta / p.alpha1)) <= 1e-12 * abs(total)
-            if channel_constants(p.mu, p.m, p.kappa, p.eta, p.rho2)[3] >= 0:
+            assert abs(prod - 1.0 / alpha1) <= 1e-12 * abs(prod)
+            assert abs(total - (-beta / alpha1)) <= 1e-12 * abs(total)
+            if channel_constants(p.mu, p.m, p.kappa, p.eta, p.rho2)[6] >= 0:
                 assert p.c1.imag == 0 and p.c2.imag == 0
                 assert p.c1.real > 0 and p.c2.real > 0
                 assert abs(p.c1) >= abs(p.c2)
@@ -136,7 +141,7 @@ class TestDerive:
     def test_roots_real_positive_property(self, mu, m, kappa, eta, rho2):
         # the discriminant is provably nonnegative over the valid domain
         d = ChannelParams(mu=mu, m=m, kappa=kappa, eta=eta, rho2=rho2)
-        assert channel_constants(mu, m, kappa, eta, rho2)[3] >= 0
+        assert channel_constants(mu, m, kappa, eta, rho2)[6] >= 0
         assert d.c1.real > 0 and d.c2.real > 0
 
 
