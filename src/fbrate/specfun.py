@@ -16,16 +16,19 @@ backward step W_{k-1} = (k W_{k+1} + (A+z-k) W_k) / z adds two nonnegative
 terms instead (Gil, Segura & Temme, *Numerical Methods for Special
 Functions*, SIAM 2007, ch. 4).  Each term carries a running absolute-error
 bound.  Where the large-z asymptotic series converges it replaces the
-recursion.  Terms neither certifies come from two seeds next to the turning
-point A + z, integrated by a double-exponential rule, recurred backward
-below them and forward above them.  Anything still uncertified raises
-:class:`ConvergenceError`.  Everything runs in double precision.
+recursion.  The terms come in one order, each evaluated once and only when
+read: forward from W_1 up to the first term neither certifies, then two
+seeds next to the turning point A + z, integrated by a double-exponential
+rule, recurred backward below them and forward above them.  Anything still
+uncertified raises :class:`ConvergenceError`.  Everything runs in double
+precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -214,30 +217,20 @@ def _w1(a: float, z: float) -> tuple[float, float]:
     return w, scale * (_UNIT * magnitude + tail) + 3 * _UNIT * abs(w)
 
 
-def _forward(a, z, n: int, asymptotic_tol=None, seed=None):
-    """W_1..W_n and error bounds by the forward b-recurrence.
+def _forward(a, z, k: int, w_prev, e_prev, w, e, asymptotic_tol=None):
+    """Yield (W_j, bound, branch) for j = k, k+1, ... by the forward b-recurrence.
 
-    The bound of W_(k+1) carries the bounds of W_k and W_(k-1) through the
-    recurrence plus the rounding of the step itself.  With
-    ``asymptotic_tol`` each term also tries :func:`_w_asymptotic` until it
-    first fails, and keeps whichever of the two values has the smaller
-    bound, so a good asymptotic value also seeds the recursion.  A ``seed``
-    (k, W_(k-1), bound, W_k, bound) resumes at k.
+    Starts from W_(k-1), W_k and their bounds; the bound of W_(j+1) carries
+    the bounds of W_j and W_(j-1) through the recurrence plus the rounding of
+    the step itself.  With ``asymptotic_tol`` each term also tries
+    :func:`_w_asymptotic` until it first fails, and keeps whichever of the
+    two values has the smaller bound, so a good asymptotic value also seeds
+    the recursion.  The caller stops the generator.
     """
-    k0, w_prev, e_prev, w, e = seed or (1, 1, 0, *_w1(a, z))
-    values, bounds, branches = [], [], []
-    for j in range(k0, n + 1):
+    while True:
         branch = "recurrence"
-        if j > k0:
-            k = j - 1
-            c = k - a - z
-            w_next = (c * w + z * w_prev) / k
-            e_next = ((abs(c) * e + z * e_prev
-                       + 4 * _UNIT * ((k + abs(a) + z) * abs(w) + z * abs(w_prev))) / k
-                      + _UNIT * abs(w_next) + _SUBNORMAL)
-            w_prev, e_prev, w, e = w, e, w_next, e_next
         if asymptotic_tol is not None:
-            series = _w_asymptotic(j, a, z, asymptotic_tol)
+            series = _w_asymptotic(k, a, z, asymptotic_tol)
             if series is None:
                 asymptotic_tol = None
             else:
@@ -245,10 +238,14 @@ def _forward(a, z, n: int, asymptotic_tol=None, seed=None):
                 series_err = (asymptotic_tol + 256 * _UNIT) * abs(series)
                 if not e <= series_err:
                     w, e, branch = series, series_err, "asymptotic"
-        values.append(w)
-        bounds.append(e)
-        branches.append(branch)
-    return values, bounds, branches
+        yield w, e, branch
+        c = k - a - z
+        w_next = (c * w + z * w_prev) / k
+        e_next = ((abs(c) * e + z * e_prev
+                   + 4 * _UNIT * ((k + abs(a) + z) * abs(w) + z * abs(w_prev))) / k
+                  + _UNIT * abs(w_next) + _SUBNORMAL)
+        w_prev, e_prev, w, e = w, e, w_next, e_next
+        k += 1
 
 
 def _seeds(a: float, z: float, k: int, tol: float):
@@ -356,45 +353,56 @@ def _certified(w: float, e: float, rel_tol: float) -> bool:
     return w < math.inf and e <= rel_tol * max(w, _MIN_NORMAL)
 
 
+def u_terms(a: float, z: float, n: int, rel_tol: float = _U_TOL):
+    """Yield (W_j, bound, branch) for j = 1..n, A = ``a``, z > 0, each term evaluated once.
+
+    The terms come in one order.  :func:`_forward` runs from W_1, with the
+    asymptotic series where it converges, up to the first term whose bound
+    exceeds ``rel_tol`` times its value.  From there on they come from the
+    seeds W_(k-1), W_k by :func:`_seeds`, at k = floor(A+z) + 1, or n if
+    that is lower (and k >= 2): at or below k by :func:`_backward`, stable
+    below the turning point A + z, and above k by :func:`_forward` from the
+    seeds, stable above it.  The backward W_1 must agree with the forward
+    one within their two bounds, which checks the seeds.  Each term is made
+    when it is read, so a caller that stops early evaluates no more; n only
+    places the seeds.  Raises :class:`ConvergenceError` if the check fails,
+    or, carrying the term's relative bound, at the first term read that the
+    seeds leave uncertified.
+    """
+    forward = _forward(a, z, 1, 1, 0, *_w1(a, z), min(rel_tol * 1e-2, 1e-14))
+    first = w, e, branch = next(forward)
+    j = 1
+    # the first test is _certified's common case, without a call per term
+    while e <= rel_tol * w < math.inf or _certified(w, e, rel_tol):
+        yield w, e, branch
+        if j >= n:
+            return
+        j += 1
+        w, e, branch = next(forward)
+    k = max(min(math.floor(a + z), n - 1) + 1, 2)
+    values, bounds = _backward(a, z, k, *_seeds(a, z, k, rel_tol * 1e-2))
+    if not abs(values[0] - first[0]) <= bounds[0] + first[1]:
+        raise ConvergenceError(
+            f"U(j; j-A+1; z) with A={a}, z={z}: W_1 from the seeds at j={k} is "
+            f"{values[0]!r}, the direct one {first[0]!r}", achieved=math.inf)
+    seeded = chain(zip(values, bounds, ("backward",) * (k - 2) + ("quadrature",) * 2),
+                   islice(_forward(a, z, k, values[-2], bounds[-2], values[-1], bounds[-1]),
+                          1, None))
+    for i, (w, e, branch) in zip(range(1, n + 1), seeded):
+        if i < j:  # certified by the forward run
+            continue
+        if not (e <= rel_tol * w < math.inf or _certified(w, e, rel_tol)):
+            raise ConvergenceError(
+                f"U(j; j-A+1; z) with A={a}, z={z} uncertified at j={i} "
+                f"(target {rel_tol:.1e} relative)", achieved=e / w if w > 0 else math.inf)
+        yield w, e, branch
+
+
 def u_family(a: float, z: float, n: int, rel_tol: float = _U_TOL) -> UFamily:
     """W_j = z^j U(j; j-A+1; z) = E[(1+X_j)^-A] for j = 1..n, A = ``a``, z > 0.
 
-    Runs :func:`_forward` with the asymptotic series where it converges.
-    Terms whose bound exceeds ``rel_tol`` times their value come from the
-    seeds W_(k-1), W_k by :func:`_seeds`, at k = floor(A+z) + 1 or just past
-    the last such term if that is lower (and k >= 2): at or below k by
-    :func:`_backward`, stable below the turning point A + z, and above k by
-    :func:`_forward` resumed from them, stable above it.  The
-    backward W_1 must agree with the forward one within their two bounds,
-    which checks the seeds.  Raises :class:`ConvergenceError` if that check
-    fails, and carrying the largest relative bound left if a term stays
-    uncertified.
+    The first n terms of :func:`u_terms`.  As the seeds' place depends on n,
+    a shorter family may differ from the start of a longer one in the last bits.
     """
-    values, bounds, branches = _forward(a, z, n, min(rel_tol * 1e-2, 1e-14))
-    # the first test is _certified's common case, without a call per term
-    pending = [i for i in range(n) if not (bounds[i] <= rel_tol * values[i] < math.inf
-                                           or _certified(values[i], bounds[i], rel_tol))]
-    if pending:
-        k = max(min(math.floor(a + z), pending[-1]) + 1, 2)
-        new = [(w, e, "quadrature" if j >= k - 1 else "backward") for j, (w, e) in
-               enumerate(zip(*_backward(a, z, k, *_seeds(a, z, k, rel_tol * 1e-2))), start=1)]
-        if not abs(new[0][0] - values[0]) <= new[0][1] + bounds[0]:
-            raise ConvergenceError(
-                f"U(j; j-A+1; z) with A={a}, z={z}: W_1 from the seeds at j={k} is "
-                f"{new[0][0]!r}, the direct one {values[0]!r}", achieved=math.inf)
-        last = pending[-1] + 1
-        if last > k:
-            seed = (k, *new[k - 2][:2], *new[k - 1][:2])
-            new += list(zip(*_forward(a, z, last, seed=seed)))[1:]
-        uncertified = {}
-        for i in pending:
-            w, e, _ = new[i]
-            if _certified(w, e, rel_tol):
-                values[i], bounds[i], branches[i] = new[i]
-            else:
-                uncertified[i] = e / w if w > 0 else math.inf
-        if uncertified:
-            raise ConvergenceError(
-                f"U(j; j-A+1; z) with A={a}, z={z} uncertified at j={min(uncertified) + 1} "
-                f"(target {rel_tol:.1e} relative)", achieved=max(uncertified.values()))
-    return UFamily(values=tuple(values), bounds=tuple(bounds), branches=tuple(branches))
+    values, bounds, branches = zip(*u_terms(a, z, n, rel_tol))
+    return UFamily(values=values, bounds=bounds, branches=branches)

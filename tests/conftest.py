@@ -384,3 +384,15 @@ def fresh_env(**variables) -> dict:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fresh_series():
+    """An empty per-shape memo of the gamma-mixture series before and after the test.
+
+    A test that patches a name the series' setup reads must neither meet a
+    shape set up before its patch nor leave one set up under it.
+    """
+    fbrate._extended._shape_series.cache_clear()
+    yield
+    fbrate._extended._shape_series.cache_clear()

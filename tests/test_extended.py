@@ -1,17 +1,19 @@
 """The gamma-mixture series: its U families, the certified sum, typed failures."""
 
+import dataclasses
 import math
 import subprocess
 import sys
+import threading
 
 import mpmath as mp
 import pytest
 
 from fbrate import ChannelParams, ConvergenceError, ErRequest, er_auto
-from fbrate import _extended
+from fbrate import _extended, specfun
 from fbrate._extended import mixture_series
 from fbrate.rate import U_SUM_TOL
-from fbrate.specfun import _U_TOL, UFamily, u_family
+from fbrate.specfun import _U_TOL, u_family
 
 from conftest import (HIGH_MULT, HIGH_MULT_J, cluster_model_j, fresh_env,
                       tricomi_u_integral_mp)
@@ -75,9 +77,9 @@ def test_extended_sum_at_high_multiplicity():
 
 
 def test_cross_check_runs_without_mpmath():
-    # a fresh interpreter: the grid points whose U families the forward
-    # recurrence leaves pending, and the m = 40 row, run through the seeds
-    # and never import mpmath
+    # a fresh interpreter: the grid points whose U terms the forward
+    # recurrence leaves uncertified, and the m = 40 row, run through the
+    # seeds and never import mpmath
     grid = [*EXTENDED_GRID, (M40, 5.0)]
     probe = f"""
 import sys
@@ -129,22 +131,22 @@ def test_extended_sum_needs_no_hyperu(monkeypatch, params, a):
         cluster_model_j(params, a), rel=1e-9, abs=0.0)
 
 
-def _uncertified_family(a, z, n, rel_tol):
-    # what u_family raises when a term stays uncertified
+def _uncertified_terms(a, z, n, rel_tol):
+    # what u_terms raises when a term stays uncertified
     raise ConvergenceError(f"U(j; j-A+1; z) with A={a}, z={z} uncertified",
                            achieved=1e-3)
 
 
-def test_no_convergence_is_typed(monkeypatch):
-    # the series' one U family fails: the typed error reaches the caller
-    monkeypatch.setattr(_extended, "u_family", _uncertified_family)
+def test_no_convergence_is_typed(monkeypatch, fresh_series):
+    # the series' U terms fail: the typed error reaches the caller
+    monkeypatch.setattr(_extended, "u_terms", _uncertified_terms)
     with pytest.raises(ConvergenceError, match="uncertified") as info:
         series_j(M40, 5.0)
     assert info.value.achieved > 1e-9
 
 
-def test_auto_falls_back_when_extended_u_fails(monkeypatch):
-    monkeypatch.setattr(_extended, "u_family", _uncertified_family)
+def test_auto_falls_back_when_extended_u_fails(monkeypatch, fresh_series):
+    monkeypatch.setattr(_extended, "u_terms", _uncertified_terms)
     result = er_auto(ErRequest(params=M40, a_exponent=5.0))
     assert result.method_used == "quadrature"
     diagnostics = dict(result.diagnostics)
@@ -181,7 +183,7 @@ def test_series_bound_covers_the_cluster_model(params, a, exact):
     assert bound <= U_SUM_TOL * value
 
 
-def test_negative_power_sum_is_refused(monkeypatch):
+def test_negative_power_sum_is_refused(monkeypatch, fresh_series):
     # (1 + g s)^-2 (1 + 2 g s): the numerator factor sits below the top pole,
     # so c_r = -(1/2)^r < 0 and the weights would alternate
     monkeypatch.setattr(_extended, "mgf_factors",
@@ -190,19 +192,104 @@ def test_negative_power_sum_is_refused(monkeypatch):
         series_j(M40, 5.0)
 
 
-def _overflowed_family(a, z, n, rel_tol):
+def _overflowed_terms(a, z, n, rel_tol):
     # W_j that overflowed to inf, bound inf
-    return UFamily(values=(math.inf,) * n, bounds=(math.inf,) * n,
-                   branches=("recurrence",) * n)
+    return iter([(math.inf, math.inf, "recurrence")] * n)
 
 
-def test_non_finite_sum_is_refused(monkeypatch):
+def test_non_finite_sum_is_refused(monkeypatch, fresh_series):
     # the residue majorant sends this shape to the series, whose sum
     # overflows with its U family: it must raise rather than return
     # (inf, inf, L).  The family here once overflowed for real, when
     # u_family passed inf terms through inf <= inf
     p = ChannelParams(mu=6, m=5, kappa=0.0022068275643294466, eta=1734.221669092768,
                       rho2=27.82277147330203, gamma_bar=0.15444758274885909)
-    monkeypatch.setattr(_extended, "u_family", _overflowed_family)
+    monkeypatch.setattr(_extended, "u_terms", _overflowed_terms)
     with pytest.raises(ConvergenceError, match="value inf"):
         mixture_series(p, 2.706991924825241)
+
+
+#: An A = 5 validate-grid point whose U terms come from the seeds, and the
+#: m = 40 row, whose U terms all come from the forward run.
+ONCE_GRID = (EXTENDED_GRID[2], (M40, 5.0))
+
+
+@pytest.mark.parametrize("params,a", ONCE_GRID)
+def test_series_evaluates_each_u_term_once(monkeypatch, params, a):
+    # one W_1, at most one pair of seeds, and no term past the last one the
+    # sum and its tail read, W_(mu+L) (W_(mu+L+1) allowed)
+    w1, seeds, forward = specfun._w1, specfun._seeds, specfun._forward
+    w1_calls, seed_calls, reached = [], [], []
+
+    def counted_w1(*args):
+        w1_calls.append(args)
+        return w1(*args)
+
+    def counted_seeds(a, z, k, tol):
+        seed_calls.append(k)
+        return seeds(a, z, k, tol)
+
+    def counted_forward(a, z, k, *state):
+        for j, term in enumerate(forward(a, z, k, *state), start=k):
+            reached.append(j)
+            yield term
+
+    monkeypatch.setattr(specfun, "_w1", counted_w1)
+    monkeypatch.setattr(specfun, "_seeds", counted_seeds)
+    monkeypatch.setattr(specfun, "_forward", counted_forward)
+    _, _, n_terms = mixture_series(params, a)
+    assert len(w1_calls) == 1
+    assert len(seed_calls) <= 1
+    assert max(reached + seed_calls) <= round(params.mu) + n_terms + 1
+
+
+def _bits(result):
+    value, bound, n_terms = result
+    return value.hex(), bound.hex(), n_terms
+
+
+def test_warm_call_returns_the_cold_bits(fresh_series):
+    # 30 dB reads fewer weights than 20 dB on this shape, so the 20 dB call
+    # after it extends the memo's prefix, and the last call reads it whole
+    shorter, longer = (dataclasses.replace(EXTENDED_GRID[2][0], gamma_bar=g)
+                       for g in (1000.0, 100.0))
+    cold = _bits(mixture_series(longer, 5.0))
+    _extended._shape_series.cache_clear()
+    assert _bits(mixture_series(shorter, 5.0))[2] < cold[2]
+    assert _bits(mixture_series(longer, 5.0)) == cold
+    assert _bits(mixture_series(longer, 5.0)) == cold
+
+
+def test_concurrent_calls_share_the_memo(fresh_series):
+    # threads extending one shape's weights at once, switching often, get
+    # the bits of serial calls: a lost or torn prefix would move them
+    shape = EXTENDED_GRID[2][0]
+    points = [dataclasses.replace(shape, gamma_bar=g) for g in (1000.0, 100.0, 300.0, 30.0)]
+    serial = [_bits(mixture_series(p, 5.0)) for p in points]
+    results, errors = {}, []
+
+    def run(i):
+        try:
+            for p in points[i % 4:] + points[:i % 4]:
+                results.setdefault(i, []).append((p.gamma_bar, _bits(mixture_series(p, 5.0))))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _extended._shape_series.cache_clear()
+            results.clear()
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            expected = dict(zip((p.gamma_bar for p in points), serial))
+            assert all(bits == expected[g] for runs in results.values() for g, bits in runs)
+            assert len(results) == 6
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,28 +1,38 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fbrate import ChannelParams, quadrature_sweep
+from fbrate._extended import mixture_series
 from fbrate.crosscheck import GRID_A, GRID_SNR_DB, db_to_linear
+from fbrate.rate import expectation_closed_form
 from fbrate.specfun import nested_trapezoid, u_family
 
 from conftest import fig1_params
 
 
 #: Bits of the nested double-exponential rule, as ``float.hex``: the
-#: quadrature's (values, errors, levels) on two sweeps and the U families
-#: that reach the seeds.  Regenerate with ``PYTHONPATH=src python
-#: tests/test_nested_rule.py [entry ...]`` only when a change is meant to
-#: move them: the named entries, or every entry if none is named.
+#: quadrature's (values, errors, levels) on two sweeps, the U families
+#: that reach the seeds, and the gamma-mixture series on two grid shapes.
+#: Regenerate with ``PYTHONPATH=src python tests/test_nested_rule.py
+#: [entry ...]`` only when a change is meant to move them: the named
+#: entries, or every entry if none is named.
 RULE_BITS = Path(__file__).with_name("nested_rule_bits.json")
-ENTRIES = ("fig1_a2", "grid_block", "u_family")
+ENTRIES = ("fig1_a2", "grid_block", "u_family", "series_block")
 
 #: (A, z, n) of U families that take terms from the seeds.
 SEEDED_FAMILIES = ((5.0, 0.004, 40), (60.0, 1e-4, 61), (2.0 + 1e-9, 0.99, 1))
+
+#: Validate-grid shapes whose closed form hands points to the series: at
+#: A = 5 the first reads its U terms from the seeds at 30 dB and from the
+#: forward run at 20 dB, the second from the forward run at both.
+SERIES_SHAPES = (ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=0.1),
+                 ChannelParams(mu=6.0, m=2.0, kappa=2.0, eta=0.1, rho2=1.0))
 
 
 def _hex(values) -> list:
@@ -49,7 +59,22 @@ def rule_bits() -> dict:
     return {"command": "PYTHONPATH=src python tests/test_nested_rule.py [entry ...]",
             "fig1_a2": _sweep_bits(fig1_params(), fig1, 2.0),
             "grid_block": _sweep_bits(shape, *zip(*block)),
-            "u_family": families}
+            "u_family": families,
+            "series_block": _series_bits(block)}
+
+
+def _series_bits(block) -> dict:
+    """(value, bound) and length of the series on each point the closed form hands it."""
+    bits = {}
+    for shape in SERIES_SHAPES:
+        for gamma_bar, a in block:
+            params = replace(shape, gamma_bar=gamma_bar)
+            diagnostics = []
+            expectation_closed_form(params, a, diagnostics)
+            if diagnostics:
+                value, bound, n_terms = mixture_series(params, a)
+                bits[f"{shape.shape!r},{gamma_bar!r},{a!r}"] = [*_hex((value, bound)), n_terms]
+    return bits
 
 
 def _gaussians(widths):

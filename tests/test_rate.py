@@ -410,7 +410,7 @@ class TestDispatch:
         (20.0, 200.0, 20.0, 5.0, "closed_form_failed"),
     ])
     def test_auto_falls_back_to_quadrature_at_high_multiplicity(
-            self, mu, m, snr_db, a, reason, monkeypatch):
+            self, mu, m, snr_db, a, reason, monkeypatch, fresh_series):
         # an uncertified closed form: auto must return the quadrature value.
         # This row's series certifies at 512 terms
         # (test_multiplicity_400_certifies); cut to 256, its tail is 4e-5 of J
