@@ -122,8 +122,7 @@ def _emit(rows, columns, fmt, header_lines=()):
             print(",".join(_fmt(v) if isinstance(v, float) else str(v)
                            for v in row), file=out)
     else:
-        for row in rows:
-            print(json.dumps(dict(zip(columns, row))), file=out)
+        out.write("".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows))
 
 
 def cmd_er(args) -> int:

@@ -27,7 +27,7 @@ from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mc import McConfig, estimate_er
 from .model import ChannelParams, _check_a_exponent, log_mgf
 from .poles import PartialFractionExpansion, decompose, pole_exponents
-from .specfun import log_gamma_peak, nested_trapezoid, u_family
+from .specfun import log_gamma_peak, nested_trapezoid, u_terms
 
 
 #: Deepest level of the double-exponential rule (step 2**-(DE_LEVELS+1)).
@@ -79,6 +79,15 @@ def effective_rate(j: float, a_exponent: float) -> float:
     return -math.log2(j) / a_exponent
 
 
+def _check_gamma_bars(gamma_bars) -> np.ndarray:
+    """``gamma_bars`` as a float array; :class:`ParameterError` unless all are finite and > 0."""
+    gamma_bar = np.asarray(gamma_bars, dtype=float)
+    bad = gamma_bar[~(np.isfinite(gamma_bar) & (gamma_bar > 0.0))]
+    if bad.size:  # named alone: a sweep may hold 1e5 mean SNRs
+        raise ParameterError(f"gamma_bars must be finite and > 0, got {float(bad[0])!r}")
+    return gamma_bar
+
+
 def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
                      rel_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J at every mean SNR in ``gamma_bars`` for one channel shape, by the MGF integral.
@@ -109,10 +118,7 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
     a_rows = exponents.tolist() if exponents.ndim else [float(exponents)]
     for a in set(a_rows):
         _check_a_exponent(a)
-    gamma_bar = np.asarray(gamma_bars, dtype=float)
-    bad = gamma_bar[~(np.isfinite(gamma_bar) & (gamma_bar > 0.0))]
-    if bad.size:  # named alone: a sweep may hold 1e5 mean SNRs
-        raise ParameterError(f"gamma_bars must be finite and > 0, got {float(bad[0])!r}")
+    gamma_bar = _check_gamma_bars(gamma_bars)
     if len(a_rows) == 1:
         a_rows *= gamma_bar.size
     elif len(a_rows) != gamma_bar.size:
@@ -187,12 +193,12 @@ def _term_sums(expansion: PartialFractionExpansion, a_exponent: float,
                gamma_bar: float) -> tuple[float, float, float]:
     """sum A_ij W_ij, sum E_ij W_ij and sum |A_ij| err(W_ij).
 
-    One :func:`specfun.u_family` per pole, every term certified to ``_U_TOL``.
+    The w terms of :func:`specfun.u_terms` per pole, each certified to ``_U_TOL``.
     """
     contributions, envelope, u_error = [], [], []
     for (theta, w, coeffs), majorants in zip(expansion.terms, expansion.majorants):
-        family = u_family(a_exponent, theta / gamma_bar, w)
-        for a_ij, e_ij, w_j, err_j in zip(coeffs, majorants, family.values, family.bounds):
+        for a_ij, e_ij, (w_j, err_j, _) in zip(coeffs, majorants,
+                                               u_terms(a_exponent, theta / gamma_bar, w)):
             contributions.append(a_ij * w_j)
             envelope.append(e_ij * w_j)
             u_error.append(abs(a_ij) * err_j)
@@ -205,8 +211,8 @@ def expectation_closed_form(params: ChannelParams, a_exponent: float,
 
     Each basis term's expectation is exactly Gamma(j) U(j; j-A+1; theta/g)
     times the density normalization (theta/g)^j / Gamma(j), so the gammas
-    cancel and only W_j = z^j U(j; j-A+1; z) remains, one
-    :func:`specfun.u_family` per pole of :func:`poles.decompose`.  The terms
+    cancel and only W_j = z^j U(j; j-A+1; z) remains, the terms of one
+    :func:`specfun.u_terms` per pole of :func:`poles.decompose`.  The terms
     encode the vanishing density derivatives at zero through cancellation,
     so the sum is kept only if certified: J > 0, the residue majorant within
     ``CLOSED_FORM_COND_LIMIT`` J and the U errors within ``U_SUM_TOL`` J.
@@ -215,7 +221,17 @@ def expectation_closed_form(params: ChannelParams, a_exponent: float,
     relative bound.  A value outside (0, 1) raises :class:`ConvergenceError`.
     """
     _check_a_exponent(a_exponent)
-    value, majorant, u_error = _term_sums(decompose(params), a_exponent, params.gamma_bar)
+    return _closed_form(params, params.gamma_bar, a_exponent, diagnostics)
+
+
+def _closed_form(shape: ChannelParams, gamma_bar: float, a_exponent: float,
+                 diagnostics: list | None) -> float:
+    """:func:`expectation_closed_form` for ``shape`` at mean SNR ``gamma_bar``.
+
+    The partial fractions depend on the shape alone, so only the series
+    builds a channel at ``gamma_bar``; ``shape.gamma_bar`` is ignored.
+    """
+    value, majorant, u_error = _term_sums(decompose(shape), a_exponent, gamma_bar)
     reason = None
     if value <= 0.0:
         reason = f"partial-fraction sum {value:.1e}"
@@ -224,7 +240,7 @@ def expectation_closed_form(params: ChannelParams, a_exponent: float,
     elif u_error > U_SUM_TOL * value:
         reason = f"U share {u_error / value:.1e}"
     if reason is not None:
-        value, bound, n_terms = mixture_series(params, a_exponent)
+        value, bound, n_terms = mixture_series(replace(shape, gamma_bar=gamma_bar), a_exponent)
         if diagnostics is not None:
             diagnostics.append(("closed_form_series",
                                 f"{reason}; {n_terms} terms; bound {bound / value:.1e}"))
@@ -246,17 +262,23 @@ def er_sweep(request: ErRequest, gamma_bars, mc_config=None) -> list[ErResult]:
     """One :class:`ErResult` per mean SNR in ``gamma_bars``, in order.
 
     Each is the result :func:`er_auto` gives for the request's channel at
-    that mean SNR; the request's own ``gamma_bar`` is ignored.  ``auto`` and
-    ``quadrature`` integrate every mean SNR in one :func:`quadrature_sweep`,
-    whose rows each get the value they get on their own.  The closed form,
-    the cross-check, the diagnostics and Monte Carlo run per mean SNR.
+    that mean SNR; the request's own ``gamma_bar`` is ignored.  Every mean
+    SNR must be finite and > 0 (:class:`ParameterError` otherwise).  The
+    per-shape work runs once: whether the closed form applies, its partial
+    fractions, and for ``auto`` and ``quadrature`` one
+    :func:`quadrature_sweep` over every mean SNR, whose rows each get the
+    value they get on their own.  Per mean SNR run only the closed form's U
+    terms (and the series, where its sum cancels), the cross-check, the
+    diagnostics and Monte Carlo.
     """
+    _check_gamma_bars(gamma_bars)
     quadrature = [None] * len(gamma_bars)
     if request.method in ("auto", "quadrature"):
         values, errors, levels = quadrature_sweep(request.params, gamma_bars,
                                                   request.a_exponent, request.rel_tol)
         quadrature = zip(values.tolist(), errors.tolist(), levels.tolist())
-    return [_evaluate(request, g, q, mc_config) for g, q in zip(gamma_bars, quadrature)]
+    cross = request.method == "auto" and closed_form_applies(request.params)
+    return [_evaluate(request, g, q, cross, mc_config) for g, q in zip(gamma_bars, quadrature)]
 
 
 def er_auto(request: ErRequest, mc_config=None) -> ErResult:
@@ -276,8 +298,12 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
 
 
 def _evaluate(request: ErRequest, gamma_bar: float,
-              quadrature: tuple[float, float, int] | None, mc_config) -> ErResult:
-    """:func:`er_auto` at one mean SNR, given its quadrature (value, error, level)."""
+              quadrature: tuple[float, float, int] | None, cross: bool,
+              mc_config) -> ErResult:
+    """:func:`er_auto` at one mean SNR, given its quadrature (value, error, level).
+
+    ``cross``: ``auto`` runs the closed form too, as it applies to the shape.
+    """
     a = request.a_exponent
     diagnostics: list[tuple[str, str]] = []
 
@@ -293,15 +319,13 @@ def _evaluate(request: ErRequest, gamma_bar: float,
         return result(estimate.j_hat, "monte_carlo", estimate.j_stderr)
 
     if request.method == "closed_form":
-        params = replace(request.params, gamma_bar=gamma_bar)
-        return result(expectation_closed_form(params, a, diagnostics), "closed_form",
+        return result(_closed_form(request.params, gamma_bar, a, diagnostics), "closed_form",
                       U_SUM_TOL)
 
     j_closed = None
-    if request.method == "auto" and closed_form_applies(request.params):
-        params = replace(request.params, gamma_bar=gamma_bar)
+    if cross:
         try:
-            j_closed = expectation_closed_form(params, a, diagnostics)
+            j_closed = _closed_form(request.params, gamma_bar, a, diagnostics)
         except (ConvergenceError, ClosedFormUnavailableError, ArithmeticError) as exc:
             diagnostics.append(("closed_form_failed", f"{type(exc).__name__}: {exc}"))
 

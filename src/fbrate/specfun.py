@@ -27,12 +27,11 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ParameterError
 
 
 def log_gamma_peak(a: float) -> float:
@@ -57,33 +56,57 @@ def nested_trapezoid(integrand, lo, hi, levels: int, settle):
     h f_r(i h) over the i h in its window.  The first sum is at h = 1/2; each
     of ``levels`` levels halves h and adds the odd i, the nodes the previous
     level lacks, to half the previous sum.  The nodes span the active rows'
-    windows and each row adds its own alone, so it gets the sum it gets on
-    its own.  ``settle(sums, previous)`` gives the active rows' errors and
-    which of them leave (a mask, or one flag for all); a sum that is not
-    finite and > 0 stops the rule.
+    windows and each run of consecutive rows that share a window adds it in
+    one reduction, so every row gets the sum it gets on its own.
+    ``settle(sums, previous)`` gives the active rows' errors and which of
+    them leave (a mask, or one flag for all); a sum that is not finite and
+    > 0 stops the rule.
 
     Returns each row's last sum, its last error (inf if none) and the level
-    at which it left or the rule stopped.
+    at which it left or the rule stopped; raises :class:`ConvergenceError`
+    if a window bound is not finite.
     """
     active = np.arange(len(lo))
     sums, errors, reached = np.zeros(len(lo)), np.full(len(lo), math.inf), np.zeros_like(active)
+    bounds = np.array((lo, hi), dtype=float)
+    if not np.isfinite(bounds).all():
+        raise ConvergenceError(f"double-exponential rule: window bound "
+                               f"{float(bounds[~np.isfinite(bounds)][0])!r} is not finite",
+                               achieved=math.inf)
+    # every row's window as node indices i at every level, with h = 2**-(level+1)
+    inverse_h = np.ldexp(1.0, np.arange(1, levels + 2))[:, None]
+    firsts = np.ceil(bounds[0] * inverse_h).astype(int)
+    firsts[1:] |= 1  # the refinements add the odd i alone
+    windows = list(zip(firsts.tolist(), np.floor(bounds[1] * inverse_h).astype(int).tolist()))
 
-    def node_sums(h: float, step: int) -> np.ndarray:
+    def node_sums(level: int, h: float, step: int) -> np.ndarray:
         rows = active.tolist()
-        first_i = [math.ceil(lo[r] / h) | (step - 1) for r in rows]  # odd i at step 2
-        last_i = [math.floor(hi[r] / h) for r in rows]
+        first_row, last_row = windows[level]
+        first_i = [first_row[r] for r in rows]
+        last_i = [last_row[r] for r in rows]
         first = min(first_i)
         f = integrand(active, h * np.arange(first, max(last_i) + 1, step))
-        if len(set(first_i)) == len(set(last_i)) == 1:  # one window: one reduction
+        n = len(rows)
+        if first_i.count(first) == n and last_i.count(last_i[0]) == n:  # one window
             return np.add.reduce(f, axis=1)
-        return np.array([np.add.reduce(f_r[(i - first) // step:(j - first) // step + 1])
-                         for f_r, i, j in zip(f, first_i, last_i)])
+        # one reduction per run of consecutive rows that share a window
+        parts, r0 = [], 0
+        for r in range(1, n + 1):
+            if r < n and first_i[r] == first_i[r0] and last_i[r] == last_i[r0]:
+                continue
+            window = slice((first_i[r0] - first) // step, (last_i[r0] - first) // step + 1)
+            if r - r0 == 1:
+                parts.append(np.add.reduce(f[r0, window]))
+            else:
+                parts.extend(np.add.reduce(f[r0:r, window], axis=1).tolist())
+            r0 = r
+        return np.array(parts)
 
     h = 0.5
-    total = h * node_sums(h, 1)
+    total = h * node_sums(0, h, 1)
     for level in range(1, levels + 1):
         h /= 2.0
-        prev, total = total, 0.5 * total + h * node_sums(h, 2)
+        prev, total = total, 0.5 * total + h * node_sums(level, h, 2)
         if not all(0.0 < x < math.inf for x in total.tolist()):
             break
         errors[active], done = settle(total, prev)
@@ -111,23 +134,6 @@ _SUBNORMAL = 5e-324  # spacing of the subnormal doubles
 _MIN_NORMAL = 2.0**-1022
 #: Deepest level of the seeds' double-exponential rule (step 2**-(_SEED_LEVELS+1)).
 _SEED_LEVELS = 7
-
-
-@dataclass(frozen=True)
-class UFamily:
-    """W_j = z^j U(j; j-A+1; z) for j = 1..n, each certified to ``rel_tol``.
-
-    A W_j below the double range is certified to ``rel_tol`` of the smallest
-    normal double instead (see :func:`_certified`).
-
-    ``bounds[j-1]`` bounds |error of values[j-1]|; ``branches[j-1]`` names
-    the evaluation that certified it: ``asymptotic``, ``recurrence``
-    (forward), ``quadrature`` (a seed integral) or ``backward``.
-    """
-
-    values: tuple[float, ...]
-    bounds: tuple[float, ...]
-    branches: tuple[str, ...]
 
 
 def _w_asymptotic(j: int, a: float, z: float, tol: float):
@@ -367,9 +373,14 @@ def u_terms(a: float, z: float, n: int, rel_tol: float = _U_TOL):
     when it is read, so a caller that stops early evaluates no more; n only
     places the seeds.  Raises :class:`ConvergenceError` if the check fails,
     or, carrying the term's relative bound, at the first term read that the
-    seeds leave uncertified.
+    seeds leave uncertified, and :class:`ParameterError` unless z is finite
+    and > 0.
     """
-    forward = _forward(a, z, 1, 1, 0, *_w1(a, z), min(rel_tol * 1e-2, 1e-14))
+    if not 0.0 < z < math.inf:
+        raise ParameterError(f"U(j; j-A+1; z) needs z finite and > 0, got {z!r}")
+    # where the asymptotic series converges, W_1's direct bound is the tighter:
+    # at j = 1 the series is tried only to learn whether it serves the terms above
+    forward = _forward(a, z, 1, 1, 0, *_w1(a, z), min(rel_tol * 1e-2, 1e-14) if n > 1 else None)
     first = w, e, branch = next(forward)
     j = 1
     # the first test is _certified's common case, without a call per term
@@ -396,13 +407,3 @@ def u_terms(a: float, z: float, n: int, rel_tol: float = _U_TOL):
                 f"U(j; j-A+1; z) with A={a}, z={z} uncertified at j={i} "
                 f"(target {rel_tol:.1e} relative)", achieved=e / w if w > 0 else math.inf)
         yield w, e, branch
-
-
-def u_family(a: float, z: float, n: int, rel_tol: float = _U_TOL) -> UFamily:
-    """W_j = z^j U(j; j-A+1; z) = E[(1+X_j)^-A] for j = 1..n, A = ``a``, z > 0.
-
-    The first n terms of :func:`u_terms`.  As the seeds' place depends on n,
-    a shorter family may differ from the start of a longer one in the last bits.
-    """
-    values, bounds, branches = zip(*u_terms(a, z, n, rel_tol))
-    return UFamily(values=values, bounds=bounds, branches=branches)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import mpmath as mp
@@ -24,7 +25,7 @@ import fbrate
 from fbrate import ChannelParams, log_mgf
 from fbrate.mc import _sample_block
 from fbrate.model import channel_constants
-from fbrate.specfun import _U_TOL, u_family
+from fbrate.specfun import _U_TOL, u_terms
 
 # --- frozen goldens ----------------------------------------------------------
 
@@ -263,10 +264,38 @@ def exp1(z: float) -> float:
     return math.exp(-z) * f
 
 
+@dataclass(frozen=True)
+class UFamily:
+    """W_j = z^j U(j; j-A+1; z) for j = 1..n, each certified to ``rel_tol``.
+
+    A W_j below the double range is certified to ``rel_tol`` of the smallest
+    normal double instead (see ``specfun._certified``).
+
+    ``bounds[j-1]`` bounds |error of values[j-1]|; ``branches[j-1]`` names
+    the evaluation that certified it: ``asymptotic``, ``recurrence``
+    (forward), ``quadrature`` (a seed integral) or ``backward``.
+    """
+
+    values: tuple[float, ...]
+    bounds: tuple[float, ...]
+    branches: tuple[str, ...]
+
+
+def u_family(a: float, z: float, n: int, rel_tol: float = _U_TOL) -> UFamily:
+    """W_j = z^j U(j; j-A+1; z) = E[(1+X_j)^-A] for j = 1..n, A = ``a``, z > 0.
+
+    The first n terms of ``specfun.u_terms``, gathered so that a test can
+    index them.  As the seeds' place depends on n, a shorter family may
+    differ from the start of a longer one in the last bits.
+    """
+    values, bounds, branches = zip(*u_terms(a, z, n, rel_tol))
+    return UFamily(values=values, bounds=bounds, branches=branches)
+
+
 def tricomi_u_int_a(a: int, b: float, z: float, rel_tol: float = _U_TOL) -> float:
     """U(a; b; z) for integer a >= 1, real b, z > 0, from the package's U family.
 
-    The last member of ``specfun.u_family`` with A = a - b + 1, scaled by
+    The last member of :func:`u_family` with A = a - b + 1, scaled by
     z^-a.  Lets the U tests address single (a, b, z) points; raises
     ``ConvergenceError`` carrying the achieved error estimate if the target
     accuracy cannot be certified.

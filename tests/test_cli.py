@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -123,13 +124,14 @@ class TestErCommand:
         assert run_cli(capsys, *args)[0] == 0
         assert len(calls) == 2  # one batch per vary value
 
-    @pytest.mark.parametrize("mu, vary, values, limit", [
-        ("2.0", "mu", "1.0,2.0,4.0", 86),  # plus the channel of each closed-form point
-        ("1.5", "m", "0.5,1.0,3.0", 4),
+    @pytest.mark.parametrize("mu, vary, values", [
+        ("2.0", "mu", "1.0,2.0,4.0"),
+        ("1.5", "m", "0.5,1.0,3.0"),
     ], ids=["fig-1", "fig-2"])
     def test_figure_sweep_builds_one_channel_per_shape(self, capsys, monkeypatch,
-                                                       mu, vary, values, limit):
-        # the base channel and one per vary value; mean SNR is no rebuild
+                                                       mu, vary, values):
+        # the base channel and one per vary value; mean SNR is no rebuild,
+        # for the closed form neither
         args = ("er", "--mu", mu, "--m", "1.0", "--kappa", "1.0", "--eta", "0.1",
                 "--rho2", "0.1", "--A", "2.0", "--snr-db=-10.0:30.0:1", "--vary", vary,
                 "--vary-values", values, "--format", "jsonl")
@@ -143,7 +145,25 @@ class TestErCommand:
 
         monkeypatch.setattr(ChannelParams, "__post_init__", counted)
         assert run_cli(capsys, *args)[0] == 0
-        assert len(builds) <= limit
+        assert len(builds) <= 4
+
+    #: sha256 of the README figure sweeps' output, frozen before per-shape sweeps
+    FIGURE_SHA256 = {
+        ("mu", "csv"): "aacb7b8b4973e4f8802cd565237a3edbf6e01c49bab1f09dd0b70682c287b46d",
+        ("m", "csv"): "b7fe65bbfb761da044660625abbee5c306d1bf55adf2753242f4aaffd0f72e27",
+        ("mu", "jsonl"): "50dc558eb1805ebf2515159deb8b1a2c0f973e5360509ef44e264616fd05b0dc",
+        ("m", "jsonl"): "8b570b8b506f7e4e76df3e6dd0607d4497a4e08f096f0a7d4fb28ddea9ebf7d8",
+    }
+
+    @pytest.mark.parametrize("vary, fmt", list(FIGURE_SHA256))
+    def test_figure_sweep_bytes(self, capsys, vary, fmt):
+        mu, values = ("2", "1,2,4") if vary == "mu" else ("1.5", "0.5,1,3")
+        code, out, _ = run_cli(capsys, "er", "--mu", mu, "--m", "1", "--kappa", "1",
+                               "--eta", "0.1", "--rho2", "0.1", "--A", "2",
+                               "--snr-db=-10:30:1", "--vary", vary, "--vary-values", values,
+                               "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FIGURE_SHA256[vary, fmt]
 
     def test_monte_carlo_sweep_matches_per_point(self, capsys):
         code, out, _ = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",

@@ -13,10 +13,10 @@ from fbrate import ChannelParams, ConvergenceError, ErRequest, er_auto
 from fbrate import _extended, specfun
 from fbrate._extended import mixture_series
 from fbrate.rate import U_SUM_TOL
-from fbrate.specfun import _U_TOL, u_family
+from fbrate.specfun import _U_TOL
 
 from conftest import (HIGH_MULT, HIGH_MULT_J, cluster_model_j, fresh_env,
-                      tricomi_u_integral_mp)
+                      tricomi_u_integral_mp, u_family)
 
 
 def series_j(params, a):

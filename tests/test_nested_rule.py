@@ -11,9 +11,9 @@ from fbrate import ChannelParams, quadrature_sweep
 from fbrate._extended import mixture_series
 from fbrate.crosscheck import GRID_A, GRID_SNR_DB, db_to_linear
 from fbrate.rate import expectation_closed_form
-from fbrate.specfun import nested_trapezoid, u_family
+from fbrate.specfun import nested_trapezoid
 
-from conftest import fig1_params
+from conftest import fig1_params, u_family
 
 
 #: Bits of the nested double-exponential rule, as ``float.hex``: the

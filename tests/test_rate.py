@@ -260,6 +260,18 @@ class TestQuadratureSweep:
         with pytest.raises(ParameterError, match="A must be finite and > 0"):
             quadrature_sweep(fig1_params(), [1.0, 10.0], [2.0, 0.0])
 
+    @pytest.mark.parametrize("gamma_bar", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("method", _METHODS)
+    def test_sweep_rejects_bad_mean_snr(self, method, gamma_bar):
+        request = ErRequest(params=fig1_params(), a_exponent=2.0, method=method)
+        with pytest.raises(ParameterError, match="gamma_bars must be finite and > 0"):
+            er_sweep(request, [1.0, gamma_bar], McConfig(n_samples=1000, seed=1))
+
+    def test_window_out_of_range_is_typed(self):
+        # -45/A overflows for a subnormal A, and the rule has no window
+        with pytest.raises(ConvergenceError, match="window bound -inf is not finite"):
+            quadrature_sweep(fig1_params(), [1.0], 1e-310)
+
     @pytest.mark.parametrize("method", _METHODS)
     def test_empty_sweep(self, method):
         assert er_sweep(ErRequest(params=fig1_params(), a_exponent=2.0, method=method), []) == []

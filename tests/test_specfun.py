@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from itertools import islice
 from pathlib import Path
 
 import mpmath as mp
@@ -7,12 +10,12 @@ import numpy as np
 import pytest
 from scipy.special import exp1 as scipy_exp1
 
-from fbrate import ConvergenceError
+from fbrate import ConvergenceError, ParameterError
 from fbrate import specfun
-from fbrate.specfun import _U_TOL, _w1, u_family
+from fbrate.specfun import _U_TOL, _w1, u_terms
 
 from conftest import (E1_AT_1, U_2_1_2, U_3_HALF_2, exp1 as _exp1, rayleigh_j,
-                      tricomi_u_int_a, tricomi_u_integral_mp)
+                      fresh_env, tricomi_u_int_a, tricomi_u_integral_mp, u_family)
 
 
 class TestLnGamma:
@@ -274,6 +277,26 @@ class TestUFamily:
         with pytest.raises(ConvergenceError, match="uncertified") as info:
             u_family(20.0, 1e-4, FAMILY_N, rel_tol=1e-17)
         assert info.value.achieved > 1e-17
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, math.inf])
+    def test_bad_z_is_a_parameter_error(self, z):
+        with pytest.raises(ParameterError, match="z finite and > 0"):
+            next(u_terms(2.0, z, 2))
+
+    def test_nan_z_is_a_parameter_error(self):
+        # in a child process with a timeout: NaN once never left the W_1 series
+        probe = ("import math\nfrom fbrate.specfun import u_terms\n"
+                 "try:\n    next(u_terms(2.0, math.nan, 2))\n"
+                 "except Exception as exc:\n    print(type(exc).__name__)\n")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env=fresh_env(), timeout=60)
+        assert proc.stdout.strip() == "ParameterError"
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 5.0, 60.0])
+    def test_one_term_is_the_first_of_two(self, a):
+        # n = 1 skips the asymptotic try at W_1, whose value never beats W_1's own
+        for z in np.geomspace(1e-6, 1e8, 60).tolist():
+            assert list(u_terms(a, z, 1)) == list(islice(u_terms(a, z, 2), 1)), z
 
 
 if __name__ == "__main__":
