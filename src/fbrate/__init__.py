@@ -9,7 +9,7 @@ physical cluster channel.
 from .errors import (ClosedFormUnavailableError, ConvergenceError, FbrateError,
                      ParameterError)
 from .mc import McConfig, McEstimate, estimate_er
-from .model import ChannelParams, MgfPoint, PRESET_NAMES, log_mgf, mgf, preset
+from .model import ChannelParams, PRESET_NAMES, log_mgf, mgf, preset
 from .poles import PartialFractionExpansion, decompose, pdf
 from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
                    er_auto, er_sweep, expectation_closed_form, expectation_quadrature,
@@ -18,7 +18,7 @@ from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelParams", "MgfPoint",
+    "ChannelParams",
     "PartialFractionExpansion", "ErRequest", "ErResult",
     "McConfig", "McEstimate",
     "preset", "PRESET_NAMES", "mgf", "log_mgf",

@@ -88,8 +88,8 @@ def mixture_series(params: ChannelParams, a_exponent: float) -> tuple[float, flo
     generating function G asks for.  The bound adds sum w_n err(W_(mu+n)),
     the tail and (2L+4) eps of J for rounding, which sums of positive terms
     average instead of amplifying.  Raises :class:`ConvergenceError` if some
-    c_r < 0, the tail stays too large within ``_MAX_TERMS`` terms, or the
-    value or its bound is not finite.
+    c_r < 0, the tail stays too large within ``_MAX_TERMS`` terms, the value
+    is not > 0 (every term underflowed) or its bound is not finite.
     """
     series = _shape_series(*params.shape)
     if series.c_min < 0.0:
@@ -118,7 +118,7 @@ def mixture_series(params: ChannelParams, a_exponent: float) -> tuple[float, flo
         tail = max(0.0, 1.0 - mass) * term
         if tail <= 1e-3 * U_SUM_TOL * value:
             bound = u_error + tail + (2 * n + 6) * _EPS * value
-            if not math.isfinite(value + bound):
+            if not (value > 0.0 and math.isfinite(value + bound)):
                 raise ConvergenceError(
                     f"gamma-mixture series for A={a_exponent}, params={params}: "
                     f"value {value!r}, bound {bound!r} after {n + 1} terms",

@@ -168,7 +168,7 @@ def cmd_er(args) -> int:
 def cmd_mgf(args) -> int:
     params = _build_params(args, args.gamma_bar)
     grid = _parse_grid(args.s, "--s")
-    rows = [(float(s), mgf(params, float(s)).value) for s in grid]
+    rows = [(float(s), mgf(params, float(s))) for s in grid]
     _emit(rows, ("x", "value"), args.format)
     return 0
 

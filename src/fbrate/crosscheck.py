@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
+from .errors import ParameterError
 from .mc import McConfig, estimate_er
 from .model import ChannelParams, preset
 from .rate import (CROSS_REL_TOL, expectation_closed_form, expectation_quadrature,
@@ -32,7 +33,11 @@ GRID_A = (0.5, 1.0, 2.0, 5.0)
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db/10); :class:`ParameterError` where that leaves the double range."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ParameterError(f"mean SNR {db!r} dB is beyond the double range") from None
 
 
 def closed_form_grid() -> list[tuple[ChannelParams, float]]:
@@ -159,18 +164,15 @@ class McCheckReport:
         return self.n_within >= math.ceil(MC_PASS_FRACTION * len(self.results))
 
 
-def run_mc_check(grid=None, n_samples: int = 1_000_000,
-                 seed: int = 42) -> McCheckReport:
-    """Sampled vs quadrature expectations over the concordance grid.
+def run_mc_check(n_samples: int = 1_000_000, seed: int = 42) -> McCheckReport:
+    """Sampled vs quadrature expectations over the concordance grid :func:`mc_grid`.
 
     Each estimate runs its chunks on every CPU the process may run on (see
     :func:`estimate_er`); the report is the same as a serial run's.
     """
-    if grid is None:
-        grid = mc_grid()
     config = McConfig(n_samples=n_samples, seed=seed)
     results = []
-    for params, a in grid:
+    for params, a in mc_grid():
         j_quad, _ = expectation_quadrature(params, a)
         estimate = estimate_er(params, a, config)
         results.append(McCheckResult(params=params, a_exponent=a, j_quad=j_quad,

@@ -13,10 +13,10 @@ a central chi^2(dof).  A chi^2(1) is a squared normal and any other chi^2(r)
 twice a Gamma(r/2) variate.  The received power is normalized by its mean,
 2 omega, so that the sampled SNR averages gamma_bar.
 
-Determinism: samples are generated in fixed-size chunks, each from its own
-counter-based Philox stream keyed by (seed, chunk index), and per-chunk
+Determinism: samples are generated in chunks of ``CHUNK_SIZE``, each from its
+own counter-based Philox stream keyed by (seed, chunk index), and per-chunk
 partial sums are combined with exact (fsum) accumulation, so results are
-bit-identical for a given (seed, chunk_size) no matter how many workers run
+bit-identical for a given (n_samples, seed) no matter how many workers run
 the chunks or in which order they finish.  The chunks run on one
 thread per CPU the process may run on (at most one per chunk); the result is
 the same as a serial run, bit for bit.
@@ -36,14 +36,16 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError
 from .model import ChannelParams, _check_a_exponent
 
+#: Samples per chunk, the unit of the Philox streams and of the thread pool.
+CHUNK_SIZE = 1 << 16
+
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample budget and deterministic parallel layout."""
+    """Sample budget and seed, which fix the estimate bit for bit."""
 
     n_samples: int = 1_000_000
     seed: int = 42
-    chunk_size: int = 1 << 16
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -53,8 +55,6 @@ class McConfig:
                           stacklevel=2)
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must fit in 64 unsigned bits")
-        if self.chunk_size < 1:
-            raise ParameterError("chunk_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,9 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig) -> M
     _check_a_exponent(a_exponent)
 
     n = config.n_samples
-    sizes = [config.chunk_size] * (n // config.chunk_size)
-    if n % config.chunk_size:
-        sizes.append(n % config.chunk_size)
+    sizes = [CHUNK_SIZE] * (n // CHUNK_SIZE)
+    if n % CHUNK_SIZE:
+        sizes.append(n % CHUNK_SIZE)
 
     def run_chunk(idx_size):
         idx, size = idx_size

@@ -122,15 +122,6 @@ def channel_constants(mu, m, kappa, eta, rho2):
     return omega, q2, root_q / alpha1, 1 / root_q, alpha1, beta, root_disc
 
 
-@dataclass(frozen=True)
-class MgfPoint:
-    """MGF sample at one transform argument: value = exp(log_value) in [0, 1]."""
-
-    s: float
-    value: float
-    log_value: float
-
-
 def log_mgf(params: ChannelParams, s):
     """log M(s) for scalar or ndarray s >= 0, by the formula above; -inf at s = inf."""
     m, eta, rho2 = params.m, params.eta, params.rho2
@@ -145,12 +136,11 @@ def log_mgf(params: ChannelParams, s):
     return scatter - m * np.log1p(0.5 * params.q2 / m * xw)
 
 
-def mgf(params: ChannelParams, s: float) -> MgfPoint:
-    """Evaluate the SNR MGF at a single real argument s >= 0 (M(inf) = 0)."""
+def mgf(params: ChannelParams, s: float) -> float:
+    """M(s) = exp(log M(s)) in [0, 1] at a single real argument s >= 0 (M(inf) = 0)."""
     if not s >= 0:  # also rejects NaN
         raise ParameterError(f"transform argument must be >= 0, got {s!r}")
-    lv = float(log_mgf(params, s))
-    return MgfPoint(s=float(s), value=math.exp(lv), log_value=lv)
+    return math.exp(float(log_mgf(params, s)))
 
 
 # --- named special cases ----------------------------------------------------

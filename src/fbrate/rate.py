@@ -76,7 +76,7 @@ def effective_rate(j: float, a_exponent: float) -> float:
     if not 0.0 < j <= 1.0:
         raise ParameterError(f"expectation must lie in (0, 1], got {j!r}")
     _check_a_exponent(a_exponent)
-    return -math.log2(j) / a_exponent
+    return -math.log2(j) / a_exponent + 0.0  # + 0.0 turns the -0.0 of j = 1 into +0.0
 
 
 def _check_gamma_bars(gamma_bars) -> np.ndarray:
@@ -148,8 +148,9 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
         u = scale * np.sinh(t)  # one row per distinct A, if more than one
         y = u + shift
         rule = [kind[i] for i in rows.tolist()] if len(rules) > 1 else slice(None)
-        return np.exp((a * (y - np.expm1(y)) + log_peak)[rule]
-                      + log_mgf(shape, gamma_bar[rows, None] * np.exp(c + u)[rule])
+        with np.errstate(over="ignore"):  # s = inf past the double range, where M(s) = 0
+            s = gamma_bar[rows, None] * np.exp(c + u)[rule]
+        return np.exp((a * (y - np.expm1(y)) + log_peak)[rule] + log_mgf(shape, s)
                       + np.log(scale * np.cosh(t))[rule])
 
     def settle(total: np.ndarray, prev: np.ndarray):
@@ -205,8 +206,7 @@ def _term_sums(expansion: PartialFractionExpansion, a_exponent: float,
     return math.fsum(contributions), math.fsum(envelope), math.fsum(u_error)
 
 
-def expectation_closed_form(params: ChannelParams, a_exponent: float,
-                            diagnostics: list | None = None) -> float:
+def expectation_closed_form(params: ChannelParams, a_exponent: float) -> float:
     """J from the partial fractions: sum_ij A_ij (theta_i/g)^j U(j; j-A+1; theta_i/g).
 
     Each basis term's expectation is exactly Gamma(j) U(j; j-A+1; theta/g)
@@ -216,16 +216,17 @@ def expectation_closed_form(params: ChannelParams, a_exponent: float,
     encode the vanishing density derivatives at zero through cancellation,
     so the sum is kept only if certified: J > 0, the residue majorant within
     ``CLOSED_FORM_COND_LIMIT`` J and the U errors within ``U_SUM_TOL`` J.
-    Otherwise J comes from :func:`_extended.mixture_series`, and the
-    ``closed_form_series`` diagnostic records why, its length and its
-    relative bound.  A value outside (0, 1) raises :class:`ConvergenceError`.
+    Otherwise J comes from :func:`_extended.mixture_series`, and an
+    :func:`er_auto` result's ``closed_form_series`` diagnostic records why,
+    its length and its relative bound.  A value outside (0, 1) raises
+    :class:`ConvergenceError`.
     """
     _check_a_exponent(a_exponent)
-    return _closed_form(params, params.gamma_bar, a_exponent, diagnostics)
+    return _closed_form(params, params.gamma_bar, a_exponent, [])
 
 
 def _closed_form(shape: ChannelParams, gamma_bar: float, a_exponent: float,
-                 diagnostics: list | None) -> float:
+                 diagnostics: list) -> float:
     """:func:`expectation_closed_form` for ``shape`` at mean SNR ``gamma_bar``.
 
     The partial fractions depend on the shape alone, so only the series
@@ -241,9 +242,8 @@ def _closed_form(shape: ChannelParams, gamma_bar: float, a_exponent: float,
         reason = f"U share {u_error / value:.1e}"
     if reason is not None:
         value, bound, n_terms = mixture_series(replace(shape, gamma_bar=gamma_bar), a_exponent)
-        if diagnostics is not None:
-            diagnostics.append(("closed_form_series",
-                                f"{reason}; {n_terms} terms; bound {bound / value:.1e}"))
+        diagnostics.append(("closed_form_series",
+                            f"{reason}; {n_terms} terms; bound {bound / value:.1e}"))
     if not 0.0 < value < 1.0 + 1e-12:
         raise ConvergenceError(f"closed-form expectation out of (0, 1): {value!r}")
     return min(value, 1.0)

@@ -371,10 +371,10 @@ def u_terms(a: float, z: float, n: int, rel_tol: float = _U_TOL):
     seeds, stable above it.  The backward W_1 must agree with the forward
     one within their two bounds, which checks the seeds.  Each term is made
     when it is read, so a caller that stops early evaluates no more; n only
-    places the seeds.  Raises :class:`ConvergenceError` if the check fails,
-    or, carrying the term's relative bound, at the first term read that the
-    seeds leave uncertified, and :class:`ParameterError` unless z is finite
-    and > 0.
+    places the seeds.  Raises :class:`ConvergenceError` if the seeds
+    overflow or the check fails, or, carrying the term's relative bound, at
+    the first term read that the seeds leave uncertified, and
+    :class:`ParameterError` unless z is finite and > 0.
     """
     if not 0.0 < z < math.inf:
         raise ParameterError(f"U(j; j-A+1; z) needs z finite and > 0, got {z!r}")
@@ -391,7 +391,12 @@ def u_terms(a: float, z: float, n: int, rel_tol: float = _U_TOL):
         j += 1
         w, e, branch = next(forward)
     k = max(min(math.floor(a + z), n - 1) + 1, 2)
-    values, bounds = _backward(a, z, k, *_seeds(a, z, k, rel_tol * 1e-2))
+    try:
+        seeds = _seeds(a, z, k, rel_tol * 1e-2)
+    except OverflowError:  # (1 + t_k)^2 at the seeds' peak t_k ~ (k - A)/z, as z -> 0
+        raise ConvergenceError(f"U(j; j-A+1; z) with A={a}, z={z}: the seeds at j={k} "
+                               f"overflow", achieved=math.inf) from None
+    values, bounds = _backward(a, z, k, *seeds)
     if not abs(values[0] - first[0]) <= bounds[0] + first[1]:
         raise ConvergenceError(
             f"U(j; j-A+1; z) with A={a}, z={z}: W_1 from the seeds at j={k} is "

@@ -110,7 +110,7 @@ def test_criterion_3_figure_sweeps():
 def test_criterion_4_model_invariants():
     worst_m0 = worst_mean = worst_mass = worst_snr_mean = 0.0
     for params in unique_param_sets():
-        worst_m0 = max(worst_m0, abs(mgf(params, 0.0).value - 1.0))
+        worst_m0 = max(worst_m0, abs(mgf(params, 0.0) - 1.0))
         # scale-aware central step keeps the h^2 truncation term below target
         h = 1e-6 / params.gamma_bar
         fd = -(math.exp(float(log_mgf(params, h)))

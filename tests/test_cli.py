@@ -69,6 +69,19 @@ class TestErCommand:
         assert code == 2
         assert "(2.0, 1.0, 1e+300, 1.0, 1.0)" in err
 
+    def test_overflowing_snr_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "er", "--mu", "2", "--m", "1", "--A", "2",
+                                 "--snr-db", "4000")
+        assert code == 2
+        assert out == "" and err == "error: mean SNR 4000.0 dB is beyond the double range\n"
+
+    def test_unit_expectation_prints_rate_0(self, capsys):
+        # at -400 dB J rounds to 1, and the rate prints as 0, not -0
+        code, out, _ = run_cli(capsys, "er", "--mu", "2", "--m", "1", "--A", "2",
+                               "--snr-db", "-400")
+        assert code == 0
+        assert out.splitlines()[1] == "-400,,0,1,closed_form,1e-09"
+
     def test_bad_vary_value_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
                                "--vary", "mu", "--vary-values", "0")

@@ -70,7 +70,7 @@ class TestSampling:
         gamma = _sample_block(p, _chunk_rng(11, 0), 1_000_000)
         values = np.exp(-gamma)
         stderr = values.std() / math.sqrt(values.size)
-        analytic = mgf(p, 1.0).value
+        analytic = mgf(p, 1.0)
         assert abs(values.mean() - analytic) <= 3.0 * stderr
 
     @pytest.mark.parametrize("case", MGF_CASES)
@@ -191,7 +191,8 @@ class TestEstimateEr:
         assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
     def test_deterministic_across_runs_and_workers(self, monkeypatch):
-        config = McConfig(n_samples=300_000, seed=123, chunk_size=1 << 14)
+        monkeypatch.setattr(fbrate.mc, "CHUNK_SIZE", 1 << 14)
+        config = McConfig(n_samples=300_000, seed=123)
         shapes = (fig1_params(), fig1_params(mu=1.5))
         defaults = [estimate_er(p, 2.0, config) for p in shapes]  # this host's CPUs
         # serial twice, then pools of 4 and 3 threads for the 19 chunks
@@ -200,11 +201,14 @@ class TestEstimateEr:
             # bit-identical dataclasses
             assert [estimate_er(p, 2.0, config) for p in shapes] == defaults
 
-    def test_chunk_layout_does_not_change_distribution(self):
+    def test_chunk_layout_does_not_change_distribution(self, monkeypatch):
         # different chunk sizes give different (but consistent) estimates
         p = fig1_params()
-        a = estimate_er(p, 2.0, McConfig(n_samples=200_000, seed=5, chunk_size=1 << 12))
-        b = estimate_er(p, 2.0, McConfig(n_samples=200_000, seed=5, chunk_size=1 << 15))
+        config = McConfig(n_samples=200_000, seed=5)
+        monkeypatch.setattr(fbrate.mc, "CHUNK_SIZE", 1 << 12)
+        a = estimate_er(p, 2.0, config)
+        monkeypatch.setattr(fbrate.mc, "CHUNK_SIZE", 1 << 15)
+        b = estimate_er(p, 2.0, config)
         assert abs(a.j_hat - b.j_hat) <= 6.0 * max(a.j_stderr, b.j_stderr)
 
     def test_small_sample_warning(self):
@@ -216,7 +220,7 @@ class TestEstimateEr:
 #: to the floating-point order of the kernel shows up here.  beckmann and mu1.5
 #: (mu in [1, 2), kappa > 0, eta != 1) are frozen from the per-cluster sampler
 #: that the whole-branch draws replaced; the others from the whole-branch draws.
-#: name: (params, A, n_samples, chunk_size, j_hat, j_stderr)
+#: name: (params, A, n_samples, CHUNK_SIZE, j_hat, j_stderr)
 MC_GOLDEN = {
     "mu6-m3-kappa2-A5": (
         ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=0.1, gamma_bar=100.0),
@@ -250,15 +254,20 @@ class TestGolden:
     @pytest.mark.parametrize("case", MC_GOLDEN)
     def test_estimate_bits(self, monkeypatch, case, cpus):
         params, a, n, chunk, j_hex, stderr_hex = MC_GOLDEN[case]
-        config = McConfig(n_samples=n, seed=42, chunk_size=chunk)
+        monkeypatch.setattr(fbrate.mc, "CHUNK_SIZE", chunk)
         monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: cpus)
-        est = estimate_er(params, a, config)
+        est = estimate_er(params, a, McConfig(n_samples=n, seed=42))
         assert (est.j_hat.hex(), est.j_stderr.hex()) == (j_hex, stderr_hex)
 
 
 class TestWorkers:
-    CONFIG = McConfig(n_samples=300_000, seed=7, chunk_size=1 << 15)  # 10 chunks
+    CONFIG = McConfig(n_samples=300_000, seed=7)  # 10 chunks at CHUNK_SIZE 2^15
 
+    @pytest.fixture
+    def ten_chunks(self, monkeypatch):
+        monkeypatch.setattr(fbrate.mc, "CHUNK_SIZE", 1 << 15)
+
+    @pytest.mark.usefixtures("ten_chunks")
     def test_default_pool_size(self, monkeypatch):
         sizes = []
         real_pool = fbrate.mc.ThreadPoolExecutor
@@ -284,9 +293,10 @@ class TestWorkers:
         monkeypatch.setattr(fbrate.mc, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: cpus)
         for n in (1 << 16, 1000):
-            config = McConfig(n_samples=n, seed=3)  # n <= chunk_size
+            config = McConfig(n_samples=n, seed=3)  # n <= CHUNK_SIZE
             estimate_er(fig1_params(), 2.0, config)
 
+    @pytest.mark.usefixtures("ten_chunks")
     @pytest.mark.parametrize("cpus", [1, 3, 4])
     def test_caller_error_state_reaches_every_chunk(self, monkeypatch, cpus):
         # every (1+gamma)^-1000 at 30 dB underflows, in every chunk
@@ -297,12 +307,13 @@ class TestWorkers:
             estimate_er(p, 1000.0, self.CONFIG)
 
     def test_run_mc_check_equals_serial_report(self, monkeypatch):
-        grid = mc_grid()[::10]  # two fig-1 points, kappa-mu shadowed, beckmann
-        report = run_mc_check(grid, n_samples=200_000, seed=42)
-        config = McConfig(n_samples=200_000, seed=42)
+        monkeypatch.setattr(fbrate.mc, "CHUNK_SIZE", 1 << 12)  # 5 chunks per estimate
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 4)
+        report = run_mc_check(n_samples=20_000, seed=42)
+        config = McConfig(n_samples=20_000, seed=42)
         monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: 1)
         serial = []
-        for params, a in grid:
+        for params, a in mc_grid():
             est = estimate_er(params, a, config)
             serial.append(McCheckResult(
                 params=params, a_exponent=a,

@@ -171,7 +171,7 @@ class TestPresets:
 
     # one MGF reduction per preset (the table in the README)
     def _mgf(self, params, s):
-        return np.array([mgf(params, float(x)).value for x in s])
+        return np.array([mgf(params, float(x)) for x in s])
 
     S_GRID = np.array([0.0, 0.1, 0.7, 2.0, 11.0])
 

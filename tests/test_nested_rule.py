@@ -7,10 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbrate import ChannelParams, quadrature_sweep
+from fbrate import ChannelParams, ErRequest, er_auto, quadrature_sweep
 from fbrate._extended import mixture_series
 from fbrate.crosscheck import GRID_A, GRID_SNR_DB, db_to_linear
-from fbrate.rate import expectation_closed_form
 from fbrate.specfun import nested_trapezoid
 
 from conftest import fig1_params, u_family
@@ -69,9 +68,8 @@ def _series_bits(block) -> dict:
     for shape in SERIES_SHAPES:
         for gamma_bar, a in block:
             params = replace(shape, gamma_bar=gamma_bar)
-            diagnostics = []
-            expectation_closed_form(params, a, diagnostics)
-            if diagnostics:
+            result = er_auto(ErRequest(params=params, a_exponent=a, method="closed_form"))
+            if "closed_form_series" in dict(result.diagnostics):
                 value, bound, n_terms = mixture_series(params, a)
                 bits[f"{shape.shape!r},{gamma_bar!r},{a!r}"] = [*_hex((value, bound)), n_terms]
     return bits

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -12,7 +13,7 @@ from fbrate import _extended
 from fbrate.poles import pole_exponents
 from fbrate.rate import _METHODS, DE_LEVELS
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
-                    ErRequest, McConfig, ParameterError, closed_form_applies,
+                    ErRequest, FbrateError, McConfig, ParameterError, closed_form_applies,
                     decompose, effective_rate, er_auto, er_sweep, estimate_er,
                     expectation_closed_form, expectation_quadrature, preset,
                     quadrature_sweep)
@@ -27,8 +28,10 @@ from conftest import (FIG1_J_A2, FIG1_J_MU1, FIG1_J_MU4, FIG1_R_A2, FIG1_R_MU1,
 
 
 class TestEffectiveRate:
-    def test_unit_expectation_is_zero_rate(self):
-        assert effective_rate(1.0, 2.0) == 0.0
+    @pytest.mark.parametrize("a", [0.5, 2.0, 1e300])
+    def test_unit_expectation_is_zero_rate(self, a):
+        assert math.copysign(1.0, effective_rate(1.0, a)) == 1.0  # +0.0, not -0.0
+        assert effective_rate(1.0, a) == 0.0
 
     def test_quarter_at_a2(self):
         assert effective_rate(0.25, 2.0) == pytest.approx(1.0, rel=1e-14)
@@ -356,20 +359,21 @@ class TestClosedForm:
         # limit; a U term certified only to 1e-10 (true error 1.1e-11) would
         # put J 3.4e-9 off, so the U share sends J to the series
         p = ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=1.0, gamma_bar=100.0)
-        diagnostics = []
-        j = expectation_closed_form(p, 5.0, diagnostics)
-        assert len(diagnostics) == 1 and diagnostics[0][0] == "closed_form_series"
-        assert diagnostics[0][1].startswith("U share ")
-        assert j == pytest.approx(cluster_model_j(p, 5.0), rel=5e-10, abs=0.0)
+        result = er_auto(ErRequest(params=p, a_exponent=5.0, method="closed_form"))
+        (name, note), = result.diagnostics
+        assert name == "closed_form_series" and note.startswith("U share ")
+        assert result.expectation_j == expectation_closed_form(p, 5.0)
+        assert result.expectation_j == pytest.approx(cluster_model_j(p, 5.0), rel=5e-10, abs=0.0)
 
     def test_extreme_cancellation_switches_to_extended_precision(self):
         # high mean SNR with large A: term cancellation ~1e12 forces the
         # gamma-mixture series, which must still match the quadrature route
         p = ChannelParams(mu=6.0, m=1.0, kappa=1.0, eta=1.0, rho2=0.1,
                           gamma_bar=1000.0)
-        diagnostics = []
-        j_closed = expectation_closed_form(p, 5.0, diagnostics)
-        assert diagnostics and diagnostics[0][0] == "closed_form_series"
+        result = er_auto(ErRequest(params=p, a_exponent=5.0, method="closed_form"))
+        assert "closed_form_series" in dict(result.diagnostics)
+        j_closed = expectation_closed_form(p, 5.0)
+        assert j_closed == result.expectation_j
         j_quad, _ = expectation_quadrature(p, 5.0, 1e-10)
         assert j_closed == pytest.approx(j_quad, rel=1e-8, abs=0.0)
         assert j_closed < 1e-11  # deep in the cancellation regime
@@ -491,6 +495,21 @@ class TestDispatch:
         assert dict(result.diagnostics)["closed_form_failed"].startswith("ConvergenceError")
         assert result.expectation_j == expectation_quadrature(params, a)[0]
         assert result.expectation_j == pytest.approx(j_quad, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature", "closed_form"])
+    @pytest.mark.parametrize("snr_db", [1000.0, 2000.0, 3050.0, 3080.0])
+    def test_extreme_mean_snr_returns_or_raises_typed(self, snr_db, method):
+        # at 2000 dB the U seeds' peak overflows, at 3050 dB the series sums to
+        # 0, and at 3080 dB the quadrature's gamma_bar s overflows to inf
+        params = fig1_params(gamma_bar=db_to_linear(snr_db))
+        for a in (0.5, 2.0, 5.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = er_auto(ErRequest(params=params, a_exponent=a, method=method))
+                except FbrateError:
+                    continue
+            assert 0.0 < result.expectation_j <= 1.0
 
     def test_closed_form_applies_predicate(self):
         assert closed_form_applies(fig1_params())
