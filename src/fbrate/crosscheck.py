@@ -35,9 +35,12 @@ GRID_A = (0.5, 1.0, 2.0, 5.0)
 def db_to_linear(db: float) -> float:
     """10^(db/10); :class:`ParameterError` where that leaves the double range."""
     try:
-        return 10.0 ** (db / 10.0)
+        linear = 10.0 ** (db / 10.0)
     except OverflowError:
-        raise ParameterError(f"mean SNR {db!r} dB is beyond the double range") from None
+        linear = math.inf
+    if linear in (0.0, math.inf):
+        raise ParameterError(f"mean SNR {db!r} dB is beyond the double range")
+    return linear
 
 
 def closed_form_grid() -> list[tuple[ChannelParams, float]]:

@@ -15,13 +15,14 @@ the minimal solution and forward recursion loses digits, but there the
 backward step W_{k-1} = (k W_{k+1} + (A+z-k) W_k) / z adds two nonnegative
 terms instead (Gil, Segura & Temme, *Numerical Methods for Special
 Functions*, SIAM 2007, ch. 4).  Each term carries a running absolute-error
-bound.  Where the large-z asymptotic series converges it replaces the
-recursion.  The terms come in one order, each evaluated once and only when
-read: forward from W_1 up to the first term neither certifies, then two
-seeds next to the turning point A + z, integrated by a double-exponential
-rule, recurred backward below them and forward above them.  Anything still
-uncertified raises :class:`ConvergenceError`.  Everything runs in double
-precision.
+bound.  The terms come in one order, each evaluated once and only when
+read.  Two seeds W_(k-1), W_k sit next to the turning point A + z, and the
+recursion runs backward below them and forward above them.  Where the
+large-z asymptotic series (DLMF 13.7.3) converges at both seeds it gives
+them, and W_1 alone comes before them, directly.  Elsewhere the forward
+recursion runs from W_1 up to the first term it does not certify, and a
+double-exponential rule integrates the seeds.  Anything still uncertified
+raises :class:`ConvergenceError`.  Everything runs in double precision.
 """
 
 from __future__ import annotations
@@ -137,15 +138,14 @@ _SEED_LEVELS = 7
 
 
 def _w_asymptotic(j: int, a: float, z: float, tol: float):
-    """Large-z expansion W_j ~ sum_k (-1)^k (j)_k (A)_k / (k! z^k).
+    """(W_j, absolute error bound) by the large-z expansion (DLMF 13.7.3).
 
-    Returns None unless the (divergent) series reaches ``tol`` before its
-    terms start growing; the truncation error is bounded by the first
-    omitted term for these real parameter ranges.
+    W_j ~ sum_k (-1)^k (j)_k (A)_k / (k! z^k).  Returns None unless the
+    (divergent) series reaches ``tol`` before its terms start growing; the
+    truncation error is bounded by the first omitted term for these real
+    parameter ranges, and the bound adds the rounding of at most 60 terms.
     """
-    term = 1.0
-    total = 1.0
-    prev = 1.0
+    term = total = prev = 1.0
     for k in range(60):
         term *= -(j + k) * (a + k) / ((k + 1.0) * z)
         if abs(term) >= prev:
@@ -153,7 +153,7 @@ def _w_asymptotic(j: int, a: float, z: float, tol: float):
         total += term
         prev = abs(term)
         if abs(term) <= tol * abs(total):
-            return total
+            return total, (tol + 256 * _UNIT) * abs(total)
     return None
 
 
@@ -223,28 +223,15 @@ def _w1(a: float, z: float) -> tuple[float, float]:
     return w, scale * (_UNIT * magnitude + tail) + 3 * _UNIT * abs(w)
 
 
-def _forward(a, z, k: int, w_prev, e_prev, w, e, asymptotic_tol=None):
-    """Yield (W_j, bound, branch) for j = k, k+1, ... by the forward b-recurrence.
+def _forward(a, z, k: int, w_prev, e_prev, w, e):
+    """Yield (W_j, bound) for j = k, k+1, ... by the forward b-recurrence.
 
     Starts from W_(k-1), W_k and their bounds; the bound of W_(j+1) carries
     the bounds of W_j and W_(j-1) through the recurrence plus the rounding of
-    the step itself.  With ``asymptotic_tol`` each term also tries
-    :func:`_w_asymptotic` until it first fails, and keeps whichever of the
-    two values has the smaller bound, so a good asymptotic value also seeds
-    the recursion.  The caller stops the generator.
+    the step itself.  The caller stops the generator.
     """
     while True:
-        branch = "recurrence"
-        if asymptotic_tol is not None:
-            series = _w_asymptotic(k, a, z, asymptotic_tol)
-            if series is None:
-                asymptotic_tol = None
-            else:
-                # truncation under tol, plus the rounding of at most 60 terms
-                series_err = (asymptotic_tol + 256 * _UNIT) * abs(series)
-                if not e <= series_err:
-                    w, e, branch = series, series_err, "asymptotic"
-        yield w, e, branch
+        yield w, e
         c = k - a - z
         w_next = (c * w + z * w_prev) / k
         e_next = ((abs(c) * e + z * e_prev
@@ -322,7 +309,7 @@ def _seeds(a: float, z: float, k: int, tol: float):
 
 
 def _backward(a: float, z: float, k: int, exponent: int, seeds):
-    """W_1..W_k and error bounds by the backward b-recurrence from :func:`_seeds`.
+    """W_1..W_k and error bounds by the backward b-recurrence from two seeds.
 
     ``seeds`` is ((W_(k-1), bound), (W_k, bound)) times 2**-``exponent``,
     with k - 1 <= A + z (or k = 2, which takes no step), so every step
@@ -362,14 +349,15 @@ def _certified(w: float, e: float, rel_tol: float) -> bool:
 def u_terms(a: float, z: float, n: int, rel_tol: float = _U_TOL):
     """Yield (W_j, bound, branch) for j = 1..n, A = ``a``, z > 0, each term evaluated once.
 
-    The terms come in one order.  :func:`_forward` runs from W_1, with the
-    asymptotic series where it converges, up to the first term whose bound
-    exceeds ``rel_tol`` times its value.  From there on they come from the
-    seeds W_(k-1), W_k by :func:`_seeds`, at k = floor(A+z) + 1, or n if
-    that is lower (and k >= 2): at or below k by :func:`_backward`, stable
+    The terms come from the seeds W_(k-1), W_k at k = floor(A+z) + 1, or n
+    if that is lower (and k >= 2): at or below k by :func:`_backward`, stable
     below the turning point A + z, and above k by :func:`_forward` from the
-    seeds, stable above it.  The backward W_1 must agree with the forward
-    one within their two bounds, which checks the seeds.  Each term is made
+    seeds, stable above it.  Where n > 1 and the asymptotic series converges
+    at k and then at k - 1, it gives the seeds, and W_1 alone comes before
+    them, direct.  Elsewhere :func:`_forward` runs from W_1 up to the first
+    term whose bound exceeds ``rel_tol`` times its value, and :func:`_seeds`
+    integrates the seeds.  The backward W_1 must agree with the direct one
+    within their two bounds, which checks the seeds.  Each term is made
     when it is read, so a caller that stops early evaluates no more; n only
     places the seeds.  Raises :class:`ConvergenceError` if the seeds
     overflow or the check fails, or, carrying the term's relative bound, at
@@ -378,35 +366,43 @@ def u_terms(a: float, z: float, n: int, rel_tol: float = _U_TOL):
     """
     if not 0.0 < z < math.inf:
         raise ParameterError(f"U(j; j-A+1; z) needs z finite and > 0, got {z!r}")
-    # where the asymptotic series converges, W_1's direct bound is the tighter:
-    # at j = 1 the series is tried only to learn whether it serves the terms above
-    forward = _forward(a, z, 1, 1, 0, *_w1(a, z), min(rel_tol * 1e-2, 1e-14) if n > 1 else None)
-    first = w, e, branch = next(forward)
+    k = max(min(math.floor(a + z), n - 1) + 1, 2)
+    lower = upper = None
+    if n > 1:
+        tol = min(rel_tol * 1e-2, 1e-14)
+        upper = _w_asymptotic(k, a, z, tol)
+        lower = upper and _w_asymptotic(k - 1, a, z, tol)
+    first = _w1(a, z)
     j = 1
-    # the first test is _certified's common case, without a call per term
-    while e <= rel_tol * w < math.inf or _certified(w, e, rel_tol):
-        yield w, e, branch
-        if j >= n:
+    for w, e in _forward(a, z, 1, 1, 0, *first):
+        # the first test is _certified's common case, without a call per term
+        if not (e <= rel_tol * w < math.inf or _certified(w, e, rel_tol)):
+            break
+        yield w, e, "recurrence"
+        if j == n:
             return
         j += 1
-        w, e, branch = next(forward)
-    k = max(min(math.floor(a + z), n - 1) + 1, 2)
-    try:
-        seeds = _seeds(a, z, k, rel_tol * 1e-2)
-    except OverflowError:  # (1 + t_k)^2 at the seeds' peak t_k ~ (k - A)/z, as z -> 0
-        raise ConvergenceError(f"U(j; j-A+1; z) with A={a}, z={z}: the seeds at j={k} "
-                               f"overflow", achieved=math.inf) from None
+        if lower is not None:  # the series' seeds serve every term above W_1
+            break
+    if lower is None:
+        try:
+            seeds = _seeds(a, z, k, rel_tol * 1e-2)
+        except OverflowError:  # (1 + t_k)^2 at the seeds' peak t_k ~ (k - A)/z, as z -> 0
+            raise ConvergenceError(f"U(j; j-A+1; z) with A={a}, z={z}: the seeds at j={k} "
+                                   f"overflow", achieved=math.inf) from None
+        branch = "quadrature"
+    else:
+        seeds, branch = (0, (lower, upper)), "asymptotic"
     values, bounds = _backward(a, z, k, *seeds)
     if not abs(values[0] - first[0]) <= bounds[0] + first[1]:
         raise ConvergenceError(
             f"U(j; j-A+1; z) with A={a}, z={z}: W_1 from the seeds at j={k} is "
             f"{values[0]!r}, the direct one {first[0]!r}", achieved=math.inf)
-    seeded = chain(zip(values, bounds, ("backward",) * (k - 2) + ("quadrature",) * 2),
-                   islice(_forward(a, z, k, values[-2], bounds[-2], values[-1], bounds[-1]),
-                          1, None))
-    for i, (w, e, branch) in zip(range(1, n + 1), seeded):
-        if i < j:  # certified by the forward run
-            continue
+    above = islice(_forward(a, z, k, values[-2], bounds[-2], values[-1], bounds[-1]), 1, None)
+    seeded = chain(zip(values, bounds, ("backward",) * (k - 2) + (branch,) * 2),
+                   ((w, e, "recurrence") for w, e in above))
+    # past the j - 1 terms the forward run certified
+    for i, (w, e, branch) in enumerate(islice(seeded, j - 1, n), j):
         if not (e <= rel_tol * w < math.inf or _certified(w, e, rel_tol)):
             raise ConvergenceError(
                 f"U(j; j-A+1; z) with A={a}, z={z} uncertified at j={i} "

@@ -272,8 +272,9 @@ class UFamily:
     normal double instead (see ``specfun._certified``).
 
     ``bounds[j-1]`` bounds |error of values[j-1]|; ``branches[j-1]`` names
-    the evaluation that certified it: ``asymptotic``, ``recurrence``
-    (forward), ``quadrature`` (a seed integral) or ``backward``.
+    the evaluation that certified it: ``recurrence`` (W_1 direct, or
+    forward), ``asymptotic`` (a seed from the large-z series),
+    ``quadrature`` (a seed integral) or ``backward``.
     """
 
     values: tuple[float, ...]

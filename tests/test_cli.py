@@ -75,6 +75,13 @@ class TestErCommand:
         assert code == 2
         assert out == "" and err == "error: mean SNR 4000.0 dB is beyond the double range\n"
 
+    def test_underflowing_snr_exits_2(self, capsys):
+        # 10^(-400) underflows to 0.0, which must not reach the engines as a mean SNR
+        code, out, err = run_cli(capsys, "er", "--mu", "2", "--m", "1", "--A", "2",
+                                 "--snr-db", "-4000")
+        assert code == 2
+        assert out == "" and err == "error: mean SNR -4000.0 dB is beyond the double range\n"
+
     def test_unit_expectation_prints_rate_0(self, capsys):
         # at -400 dB J rounds to 1, and the rate prints as 0, not -0
         code, out, _ = run_cli(capsys, "er", "--mu", "2", "--m", "1", "--A", "2",

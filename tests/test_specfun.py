@@ -189,6 +189,29 @@ class TestUFamily:
                 branches.update(u_family(a, z, FAMILY_N).branches)
         assert branches == {"asymptotic", "recurrence", "quadrature", "backward"}
 
+    def test_series_gives_only_the_seeds(self, monkeypatch):
+        # the asymptotic series is tried at the seeds W_(k-1), W_k alone, at
+        # most once each, and no other term is taken from it
+        series = specfun._w_asymptotic
+        calls = []
+
+        def counted(j, *args):
+            calls.append(j)
+            return series(j, *args)
+
+        monkeypatch.setattr(specfun, "_w_asymptotic", counted)
+        families = [(a, z, FAMILY_N, _U_TOL) for a in FAMILY_A for z in FAMILY_Z]
+        seeded = 0
+        for a, z, n, rel_tol in families + [(43.67, 2.47e5, 5700, 5e-10)]:
+            calls.clear()
+            branches = u_family(a, z, n, rel_tol).branches
+            k = max(min(math.floor(a + z), n - 1) + 1, 2)
+            assert len(calls) <= 2 and set(calls) <= {k - 1, k}, (a, z, calls)
+            asymptotic = {j for j, branch in enumerate(branches, 1) if branch == "asymptotic"}
+            assert asymptotic <= {k - 1, k}, (a, z, asymptotic)
+            seeded += bool(asymptotic)
+        assert seeded > 0
+
     @pytest.mark.parametrize("a", (0.5, 1.0, 2.0, 5.0, 2.0 + 1e-9))
     def test_first_term_is_rayleigh_j(self, a):
         # W_1 = z e^z E_A(z) is the exact Rayleigh J at gamma_bar = 1/z
@@ -242,10 +265,13 @@ class TestUFamily:
             assert family.bounds[j - 1] <= _U_TOL * max(family.values[j - 1], tiny), j
 
     def test_overflowed_recurrence_is_not_certified(self):
-        # at z ~ 3e4 the asymptotic series stops at j = 661 and the forward
-        # recurrence, unstable below A + z, overflows from j = 860 on: inf
-        # with bound inf must stay pending, not pass inf <= rel_tol * inf.
-        # The seeds sit at the last pending term, far below A + z
+        # an overflowed recurrence, inf with bound inf, must stay pending, not
+        # pass inf <= rel_tol * inf
+        assert not specfun._certified(math.inf, math.inf, _U_TOL)
+        # at z ~ 3e4 the series does not converge at the seeds and the forward
+        # recurrence, unstable below A + z, leaves W_3 uncertified.  The seeds
+        # sit at j = n, far below A + z, and the backward recurrence carries
+        # them down 860 steps
         a, z, n = 47.62627798898563, 31483.729571022093, 862
         family = u_family(a, z, n)
         assert family.branches[-3:] == ("backward", "quadrature", "quadrature")
@@ -294,7 +320,8 @@ class TestUFamily:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 5.0, 60.0])
     def test_one_term_is_the_first_of_two(self, a):
-        # n = 1 skips the asymptotic try at W_1, whose value never beats W_1's own
+        # n = 1 and n = 2 both seed at k = 2, and n = 1 tries no series: W_1
+        # is the direct one wherever that certifies
         for z in np.geomspace(1e-6, 1e8, 60).tolist():
             assert list(u_terms(a, z, 1)) == list(islice(u_terms(a, z, 2), 1)), z
 
