@@ -36,7 +36,7 @@ _EPS = 2.0**-52
 #: Largest share of J that the certified U errors of the partial-fraction
 #: sum, sum_ij |A_ij| err(W_ij), may reach before J is handed to the series
 #: (each U term is certified to ``specfun._U_TOL`` = 1e-10).  Also the bound
-#: the series meets, and the error estimate reported for a closed-form value.
+#: the series meets, and the error estimate reported for a partial-fraction value.
 U_SUM_TOL = 1e-9
 
 

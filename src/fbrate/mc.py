@@ -73,18 +73,10 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _chi2(rng: np.random.Generator, shape, n: int) -> np.ndarray:
-    """n chi-square variates with 2 shape degrees of freedom (shape a scalar,
-    or one per sample): a squared normal at shape 1/2, else 2 Gamma(shape)."""
-    if np.ndim(shape) == 0 and shape == 0.5:
-        z = rng.standard_normal(n)
-        return z * z
-    return 2.0 * rng.standard_gamma(shape, size=n)
-
-
 def _sample_block(params: ChannelParams, rng: np.random.Generator,
-                  n: int) -> np.ndarray:
-    """n SNR realizations as an ndarray (vectorized across samples).
+                  rows: np.ndarray) -> np.ndarray:
+    """SNR realizations drawn into ``rows``, a float64 (3, n) array; returns
+    the row that holds them (vectorized across samples).
 
     Draw order: xi (only when kappa > 0 and m is finite), then the LoS part
     of each branch, in-phase first (a normal each from one degree of freedom
@@ -94,6 +86,11 @@ def _sample_block(params: ChannelParams, rng: np.random.Generator,
     one Gaussian cluster plus fractional scatter, in the floating-point order
     of ``gamma_bar * w / normalization`` with
     ``w = (sqrt(eta) X + sqrt(xi) p)^2 + (Y + sqrt(xi) q)^2 + 2 (eta G1 + G2)``.
+    Every draw and every operation after it writes into a row: the first
+    LoS branch forms in row 0, the second in row 1 and joins it, and the
+    scatter terms sum in the rows after the LoS part before they join it.
+    Only the Poisson counts below one degree of freedom take arrays of
+    their own.
     """
     mu, eta, kappa, q2 = params.mu, params.eta, params.kappa, params.q2
     if eta == 1.0:  # (variance, LoS power) of each branch; here one for both
@@ -102,25 +99,49 @@ def _sample_block(params: ChannelParams, rng: np.random.Generator,
         dof, branches = mu, ((eta, params.rho2 * q2), (1.0, q2))
     xi = 1.0  # no LoS fluctuation at m = inf, and no LoS to modulate at kappa = 0
     if kappa and not math.isinf(params.m):
-        xi = rng.gamma(shape=params.m, scale=1.0 / params.m, size=n)
-    w = 0.0
+        # gamma(m, scale=1/m) is scale * standard_gamma(m): the same bits
+        xi = rng.standard_gamma(params.m, out=rows[2])
+        xi *= 1.0 / params.m
     shapes = [dof / 2] * len(branches)  # scatter of each branch: chi^2(2 shape)
+    first = 0  # row of the first scatter term: 1 past a LoS part in row 0
     if kappa and dof >= 1.0:  # chi'^2(dof, lam) = (Z + sqrt(lam))^2 + chi^2(dof - 1)
-        root_xi = np.sqrt(xi)
-        w = sum((math.sqrt(var) * rng.standard_normal(n) + root_xi * math.sqrt(los)) ** 2
-                for var, los in branches)
+        root_xi = np.sqrt(xi, out=xi) if np.ndim(xi) else None
+        for i, (var, los) in enumerate(branches):
+            row = rows[i]
+            rng.standard_normal(out=row)
+            row *= math.sqrt(var)
+            if root_xi is None:
+                row += math.sqrt(los)
+            else:  # the last branch needs sqrt(xi) no more and scales it in place
+                offset = rows[2] if i == len(branches) - 1 else rows[1]
+                row += np.multiply(root_xi, math.sqrt(los), out=offset)
+            np.square(row, out=row)
+        if len(branches) == 2:
+            rows[0] += rows[1]
         shapes = [(dof - 1.0) / 2] * len(branches) if dof > 1.0 else []
+        first = 1
     elif kappa:  # chi'^2(dof, lam) = chi^2(dof + 2N) with N ~ Poisson(lam / 2)
         try:
-            shapes = [dof / 2 + rng.poisson(xi * (los / (2.0 * var)), size=n)
+            shapes = [dof / 2 + rng.poisson(xi * (los / (2.0 * var)), size=rows.shape[1])
                       for var, los in branches]
         except ValueError as exc:  # numpy's Poisson stops near lam/2 = 9.2e18
             raise ParameterError(f"LoS noncentrality too large to sample at "
                                  f"mu={mu!r}, kappa={kappa!r}") from exc
-    w = w + sum(var * _chi2(rng, shape, n) for (var, _), shape in zip(branches, shapes))
-    w *= params.gamma_bar
-    w /= 2.0 * params.omega_cap
-    return w
+    for (var, _), shape, row in zip(branches, shapes, rows[first:]):
+        if np.ndim(shape) == 0 and shape == 0.5:  # chi^2(1): a squared normal
+            np.square(rng.standard_normal(out=row), out=row)
+        else:  # chi^2(2 shape) = 2 Gamma(shape)
+            rng.standard_gamma(shape, out=row)
+            row *= 2.0
+        row *= var
+    if len(shapes) == 2:
+        rows[first] += rows[first + 1]
+    if first and shapes:
+        rows[0] += rows[1]
+    gamma = rows[0]
+    gamma *= params.gamma_bar
+    gamma /= 2.0 * params.omega_cap
+    return gamma
 
 
 def _available_cpus() -> int:
@@ -137,8 +158,11 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig) -> M
     Chunks are independent substreams; each yields partial sums of
     (1+gamma)^-A and its square, which are combined exactly, so the estimate
     does not depend on how many threads run them.  The chunks run on one
-    thread per CPU the process may run on, at most one per chunk; a single
-    chunk runs inline.  Every real mu > 0 is sampled, with or without LoS.
+    thread per CPU the process may run on, at most one per chunk, worker w
+    taking chunks w, w + workers, ...; a single chunk runs inline.  Each
+    worker allocates one (3, chunk) array per call and draws every chunk of
+    its share into it, so a call holds three chunk-sized rows per worker.
+    Every real mu > 0 is sampled, with or without LoS.
     Raises :class:`ParameterError` for an A that is not finite and > 0, and
     for a LoS noncentrality beyond numpy's Poisson range (lam/2 > ~9.2e18)
     where it needs the Poisson mixture, and :class:`ConvergenceError` when
@@ -151,25 +175,30 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig) -> M
     if n % CHUNK_SIZE:
         sizes.append(n % CHUNK_SIZE)
 
-    def run_chunk(idx_size):
-        idx, size = idx_size
-        values = _sample_block(params, _chunk_rng(config.seed, idx), size)
-        values += 1.0
-        values **= -a_exponent  # ndarray power: same fast paths as ``**``
-        s1 = float(values.sum())
-        values *= values
-        return s1, float(values.sum())
+    def run_chunks(tasks):
+        rows = np.empty((3, sizes[0]))  # this worker's, reused chunk after chunk
+        partials = []
+        for idx, size in tasks:
+            values = _sample_block(params, _chunk_rng(config.seed, idx), rows[:, :size])
+            values += 1.0
+            values **= -a_exponent  # ndarray power: same fast paths as ``**``
+            s1 = float(values.sum())
+            values *= values
+            partials.append((s1, float(values.sum())))
+        return partials
 
     tasks = list(enumerate(sizes))
     workers = min(_available_cpus(), len(tasks))
     if workers > 1:
-        # pool threads start in an empty context: give each chunk the caller's,
+        # pool threads start in an empty context: give each worker the caller's,
         # so that numpy error states (np.errstate) hold as in a serial run
         context = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda t: context.copy().run(run_chunk, t), tasks))
+            partials = [p for ps in pool.map(lambda t: context.copy().run(run_chunks, t),
+                                             [tasks[w::workers] for w in range(workers)])
+                        for p in ps]
     else:
-        partials = [run_chunk(t) for t in tasks]
+        partials = run_chunks(tasks)
 
     s1 = math.fsum(p[0] for p in partials)
     s2 = math.fsum(p[1] for p in partials)

@@ -122,7 +122,7 @@ def power_series(t0, c: np.ndarray):
     recursion n*T_n = sum_r c_r T_(n-r), one dot product per coefficient."""
     n_terms = len(c)
     c_rev = c[::-1].copy()  # c_n..c_1 as one contiguous slice per step
-    coeffs = np.empty(n_terms, dtype=np.result_type(t0, c))
+    coeffs = np.empty(n_terms)
     coeffs[0] = t0
     yield t0
     for n in range(1, n_terms):

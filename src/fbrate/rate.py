@@ -218,22 +218,24 @@ def expectation_closed_form(params: ChannelParams, a_exponent: float) -> float:
     ``CLOSED_FORM_COND_LIMIT`` J and the U errors within ``U_SUM_TOL`` J.
     Otherwise J comes from :func:`_extended.mixture_series`, and an
     :func:`er_auto` result's ``closed_form_series`` diagnostic records why,
-    its length and its relative bound.  A value outside (0, 1) raises
-    :class:`ConvergenceError`.
+    its length and its relative bound, which is also the result's error
+    estimate.  A value outside (0, 1) raises :class:`ConvergenceError`.
     """
     _check_a_exponent(a_exponent)
-    return _closed_form(params, params.gamma_bar, a_exponent, [])
+    return _closed_form(params, params.gamma_bar, a_exponent)[0]
 
 
-def _closed_form(shape: ChannelParams, gamma_bar: float, a_exponent: float,
-                 diagnostics: list) -> float:
-    """:func:`expectation_closed_form` for ``shape`` at mean SNR ``gamma_bar``.
+def _closed_form(shape: ChannelParams, gamma_bar: float,
+                 a_exponent: float) -> tuple[float, tuple[str, int, float] | None]:
+    """(J, series): :func:`expectation_closed_form` for ``shape`` at ``gamma_bar``.
 
+    ``series`` is None where the partial-fraction sum is kept, else the
+    gamma-mixture series' (why the sum was refused, terms, relative bound).
     The partial fractions depend on the shape alone, so only the series
     builds a channel at ``gamma_bar``; ``shape.gamma_bar`` is ignored.
     """
     value, majorant, u_error = _term_sums(decompose(shape), a_exponent, gamma_bar)
-    reason = None
+    reason = series = None
     if value <= 0.0:
         reason = f"partial-fraction sum {value:.1e}"
     elif majorant > CLOSED_FORM_COND_LIMIT * value:
@@ -242,11 +244,10 @@ def _closed_form(shape: ChannelParams, gamma_bar: float, a_exponent: float,
         reason = f"U share {u_error / value:.1e}"
     if reason is not None:
         value, bound, n_terms = mixture_series(replace(shape, gamma_bar=gamma_bar), a_exponent)
-        diagnostics.append(("closed_form_series",
-                            f"{reason}; {n_terms} terms; bound {bound / value:.1e}"))
+        series = (reason, n_terms, bound / value)
     if not 0.0 < value < 1.0 + 1e-12:
         raise ConvergenceError(f"closed-form expectation out of (0, 1): {value!r}")
-    return min(value, 1.0)
+    return min(value, 1.0), series
 
 
 def closed_form_applies(params: ChannelParams) -> bool:
@@ -311,6 +312,16 @@ def _evaluate(request: ErRequest, gamma_bar: float,
         return ErResult(expectation_j=j, rate=effective_rate(j, a), method_used=method,
                         error_estimate=err, diagnostics=tuple(diagnostics))
 
+    def closed_form() -> tuple[float, float]:
+        """(J, error estimate): the series' bound, or ``U_SUM_TOL`` for the sum."""
+        j, series = _closed_form(request.params, gamma_bar, a)
+        if series is None:
+            return j, U_SUM_TOL
+        reason, n_terms, bound = series
+        diagnostics.append(("closed_form_series",
+                            f"{reason}; {n_terms} terms; bound {bound:.1e}"))
+        return j, bound
+
     if request.method == "monte_carlo":
         estimate = estimate_er(replace(request.params, gamma_bar=gamma_bar), a,
                                mc_config or McConfig())
@@ -319,13 +330,13 @@ def _evaluate(request: ErRequest, gamma_bar: float,
         return result(estimate.j_hat, "monte_carlo", estimate.j_stderr)
 
     if request.method == "closed_form":
-        return result(_closed_form(request.params, gamma_bar, a, diagnostics), "closed_form",
-                      U_SUM_TOL)
+        j, err = closed_form()
+        return result(j, "closed_form", err)
 
     j_closed = None
     if cross:
         try:
-            j_closed = _closed_form(request.params, gamma_bar, a, diagnostics)
+            j_closed, err_closed = closed_form()
         except (ConvergenceError, ClosedFormUnavailableError, ArithmeticError) as exc:
             diagnostics.append(("closed_form_failed", f"{type(exc).__name__}: {exc}"))
 
@@ -336,7 +347,7 @@ def _evaluate(request: ErRequest, gamma_bar: float,
         # unrounded, so that the error estimate below bounds the reported value
         diagnostics.append(("cross_check_rel_diff", repr(diff)))
         if diff <= CROSS_REL_TOL:
-            return result(j_closed, "closed_form", max(U_SUM_TOL, diff))
+            return result(j_closed, "closed_form", max(err_closed, diff))
         diagnostics.append(("engines_disagree",
                             f"closed form {j_closed:.9e} rejected "
                             f"(limit {CROSS_REL_TOL:.0e})"))

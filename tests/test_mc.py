@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from fbrate import (ChannelParams, ConvergenceError, FbrateError, McConfig,
                     ParameterError, decompose, estimate_er, expectation_quadrature,
                     mgf, preset)
 from fbrate.crosscheck import McCheckReport, McCheckResult, mc_grid, run_mc_check
-from fbrate.mc import _chunk_rng, _sample_block
+from fbrate.mc import _chunk_rng
 
 from conftest import (FIG2_J_BY_M, J_RAYLEIGH, cluster_model_mgf, expansion_cdf,
-                      fig1_params, ks_distance, sample_snr)
+                      fig1_params, ks_distance, sample_block, sample_snr)
 
 KS_CRIT_1PCT = 1.6276  # asymptotic two-sided 1% critical coefficient / sqrt(n)
 
@@ -61,13 +62,13 @@ class TestSampling:
     def test_mean_snr(self):
         p = fig1_params(gamma_bar=2.5)
         n = 1_000_000
-        gamma = _sample_block(p, _chunk_rng(7, 0), n)
+        gamma = sample_block(p, _chunk_rng(7, 0), n)
         stderr = gamma.std() / math.sqrt(n)
         assert abs(gamma.mean() - 2.5) <= 4.0 * stderr
 
     def test_empirical_mgf_matches_analytic(self):
         p = fig1_params()
-        gamma = _sample_block(p, _chunk_rng(11, 0), 1_000_000)
+        gamma = sample_block(p, _chunk_rng(11, 0), 1_000_000)
         values = np.exp(-gamma)
         stderr = values.std() / math.sqrt(values.size)
         analytic = mgf(p, 1.0)
@@ -78,7 +79,7 @@ class TestSampling:
         # E[exp(-s gamma)] at two transform arguments against the MGF chained
         # from the cluster model: checks kappa, eta, rho2 and real mu together
         p = ChannelParams(gamma_bar=2.0, **MGF_CASES[case])
-        gamma = _sample_block(p, _chunk_rng(23, 0), 1_000_000)
+        gamma = sample_block(p, _chunk_rng(23, 0), 1_000_000)
         for s_arg in (0.5, 2.0):
             values = np.exp(-s_arg * gamma)
             stderr = values.std() / math.sqrt(values.size)
@@ -89,7 +90,7 @@ class TestSampling:
         # kappa=0, eta=1, mu=1 with a huge shadowing index is exponential SNR
         p = ChannelParams(mu=1.0, m=1.0e4, kappa=0.0, eta=1.0, rho2=0.0,
                           gamma_bar=1.0)
-        gamma = _sample_block(p, _chunk_rng(13, 0), 1_000_000)
+        gamma = sample_block(p, _chunk_rng(13, 0), 1_000_000)
         d = ks_distance(gamma, lambda x: 1.0 - np.exp(-x))
         assert d < KS_CRIT_1PCT / math.sqrt(gamma.size)
 
@@ -97,7 +98,7 @@ class TestSampling:
         p = fig1_params()
         expansion = decompose(p)
         cdf = expansion_cdf(expansion, p.gamma_bar)
-        gamma = _sample_block(p, _chunk_rng(17, 0), 1_000_000)
+        gamma = sample_block(p, _chunk_rng(17, 0), 1_000_000)
         d = ks_distance(gamma, cdf)
         assert d < KS_CRIT_1PCT / math.sqrt(gamma.size)
 
@@ -110,7 +111,7 @@ class TestSampling:
         calls = {}
         for mu in (4.0, 37.3):
             rng = _RecordingGenerator(_chunk_rng(3, 0))
-            _sample_block(ChannelParams(mu=mu, rho2=1.0, **shape), rng, 1000)
+            sample_block(ChannelParams(mu=mu, rho2=1.0, **shape), rng, 1000)
             calls[mu] = rng.calls
         assert calls[4.0] == calls[37.3]
         assert len(calls[4.0]) <= 5
@@ -124,7 +125,7 @@ class TestSampling:
            rho2=st.floats(0.0, 10.0))
     def test_sample_mean_is_gamma_bar(self, mu, m, kappa, eta, rho2):
         p = ChannelParams(mu=mu, m=m, kappa=kappa, eta=eta, rho2=rho2, gamma_bar=3.0)
-        gamma = _sample_block(p, _chunk_rng(29, 0), 100_000)
+        gamma = sample_block(p, _chunk_rng(29, 0), 100_000)
         stderr = gamma.std() / math.sqrt(gamma.size)
         assert abs(gamma.mean() - 3.0) <= 5.0 * stderr
 
@@ -138,7 +139,7 @@ class TestSampling:
     def test_small_shape_gamma_ok(self):
         # shadowing index below one must still sample correctly
         p = ChannelParams(mu=1.0, m=0.4, kappa=2.0, eta=1.0, rho2=1.0, gamma_bar=1.0)
-        gamma = _sample_block(p, _chunk_rng(19, 0), 500_000)
+        gamma = sample_block(p, _chunk_rng(19, 0), 500_000)
         stderr = gamma.std() / math.sqrt(gamma.size)
         assert abs(gamma.mean() - 1.0) <= 4.0 * stderr
 
@@ -305,6 +306,25 @@ class TestWorkers:
                           gamma_bar=1000.0)
         with np.errstate(under="raise"), pytest.raises(FloatingPointError):
             estimate_er(p, 1000.0, self.CONFIG)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_memory_is_three_rows_per_worker(self, monkeypatch, cpus):
+        # config 38 of mc_grid over 8 chunks: each worker draws every chunk
+        # into the same three CHUNK_SIZE rows and allocates no chunk-sized
+        # temporary (five chunk arrays per worker before the rows)
+        monkeypatch.setattr(fbrate.mc, "_available_cpus", lambda: cpus)
+        p = ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=0.1, gamma_bar=100.0)
+        config = McConfig(n_samples=8 * fbrate.mc.CHUNK_SIZE, seed=42)
+        estimate_er(p, 5.0, config)  # first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            estimate_er(p, 5.0, config)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        chunk_arrays = peak / (fbrate.mc.CHUNK_SIZE * 8)  # float64 bytes
+        assert chunk_arrays <= 3.5 * cpus
 
     def test_run_mc_check_equals_serial_report(self, monkeypatch):
         monkeypatch.setattr(fbrate.mc, "CHUNK_SIZE", 1 << 12)  # 5 chunks per estimate

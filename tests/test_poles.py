@@ -207,16 +207,6 @@ class TestTaylorHelper:
             _taylor_coefficients(factors, 104)
         assert info.value.achieved == math.inf
 
-    def test_complex_conjugate_symmetry(self):
-        theta_i = 1.0 + 2.0j
-        other = 1.0 - 2.0j
-        factors = [(1.0 - theta_i / other, theta_i / other, -2)]
-        taylor, _ = _taylor_coefficients(factors, 2)
-        factors_conj = [(1.0 - other / theta_i, other / theta_i, -2)]
-        taylor_conj, _ = _taylor_coefficients(factors_conj, 2)
-        for a, b in zip(taylor, taylor_conj):
-            assert a == pytest.approx(b.conjugate())
-
 
 class TestResidues:
     def test_fig1_cover_up_values(self):

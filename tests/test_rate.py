@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import fbrate.rate
 from fbrate import _extended
 from fbrate.poles import pole_exponents
-from fbrate.rate import _METHODS, DE_LEVELS
+from fbrate.rate import _METHODS, DE_LEVELS, U_SUM_TOL
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
                     ErRequest, FbrateError, McConfig, ParameterError, closed_form_applies,
                     decompose, effective_rate, er_auto, er_sweep, estimate_er,
@@ -450,6 +450,22 @@ class TestDispatch:
         assert "closed_form_series" in dict(result.diagnostics)
         assert result.expectation_j == pytest.approx(HIGH_MULT_J[2.0, 40.0, snr_db, a],
                                                      rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("method", ["auto", "closed_form"])
+    def test_error_estimate_is_the_series_bound(self, method):
+        # m = 40, 30 dB, A = 2: the series proves 8.8e-13 of J, and that bound,
+        # not the partial-fraction sum's U_SUM_TOL, is the error estimate (auto
+        # raises it to the cross-check difference where that is larger)
+        p = ChannelParams(mu=2.0, m=40.0, gamma_bar=1000.0, **HIGH_MULT)
+        result = er_auto(ErRequest(params=p, a_exponent=2.0, method=method))
+        diagnostics = dict(result.diagnostics)
+        assert diagnostics["closed_form_series"].endswith(f"bound {result.error_estimate:.1e}")
+        assert result.error_estimate < U_SUM_TOL
+        assert result.error_estimate >= float(diagnostics.get("cross_check_rel_diff", 0.0))
+        # the partial-fraction sum reports U_SUM_TOL
+        result = er_auto(ErRequest(params=fig1_params(), a_exponent=2.0, method=method))
+        assert "closed_form_series" not in dict(result.diagnostics)
+        assert result.error_estimate == U_SUM_TOL
 
     def test_multiplicity_400_certifies(self):
         # mu = 20, m = 200: a residue majorant of 1e75 of J; the series
