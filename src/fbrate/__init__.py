@@ -12,8 +12,7 @@ from .mc import McConfig, McEstimate, estimate_er
 from .model import ChannelParams, PRESET_NAMES, log_mgf, mgf, preset
 from .poles import PartialFractionExpansion, decompose, pdf
 from .rate import (ErRequest, ErResult, closed_form_applies, effective_rate,
-                   er_auto, er_sweep, expectation_closed_form, expectation_quadrature,
-                   quadrature_sweep)
+                   er_auto, er_sweep, quadrature_sweep)
 
 __version__ = "0.1.0"
 
@@ -23,8 +22,7 @@ __all__ = [
     "McConfig", "McEstimate",
     "preset", "PRESET_NAMES", "mgf", "log_mgf",
     "decompose", "pdf",
-    "effective_rate", "expectation_quadrature", "expectation_closed_form",
-    "quadrature_sweep", "er_auto", "er_sweep", "closed_form_applies",
+    "effective_rate", "quadrature_sweep", "er_auto", "er_sweep", "closed_form_applies",
     "estimate_er",
     "FbrateError", "ParameterError", "ClosedFormUnavailableError",
     "ConvergenceError",

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .crosscheck import (CROSS_REL_TOL, MC_Z_LIMIT, closed_form_grid, db_to_linear,
-                         mc_grid, run_cross_check, run_mc_check)
+                         run_cross_check, run_mc_check)
 from .errors import ClosedFormUnavailableError, ConvergenceError, ParameterError
 from .mc import McConfig
 from .model import ChannelParams, PRESET_NAMES, mgf, preset

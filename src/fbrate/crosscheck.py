@@ -1,10 +1,11 @@
 """Cross-engine and Monte-Carlo concordance grids.
 
 These drive both the ``validate`` / ``mc-validate`` CLI subcommands and the
-acceptance tests: every closed-form-eligible grid point must agree between
-the quadrature and residue engines to 1e-6 relative, and the sampled
-estimates must sit within four standard errors of the quadrature values on
-at least 95% of the concordance grid.
+acceptance tests, through the routes users get.  At every point of the
+closed-form grid ``auto`` must keep the closed form, its cross-check against
+the quadrature route within 1e-6 relative; and the sampled estimates must
+sit within four standard errors of the quadrature values on at least 95% of
+the concordance grid.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import ParameterError
-from .mc import McConfig, estimate_er
+from .mc import McConfig
 from .model import ChannelParams, preset
-from .rate import (CROSS_REL_TOL, expectation_closed_form, expectation_quadrature,
-                   quadrature_sweep)
+from .rate import CROSS_REL_TOL, ErRequest, er_auto, er_sweep
 
 MC_Z_LIMIT = 4.0
 MC_PASS_FRACTION = 0.95
@@ -72,11 +72,13 @@ class CrossCheckReport:
 
 
 def run_cross_check(grid=None) -> CrossCheckReport:
-    """Quadrature vs closed form over the grid; reports the worst config.
+    """``auto`` over the grid, as users get it; reports the worst config.
 
-    Each run of consecutive points that share a channel shape is integrated
-    by one :func:`rate.quadrature_sweep`, one A per row, at the default
-    ``rel_tol`` of 1e-8; the closed form runs per point, in grid order.
+    Each run of consecutive points that share a channel shape is one
+    :func:`rate.er_sweep`, one A per mean SNR, at the default ``rel_tol`` of
+    1e-8, so that one quadrature rule serves the run.  A point's difference
+    is the ``cross_check_rel_diff`` that ``auto`` records where it keeps the
+    closed form; a point that took any other route counts as inf.
     """
     if grid is None:
         grid = closed_form_grid()
@@ -84,14 +86,13 @@ def run_cross_check(grid=None) -> CrossCheckReport:
     max_diff = 0.0
     for _, run in groupby(grid, key=lambda point: point[0].shape):
         run = list(run)
-        values, _, _ = quadrature_sweep(run[0][0], [params.gamma_bar for params, _ in run],
-                                        [a for _, a in run])
-        for (params, a), j in zip(run, values.tolist()):
-            j_closed = expectation_closed_form(params, a)
-            diff = abs(j - j_closed) / j_closed
+        results = er_sweep(ErRequest(*run[0]), [params.gamma_bar for params, _ in run],
+                           a_exponents=[a for _, a in run])
+        for point, result in zip(run, results):
+            diff = (float(dict(result.diagnostics)["cross_check_rel_diff"])
+                    if result.method_used == "closed_form" else math.inf)
             if diff > max_diff:
-                max_diff = diff
-                worst = (params, a)
+                max_diff, worst = diff, point
     return CrossCheckReport(n_configs=len(grid), max_rel_diff=max_diff, worst=worst)
 
 
@@ -170,15 +171,17 @@ class McCheckReport:
 def run_mc_check(n_samples: int = 1_000_000, seed: int = 42) -> McCheckReport:
     """Sampled vs quadrature expectations over the concordance grid :func:`mc_grid`.
 
-    Each estimate runs its chunks on every CPU the process may run on (see
-    :func:`estimate_er`); the report is the same as a serial run's.
+    Both come from :func:`rate.er_auto`, with ``method`` ``quadrature`` and
+    ``monte_carlo``.  Each estimate runs its chunks on every CPU the process
+    may run on (see :func:`mc.estimate_er`); the report is the same as a
+    serial run's.
     """
     config = McConfig(n_samples=n_samples, seed=seed)
     results = []
     for params, a in mc_grid():
-        j_quad, _ = expectation_quadrature(params, a)
-        estimate = estimate_er(params, a, config)
-        results.append(McCheckResult(params=params, a_exponent=a, j_quad=j_quad,
-                                     j_hat=estimate.j_hat,
-                                     j_stderr=estimate.j_stderr))
+        quad, sampled = (er_auto(ErRequest(params, a, method), config)
+                         for method in ("quadrature", "monte_carlo"))
+        results.append(McCheckResult(params=params, a_exponent=a, j_quad=quad.expectation_j,
+                                     j_hat=sampled.expectation_j,
+                                     j_stderr=sampled.error_estimate))
     return McCheckReport(results=tuple(results))

@@ -88,6 +88,20 @@ def _check_gamma_bars(gamma_bars) -> np.ndarray:
     return gamma_bar
 
 
+def _a_rows(a_exponent, n_rows: int) -> list[float]:
+    """One A per row from one A for every row or one per row; :class:`ParameterError` else."""
+    exponents = np.asarray(a_exponent, dtype=float)
+    a_rows = exponents.tolist() if exponents.ndim else [float(exponents)]
+    for a in set(a_rows):
+        _check_a_exponent(a)
+    if len(a_rows) == 1:
+        return a_rows * n_rows
+    if len(a_rows) != n_rows:
+        raise ParameterError(
+            f"a_exponent must be one A or one per mean SNR, got {a_exponent!r}")
+    return a_rows
+
+
 def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
                      rel_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J at every mean SNR in ``gamma_bars`` for one channel shape, by the MGF integral.
@@ -114,16 +128,8 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
     levels reached); raises :class:`ConvergenceError`, naming the mean SNR
     and A, if a row does not converge.
     """
-    exponents = np.asarray(a_exponent, dtype=float)
-    a_rows = exponents.tolist() if exponents.ndim else [float(exponents)]
-    for a in set(a_rows):
-        _check_a_exponent(a)
     gamma_bar = _check_gamma_bars(gamma_bars)
-    if len(a_rows) == 1:
-        a_rows *= gamma_bar.size
-    elif len(a_rows) != gamma_bar.size:
-        raise ParameterError(
-            f"a_exponent must be one A or one per mean SNR, got {a_exponent!r}")
+    a_rows = _a_rows(a_exponent, gamma_bar.size)
     if not gamma_bar.size:
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)
     if shape.gamma_bar != 1.0:
@@ -170,18 +176,6 @@ def quadrature_sweep(shape: ChannelParams, gamma_bars, a_exponent,
     return values, errors, levels
 
 
-def expectation_quadrature(params: ChannelParams, a_exponent: float,
-                           rel_tol: float = 1e-8) -> tuple[float, float]:
-    """J by the MGF integral; returns (value, relative error estimate).
-
-    The one-row case of :func:`quadrature_sweep`: the estimate is the
-    difference of its last two levels, and :class:`ConvergenceError` is
-    raised if none agree within ``rel_tol``.
-    """
-    values, errors, _ = quadrature_sweep(params, [params.gamma_bar], a_exponent, rel_tol)
-    return float(values[0]), float(errors[0])
-
-
 #: Hand J to the gamma-mixture series when the residue majorant
 #: sum_ij E_ij W_ij (E_ij >= |A_ij| the envelope of the residue recursion,
 #: ``poles._taylor_coefficients``) exceeds it by more than this.  The majorant
@@ -206,33 +200,22 @@ def _term_sums(expansion: PartialFractionExpansion, a_exponent: float,
     return math.fsum(contributions), math.fsum(envelope), math.fsum(u_error)
 
 
-def expectation_closed_form(params: ChannelParams, a_exponent: float) -> float:
-    """J from the partial fractions: sum_ij A_ij (theta_i/g)^j U(j; j-A+1; theta_i/g).
+def _closed_form(shape: ChannelParams, gamma_bar: float,
+                 a_exponent: float) -> tuple[float, tuple[str, int, float] | None]:
+    """(J, series): J from the partial fractions of ``shape`` at ``gamma_bar``.
 
-    Each basis term's expectation is exactly Gamma(j) U(j; j-A+1; theta/g)
-    times the density normalization (theta/g)^j / Gamma(j), so the gammas
-    cancel and only W_j = z^j U(j; j-A+1; z) remains, the terms of one
+    J = sum_ij A_ij (theta_i/g)^j U(j; j-A+1; theta_i/g).  Each basis term's
+    expectation is exactly Gamma(j) U(j; j-A+1; theta/g) times the density
+    normalization (theta/g)^j / Gamma(j), so the gammas cancel and only
+    W_j = z^j U(j; j-A+1; z) remains, the terms of one
     :func:`specfun.u_terms` per pole of :func:`poles.decompose`.  The terms
     encode the vanishing density derivatives at zero through cancellation,
     so the sum is kept only if certified: J > 0, the residue majorant within
     ``CLOSED_FORM_COND_LIMIT`` J and the U errors within ``U_SUM_TOL`` J.
-    Otherwise J comes from :func:`_extended.mixture_series`, and an
-    :func:`er_auto` result's ``closed_form_series`` diagnostic records why,
-    its length and its relative bound, which is also the result's error
-    estimate.  A value outside (0, 1) raises :class:`ConvergenceError`.
-    """
-    _check_a_exponent(a_exponent)
-    return _closed_form(params, params.gamma_bar, a_exponent)[0]
-
-
-def _closed_form(shape: ChannelParams, gamma_bar: float,
-                 a_exponent: float) -> tuple[float, tuple[str, int, float] | None]:
-    """(J, series): :func:`expectation_closed_form` for ``shape`` at ``gamma_bar``.
-
-    ``series`` is None where the partial-fraction sum is kept, else the
-    gamma-mixture series' (why the sum was refused, terms, relative bound).
-    The partial fractions depend on the shape alone, so only the series
-    builds a channel at ``gamma_bar``; ``shape.gamma_bar`` is ignored.
+    Otherwise J comes from :func:`_extended.mixture_series`, and ``series``
+    is its (why the sum was refused, terms, relative bound), else None.  The
+    partial fractions depend on the shape alone, so only the series builds a
+    channel at ``gamma_bar``; ``shape.gamma_bar`` is ignored.
     """
     value, majorant, u_error = _term_sums(decompose(shape), a_exponent, gamma_bar)
     reason = series = None
@@ -245,9 +228,14 @@ def _closed_form(shape: ChannelParams, gamma_bar: float,
     if reason is not None:
         value, bound, n_terms = mixture_series(replace(shape, gamma_bar=gamma_bar), a_exponent)
         series = (reason, n_terms, bound / value)
+    return _unit_j(value, "closed-form"), series
+
+
+def _unit_j(value: float, route: str) -> float:
+    """``value`` as J: 1 up to 1e-12 above 1, :class:`ConvergenceError` beyond (0, 1]."""
     if not 0.0 < value < 1.0 + 1e-12:
-        raise ConvergenceError(f"closed-form expectation out of (0, 1): {value!r}")
-    return min(value, 1.0), series
+        raise ConvergenceError(f"{route} expectation out of (0, 1): {value!r}")
+    return value if value <= 1.0 else 1.0
 
 
 def closed_form_applies(params: ChannelParams) -> bool:
@@ -259,27 +247,32 @@ def closed_form_applies(params: ChannelParams) -> bool:
     return True
 
 
-def er_sweep(request: ErRequest, gamma_bars, mc_config=None) -> list[ErResult]:
+def er_sweep(request: ErRequest, gamma_bars, mc_config=None,
+             a_exponents=None) -> list[ErResult]:
     """One :class:`ErResult` per mean SNR in ``gamma_bars``, in order.
 
     Each is the result :func:`er_auto` gives for the request's channel at
     that mean SNR; the request's own ``gamma_bar`` is ignored.  Every mean
-    SNR must be finite and > 0 (:class:`ParameterError` otherwise).  The
-    per-shape work runs once: whether the closed form applies, its partial
-    fractions, and for ``auto`` and ``quadrature`` one
-    :func:`quadrature_sweep` over every mean SNR, whose rows each get the
-    value they get on their own.  Per mean SNR run only the closed form's U
-    terms (and the series, where its sum cancels), the cross-check, the
-    diagnostics and Monte Carlo.
+    SNR must be finite and > 0 (:class:`ParameterError` otherwise), and so
+    must each A of ``a_exponents``, one per mean SNR in place of the
+    request's ``a_exponent`` if given.  The per-shape work runs once: whether
+    the closed form applies, its partial fractions, and for ``auto`` and
+    ``quadrature`` one :func:`quadrature_sweep` over every (mean SNR, A) row,
+    each of which gets the value it gets on its own.  Per row run only the
+    closed form's U terms (and the series, where its sum cancels), the
+    cross-check, the diagnostics and Monte Carlo.
     """
     _check_gamma_bars(gamma_bars)
+    a_rows = _a_rows(request.a_exponent if a_exponents is None else a_exponents,
+                     len(gamma_bars))
     quadrature = [None] * len(gamma_bars)
     if request.method in ("auto", "quadrature"):
-        values, errors, levels = quadrature_sweep(request.params, gamma_bars,
-                                                  request.a_exponent, request.rel_tol)
+        values, errors, levels = quadrature_sweep(request.params, gamma_bars, a_rows,
+                                                  request.rel_tol)
         quadrature = zip(values.tolist(), errors.tolist(), levels.tolist())
     cross = request.method == "auto" and closed_form_applies(request.params)
-    return [_evaluate(request, g, q, cross, mc_config) for g, q in zip(gamma_bars, quadrature)]
+    return [_evaluate(request, g, a, q, cross, mc_config)
+            for g, a, q in zip(gamma_bars, a_rows, quadrature)]
 
 
 def er_auto(request: ErRequest, mc_config=None) -> ErResult:
@@ -293,19 +286,20 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
     ``CROSS_REL_TOL`` (recorded as ``engines_disagree``, with the difference
     folded into the error estimate).  The explicit methods run exactly what
     was asked for (raising if unavailable); ``monte_carlo`` delegates to the
-    sampling engine.  A one-SNR :func:`er_sweep`.
+    sampling engine.  An exact route's J less than 1e-12 above 1 is rounding
+    and returns as 1; a J beyond (0, 1] raises :class:`ConvergenceError`.  A
+    one-SNR :func:`er_sweep`.
     """
     return er_sweep(request, [request.params.gamma_bar], mc_config)[0]
 
 
-def _evaluate(request: ErRequest, gamma_bar: float,
+def _evaluate(request: ErRequest, gamma_bar: float, a: float,
               quadrature: tuple[float, float, int] | None, cross: bool,
               mc_config) -> ErResult:
-    """:func:`er_auto` at one mean SNR, given its quadrature (value, error, level).
+    """:func:`er_auto` at one mean SNR and A, given its quadrature (value, error, level).
 
     ``cross``: ``auto`` runs the closed form too, as it applies to the shape.
     """
-    a = request.a_exponent
     diagnostics: list[tuple[str, str]] = []
 
     def result(j: float, method: str, err: float) -> ErResult:
@@ -341,6 +335,7 @@ def _evaluate(request: ErRequest, gamma_bar: float,
             diagnostics.append(("closed_form_failed", f"{type(exc).__name__}: {exc}"))
 
     j_quad, err, level = quadrature
+    j_quad = _unit_j(j_quad, "quadrature")
     diagnostics.append(("quadrature_level", str(level)))
     if j_closed is not None:
         diff = abs(j_quad - j_closed) / j_closed

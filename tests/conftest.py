@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 
 import fbrate
-from fbrate import ChannelParams, log_mgf
+from fbrate import ChannelParams, ErRequest, er_auto, log_mgf
 from fbrate.mc import _sample_block
 from fbrate.model import channel_constants
 from fbrate.specfun import _U_TOL, u_terms
@@ -218,6 +218,18 @@ def sample_block(params: ChannelParams, rng: np.random.Generator, n: int) -> np.
 def sample_snr(params: ChannelParams, rng: np.random.Generator) -> float:
     """Draw one SNR realization from the physical channel."""
     return float(sample_block(params, rng, 1)[0])
+
+
+def quadrature_j(params: ChannelParams, a_exponent: float,
+                 rel_tol: float = 1e-8) -> tuple[float, float]:
+    """(J, error estimate) of the quadrature route, as ``er_auto`` gives it."""
+    result = er_auto(ErRequest(params, a_exponent, "quadrature", rel_tol))
+    return result.expectation_j, result.error_estimate
+
+
+def closed_form_j(params: ChannelParams, a_exponent: float) -> float:
+    """J of the closed-form route, as ``er_auto`` gives it."""
+    return er_auto(ErRequest(params, a_exponent, "closed_form")).expectation_j
 
 
 def rayleigh_j(gamma_bar: float, a_exponent: float) -> float:

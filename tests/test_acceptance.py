@@ -15,16 +15,15 @@ import pytest
 from scipy.integrate import quad
 
 import fbrate.mc
-from fbrate import (ChannelParams, decompose, estimate_er,
-                    expectation_closed_form, expectation_quadrature, log_mgf,
-                    mgf, pdf, preset)
+from fbrate import ChannelParams, decompose, estimate_er, log_mgf, mgf, pdf, preset
 from fbrate.crosscheck import (closed_form_grid, mc_grid, run_cross_check,
                                run_mc_check)
 from fbrate.mc import McConfig
 from fbrate.rate import effective_rate
 
-from conftest import (FIG1_J_A2, FIG1_R_A2, J_RAYLEIGH, R_RAYLEIGH, fig1_params,
-                      rayleigh_j, reconstruction_error, unit_eta_shadowed_j)
+from conftest import (FIG1_J_A2, FIG1_R_A2, J_RAYLEIGH, R_RAYLEIGH, closed_form_j,
+                      fig1_params, quadrature_j, rayleigh_j, reconstruction_error,
+                      unit_eta_shadowed_j)
 from conftest import exp1 as _exp1, tricomi_u_int_a
 
 
@@ -53,10 +52,10 @@ def test_criterion_1_cross_engine_exactness():
 
 def test_criterion_2_analytic_goldens():
     ray = preset("rayleigh")
-    j_ray, _ = expectation_quadrature(ray, 2.0)
+    j_ray, _ = quadrature_j(ray, 2.0)
     r_ray = effective_rate(j_ray, 2.0)
     fig1 = fig1_params()
-    j_fig1, _ = expectation_quadrature(fig1, 2.0)
+    j_fig1, _ = quadrature_j(fig1, 2.0)
     r_fig1 = effective_rate(j_fig1, 2.0)
     ok = (abs(j_ray - J_RAYLEIGH) <= 1e-5 and abs(r_ray - R_RAYLEIGH) <= 1e-3
           and abs(j_fig1 - FIG1_J_A2) <= 1e-5 and abs(r_fig1 - FIG1_R_A2) <= 1e-3)
@@ -156,7 +155,7 @@ def test_criterion_6_reduction_oracles():
                     break
                 p = ChannelParams(mu=mu, m=m, kappa=kappa, eta=1.0, rho2=1.0,
                                   gamma_bar=gbar)
-                mine = expectation_closed_form(p, a)
+                mine = closed_form_j(p, a)
                 oracle = unit_eta_shadowed_j(kappa, mu, m, gbar, a)
                 worst_shadowed = max(worst_shadowed, abs(mine - oracle) / oracle)
                 points += 1
@@ -174,7 +173,7 @@ def test_criterion_6_reduction_oracles():
     worst_degen = max(worst_degen, float(np.max(np.abs(mine - expected) / expected)))
     # Gamma-density rate value: closed form vs frozen high-precision integral
     nak2 = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=1.0)
-    j_nak = expectation_closed_form(nak2, 2.0)
+    j_nak = closed_form_j(nak2, 2.0)
     worst_degen = max(worst_degen, abs(j_nak - 0.33594340265867101637) / j_nak)
 
     ok = worst_shadowed <= 1e-8 and worst_degen <= 1e-9
@@ -218,7 +217,7 @@ def test_criterion_8_special_function_suite():
     # quadrature rule against the exact Rayleigh expectation z e^z E_A(z)
     for a, gbar in ((0.05, 1e8), (20.0, 1.0), (1e5, 1e-3)):
         p = ChannelParams(mu=1.0, m=0.5, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=gbar)
-        j, err = expectation_quadrature(p, a, 1e-12)
+        j, err = quadrature_j(p, a, 1e-12)
         exact = rayleigh_j(gbar, a)
         checks.append((f"quadrature A={a:g} gbar={gbar:g} vs exact Rayleigh",
                        abs(j - exact) <= 1e-12 * exact and err <= 1e-12))

@@ -2,7 +2,8 @@
 
 A traced run (``bench/run.py --trace 1``) calls ``importlib.import_module``
 on every module in ``bench/tracing.py``'s ``TARGETS`` and exits 1 if one is
-gone, and ``bench/worker.py`` builds its Monte-Carlo config by keyword.  Both
+gone; ``bench/worker.py`` builds its Monte-Carlo config by keyword and reads
+attributes off a cross-check ``report`` and an ``ErResult`` ``result``.  Both
 files are read here, not copied, so a change to the package that breaks the
 benchmark fails in tier-1.
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import fbrate
+from fbrate.crosscheck import closed_form_grid, run_cross_check
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -42,3 +44,25 @@ def test_mc_config_builds_as_the_worker_builds_it():
     for call in calls:
         config = fbrate.McConfig(**{kw.arg: values[kw.arg] for kw in call.keywords})
         assert (config.n_samples, config.seed) == (1_000_000, 9808)
+
+
+def _attributes_read_off(name: str) -> set:
+    """The attributes ``bench/worker.py`` reads off a variable called ``name``."""
+    return {node.attr for node in ast.walk(_source("worker.py"))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == name}
+
+
+#: A real value of each variable the worker reads attributes off.
+WORKER_VALUES = {
+    "report": lambda: run_cross_check(closed_form_grid()[:1]),
+    "result": lambda: fbrate.er_auto(fbrate.ErRequest(fbrate.preset("rayleigh"), 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKER_VALUES))
+def test_results_carry_what_the_worker_reads(name):
+    attributes = _attributes_read_off(name)
+    assert attributes
+    value = WORKER_VALUES[name]()
+    assert {a for a in attributes if not hasattr(value, a)} == set()

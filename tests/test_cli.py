@@ -89,6 +89,16 @@ class TestErCommand:
         assert code == 0
         assert out.splitlines()[1] == "-400,,0,1,closed_form,1e-09"
 
+    @pytest.mark.parametrize("a, snr_db", [("5", "-200"), ("0.1", "-200:-100:20")])
+    def test_quadrature_rounding_above_one_prints_rate_0(self, capsys, a, snr_db):
+        # the quadrature rule rounds J to just above 1 here: a J of 1, not exit 2
+        code, out, err = run_cli(capsys, "er", "--mu", "1.5", "--m", "1", "--kappa", "1",
+                                 "--eta", "0.1", "--rho2", "0.1", "--A", a,
+                                 f"--snr-db={snr_db}")
+        assert (code, err) == (0, "")
+        assert [row.split(",")[3:5] for row in out.splitlines()[1:]] == \
+            [["1", "quadrature"]] * (1 if snr_db == "-200" else 6)
+
     def test_bad_vary_value_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "er", *FIG1_FLAGS, "--A", "2",
                                "--vary", "mu", "--vary-values", "0")

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import fbrate.mc
 from fbrate import (ChannelParams, ConvergenceError, FbrateError, McConfig,
-                    ParameterError, decompose, estimate_er, expectation_quadrature,
-                    mgf, preset)
+                    ParameterError, decompose, estimate_er, mgf, preset)
 from fbrate.crosscheck import McCheckReport, McCheckResult, mc_grid, run_mc_check
 from fbrate.mc import _chunk_rng
 
 from conftest import (FIG2_J_BY_M, J_RAYLEIGH, cluster_model_mgf, expansion_cdf,
-                      fig1_params, ks_distance, sample_block, sample_snr)
+                      fig1_params, ks_distance, quadrature_j, sample_block, sample_snr)
 
 KS_CRIT_1PCT = 1.6276  # asymptotic two-sided 1% critical coefficient / sqrt(n)
 
@@ -153,7 +152,7 @@ class TestEstimateEr:
     def test_fig1_concordance(self):
         p = fig1_params()
         est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
-        j_quad, _ = expectation_quadrature(p, 2.0)
+        j_quad, _ = quadrature_j(p, 2.0)
         assert abs(est.j_hat - j_quad) <= 3.0 * est.j_stderr
 
     def test_zero_exponent_rejected(self):
@@ -164,7 +163,7 @@ class TestEstimateEr:
         # fig-2 base: a fractional cluster count adds chi-square scatter
         p = fig1_params(mu=1.5)
         est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
-        j_quad, _ = expectation_quadrature(p, 2.0)
+        j_quad, _ = quadrature_j(p, 2.0)
         assert j_quad == pytest.approx(FIG2_J_BY_M[1.0], rel=1e-8)
         assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
@@ -173,7 +172,7 @@ class TestEstimateEr:
         # central chi-squares, so LoS is sampled at any mu > 0
         p = ChannelParams(mu=0.5, m=1.0, kappa=1.0, eta=0.1, rho2=0.1)
         est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
-        j_quad, _ = expectation_quadrature(p, 2.0)
+        j_quad, _ = quadrature_j(p, 2.0)
         assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
     def test_underflow_raises_convergence_error(self):
@@ -188,7 +187,7 @@ class TestEstimateEr:
         # quadrature of the exact m -> inf MGF
         p = preset("beckmann", kappa=1.0, eta=0.5, rho2=2.0, gamma_bar=10.0)
         est = estimate_er(p, 2.0, McConfig(n_samples=1_000_000, seed=42))
-        j_quad, _ = expectation_quadrature(p, 2.0)
+        j_quad, _ = quadrature_j(p, 2.0)
         assert abs(est.j_hat - j_quad) <= 4.0 * est.j_stderr
 
     def test_deterministic_across_runs_and_workers(self, monkeypatch):
@@ -337,6 +336,6 @@ class TestWorkers:
             est = estimate_er(params, a, config)
             serial.append(McCheckResult(
                 params=params, a_exponent=a,
-                j_quad=expectation_quadrature(params, a)[0],
+                j_quad=quadrature_j(params, a)[0],
                 j_hat=est.j_hat, j_stderr=est.j_stderr))
         assert report == McCheckReport(results=tuple(serial))

@@ -14,8 +14,7 @@ from fbrate.poles import pole_exponents
 from fbrate.rate import _METHODS, DE_LEVELS, U_SUM_TOL
 from fbrate import (ChannelParams, ClosedFormUnavailableError, ConvergenceError,
                     ErRequest, FbrateError, McConfig, ParameterError, closed_form_applies,
-                    decompose, effective_rate, er_auto, er_sweep, estimate_er,
-                    expectation_closed_form, expectation_quadrature, preset,
+                    decompose, effective_rate, er_auto, er_sweep, estimate_er, preset,
                     quadrature_sweep)
 from fbrate.crosscheck import (GRID_A, GRID_SNR_DB, CrossCheckReport, closed_form_grid,
                                db_to_linear, run_cross_check)
@@ -23,8 +22,8 @@ from fbrate.crosscheck import (GRID_A, GRID_SNR_DB, CrossCheckReport, closed_for
 from conftest import (FIG1_J_A2, FIG1_J_MU1, FIG1_J_MU4, FIG1_R_A2, FIG1_R_MU1,
                       FIG1_R_MU4, FIG2_J_BY_M, HIGH_MULT, HIGH_MULT_J,
                       J_MERGED_G3_A05, J_NAKAGAMI_MU2, J_RAYLEIGH,
-                      J_RAYLEIGH_G2_A1, R_RAYLEIGH, cluster_model_j, fig1_params,
-                      rayleigh_j, unit_eta_shadowed_j)
+                      J_RAYLEIGH_G2_A1, R_RAYLEIGH, closed_form_j, cluster_model_j,
+                      fig1_params, quadrature_j, rayleigh_j, unit_eta_shadowed_j)
 
 
 class TestEffectiveRate:
@@ -66,62 +65,62 @@ def _level(params, a, rel_tol):
 @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
 @pytest.mark.parametrize("entry", [
     lambda a: quadrature_sweep(fig1_params(), [1.0], a),
-    lambda a: expectation_quadrature(fig1_params(), a),
-    lambda a: expectation_closed_form(fig1_params(), a),
+    lambda a: er_sweep(ErRequest(fig1_params(), 2.0, "quadrature"), [1.0], a_exponents=[a]),
+    lambda a: er_sweep(ErRequest(fig1_params(), 2.0, "closed_form"), [1.0], a_exponents=[a]),
     lambda a: effective_rate(0.5, a),
     lambda a: ErRequest(params=fig1_params(), a_exponent=a),
     lambda a: estimate_er(fig1_params(), a, McConfig(n_samples=1000, seed=1)),
-], ids=["quadrature_sweep", "expectation_quadrature", "expectation_closed_form",
+], ids=["quadrature_sweep", "er_sweep-quadrature", "er_sweep-closed_form",
         "effective_rate", "ErRequest", "estimate_er"])
 def test_invalid_exponent_is_a_parameter_error(entry, a):
     with pytest.raises(ParameterError, match="A must be finite and > 0"):
         entry(a)
 
 
-def _count_sweeps(monkeypatch, module=fbrate.rate) -> list:
-    """Record the arguments of every ``quadrature_sweep`` call made from ``module``."""
+def _count_sweeps(monkeypatch) -> list:
+    """Record the arguments of every ``quadrature_sweep`` call the dispatch makes."""
     calls = []
-    sweep = module.quadrature_sweep
+    sweep = fbrate.rate.quadrature_sweep
 
     def counted(*args):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(module, "quadrature_sweep", counted)
+    monkeypatch.setattr(fbrate.rate, "quadrature_sweep", counted)
     return calls
 
 
 class TestQuadrature:
     def test_rayleigh_golden(self):
         p = preset("rayleigh")
-        j, err = expectation_quadrature(p, 2.0)
+        j, err = quadrature_j(p, 2.0)
         assert j == pytest.approx(J_RAYLEIGH, abs=1e-5)
         assert j == pytest.approx(J_RAYLEIGH, rel=1e-8)
         assert effective_rate(j, 2.0) == pytest.approx(R_RAYLEIGH, abs=1e-3)
 
     def test_fig1_golden(self):
         p = fig1_params()
-        j, err = expectation_quadrature(p, 2.0)
+        j, err = quadrature_j(p, 2.0)
         assert j == pytest.approx(FIG1_J_A2, rel=1e-8)
         assert effective_rate(j, 2.0) == pytest.approx(FIG1_R_A2, abs=1e-3)
 
     def test_small_exponent_limit(self):
         p = fig1_params()
-        j, _ = expectation_quadrature(p, 1e-6)
+        j, _ = quadrature_j(p, 1e-6)
         assert abs(j - 1.0) < 1e-4
 
     def test_fallback_engages_at_high_snr(self):
         p = fig1_params(gamma_bar=1000.0)
-        j, err = expectation_quadrature(p, 2.0, 1e-8)
+        j, err = quadrature_j(p, 2.0, 1e-8)
         assert 1 <= _level(p, 2.0, 1e-8) <= DE_LEVELS
         # cross-check against the closed form, which is fully independent here
-        j_closed = expectation_closed_form(p, 2.0)
+        j_closed = closed_form_j(p, 2.0)
         assert j == pytest.approx(j_closed, rel=1e-8)
 
     def test_rejects_nonpositive_exponent(self):
         p = fig1_params()
         with pytest.raises(ValueError):
-            expectation_quadrature(p, 0.0)
+            quadrature_j(p, 0.0)
 
     @pytest.mark.parametrize("mu", [1.5, 2.0, 6.0])
     def test_fallback_matches_mpmath_cluster_model(self, mu):
@@ -131,7 +130,7 @@ class TestQuadrature:
             for a in (0.5, 2.0, 5.0):
                 p = ChannelParams(mu=mu, m=1.0, kappa=1.0, eta=0.1, rho2=0.1,
                                   gamma_bar=10.0 ** (snr_db / 10.0))
-                j, err = expectation_quadrature(p, a, 1e-10)
+                j, err = quadrature_j(p, a, 1e-10)
                 assert 1 <= _level(p, a, 1e-10) <= DE_LEVELS
                 assert err <= 1e-10
                 assert j == pytest.approx(cluster_model_j(p, a), rel=1e-10, abs=0.0)
@@ -141,7 +140,7 @@ class TestQuadrature:
         # A=20 at 42 dB with mu > A: the mass sits near s ~ 1/gamma_bar, far
         # below where a window fixed by A alone would start
         p = ChannelParams(mu=mu, m=40.0, gamma_bar=10.0 ** 4.2, **HIGH_MULT)
-        j, _ = expectation_quadrature(p, 20.0, 1e-10)
+        j, _ = quadrature_j(p, 20.0, 1e-10)
         assert 1 <= _level(p, 20.0, 1e-10) <= DE_LEVELS
         assert j == pytest.approx(cluster_model_j(p, 20.0), rel=1e-10, abs=0.0)
 
@@ -161,7 +160,7 @@ class TestQuadrature:
         # the peak-centred map and the Stirling form of K carry A up to 1e5
         p = ChannelParams(mu=1.0, m=0.5, kappa=0.0, eta=1.0, rho2=1.0,
                           gamma_bar=gamma_bar)
-        j, err = expectation_quadrature(p, a, 1e-12)
+        j, err = quadrature_j(p, a, 1e-12)
         assert err <= 1e-12
         assert j == pytest.approx(rayleigh_j(gamma_bar, a), rel=1e-12, abs=0.0)
 
@@ -169,8 +168,8 @@ class TestQuadrature:
         # J(m) - J(inf) falls as 1/m, with no cancellation of size m in log M:
         # no warning, no ConvergenceError, and m*(J(m) - J(inf)) holds still
         shape = dict(mu=2.5, kappa=1.0, eta=0.5, rho2=1.0, gamma_bar=100.0)
-        j_inf, _ = expectation_quadrature(ChannelParams(m=math.inf, **shape), 2.0)
-        rel = {m: expectation_quadrature(ChannelParams(m=m, **shape), 2.0)[0] / j_inf - 1.0
+        j_inf, _ = quadrature_j(ChannelParams(m=math.inf, **shape), 2.0)
+        rel = {m: quadrature_j(ChannelParams(m=m, **shape), 2.0)[0] / j_inf - 1.0
                for m in [1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e20, 1e300]}
         for m in [1e6, 1e8, 1e10, 1e12]:
             assert m * rel[m] == pytest.approx(1e4 * rel[1e4], rel=0.01)
@@ -181,16 +180,16 @@ class TestQuadrature:
                             lambda params, s: np.full(np.shape(s), np.nan))
         p = fig1_params(gamma_bar=1000.0)
         with pytest.raises(ConvergenceError) as info:
-            expectation_quadrature(p, 2.0)
+            quadrature_j(p, 2.0)
         assert info.value.achieved is not None
 
 
 def _per_point(shape, gamma_bars, a, rel_tol=1e-8):
-    """(J, error, level) of each mean SNR through expectation_quadrature."""
+    """(J, error, level) of each mean SNR through the quadrature route, one at a time."""
     rows = []
     for g in gamma_bars:
         params = ChannelParams(*shape.shape, gamma_bar=g)
-        j, err = expectation_quadrature(params, a, rel_tol)
+        j, err = quadrature_j(params, a, rel_tol)
         rows.append((j, err, _level(params, a, rel_tol)))
     return rows
 
@@ -299,33 +298,66 @@ class TestQuadratureSweep:
 
     def test_cross_check_batches_each_shape(self, monkeypatch):
         grid = closed_form_grid()[:40]  # two shapes x 5 mean SNRs x 4 exponents
-        calls = _count_sweeps(monkeypatch, fbrate.crosscheck)
+        calls = _count_sweeps(monkeypatch)
         report = run_cross_check(grid)
         assert len(calls) == len({p.shape for p, _ in grid}) == 2
         assert [len(args[2]) for args in calls] == [20, 20]
         worst, max_diff = None, 0.0
         for params, a in grid:
-            j_closed = expectation_closed_form(params, a)
-            diff = abs(expectation_quadrature(params, a)[0] - j_closed) / j_closed
+            j_closed = closed_form_j(params, a)
+            diff = abs(quadrature_j(params, a)[0] - j_closed) / j_closed
             if diff > max_diff:
                 worst, max_diff = (params, a), diff
         assert report == CrossCheckReport(n_configs=40, max_rel_diff=max_diff, worst=worst)
+
+    def test_one_exponent_per_mean_snr(self):
+        # one sweep over (mean SNR, A) rows gives each row its own request's result
+        request = ErRequest(params=fig1_params(gamma_bar=3.0), a_exponent=7.0)
+        rows = [(1e3, 2.0), (0.1, 0.5), (10.0, 5.0), (0.1, 2.0)]
+        assert er_sweep(request, [g for g, _ in rows], a_exponents=[a for _, a in rows]) == [
+            er_auto(ErRequest(params=fig1_params(gamma_bar=g), a_exponent=a))
+            for g, a in rows]
+        with pytest.raises(ParameterError, match="one A or one per mean SNR"):
+            er_sweep(request, [1.0, 10.0, 100.0], a_exponents=[2.0, 5.0])
+
+
+class TestCrossCheck:
+    """``run_cross_check`` checks the route ``auto`` users get, not the engines alone."""
+
+    GRID = closed_form_grid()[:40]
+
+    def test_a_dispatch_that_rejects_the_closed_form_fails(self, monkeypatch):
+        # the engines still agree, but auto no longer keeps the closed form
+        assert run_cross_check(self.GRID).passed
+        monkeypatch.setattr(fbrate.rate, "CROSS_REL_TOL", 0.0)
+        report = run_cross_check(self.GRID)
+        assert not report.passed
+        assert report.max_rel_diff == math.inf and report.worst in self.GRID
+
+    def test_a_failing_closed_form_is_a_failing_report(self, monkeypatch):
+        def fail(*args):
+            raise ConvergenceError("forced")
+
+        monkeypatch.setattr(fbrate.rate, "_closed_form", fail)
+        report = run_cross_check(self.GRID)
+        assert not report.passed
+        assert report.max_rel_diff == math.inf and report.worst == self.GRID[0]
 
 
 class TestClosedForm:
     def test_fig1_golden(self):
         p = fig1_params()
-        j = expectation_closed_form(p, 2.0)
+        j = closed_form_j(p, 2.0)
         assert j == pytest.approx(FIG1_J_A2, rel=1e-10)
 
     def test_nakagami_degeneration_vs_direct_integral(self):
         p = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=1.0)
-        j = expectation_closed_form(p, 2.0)
+        j = closed_form_j(p, 2.0)
         assert j == pytest.approx(J_NAKAGAMI_MU2, rel=1e-10)
 
     def test_merged_pole_golden(self):
         p = ChannelParams(mu=2.0, m=2.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=3.0)
-        j = expectation_closed_form(p, 0.5)
+        j = closed_form_j(p, 0.5)
         assert j == pytest.approx(J_MERGED_G3_A05, rel=1e-10)
 
     def test_unit_exponent_identity(self):
@@ -335,7 +367,7 @@ class TestClosedForm:
 
         p = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=0.4, rho2=1.0, gamma_bar=2.0)
         ex = decompose(p)
-        j = expectation_closed_form(p, 1.0)
+        j = closed_form_j(p, 1.0)
         oracle = sum(c[0].real * (t.real / 2.0) * math.exp(t.real / 2.0)
                      * _exp1(t.real / 2.0) for t, _, c in ex.terms)
         assert j == pytest.approx(oracle, rel=1e-10)
@@ -343,7 +375,7 @@ class TestClosedForm:
     def test_unit_exponent_identity_quadrature_route(self):
         # exponential SNR (single cluster) at gamma_bar = 2: J(A=1) = z e^z E1(z)
         p = preset("rayleigh", gamma_bar=2.0)
-        j, _ = expectation_quadrature(p, 1.0)
+        j, _ = quadrature_j(p, 1.0)
         assert j == pytest.approx(J_RAYLEIGH_G2_A1, rel=1e-8)
 
     def test_split_double_root_near_zero_los(self):
@@ -362,7 +394,7 @@ class TestClosedForm:
         result = er_auto(ErRequest(params=p, a_exponent=5.0, method="closed_form"))
         (name, note), = result.diagnostics
         assert name == "closed_form_series" and note.startswith("U share ")
-        assert result.expectation_j == expectation_closed_form(p, 5.0)
+        assert result.expectation_j == closed_form_j(p, 5.0)
         assert result.expectation_j == pytest.approx(cluster_model_j(p, 5.0), rel=5e-10, abs=0.0)
 
     def test_extreme_cancellation_switches_to_extended_precision(self):
@@ -372,9 +404,9 @@ class TestClosedForm:
                           gamma_bar=1000.0)
         result = er_auto(ErRequest(params=p, a_exponent=5.0, method="closed_form"))
         assert "closed_form_series" in dict(result.diagnostics)
-        j_closed = expectation_closed_form(p, 5.0)
+        j_closed = closed_form_j(p, 5.0)
         assert j_closed == result.expectation_j
-        j_quad, _ = expectation_quadrature(p, 5.0, 1e-10)
+        j_quad, _ = quadrature_j(p, 5.0, 1e-10)
         assert j_closed == pytest.approx(j_quad, rel=1e-8, abs=0.0)
         assert j_closed < 1e-11  # deep in the cancellation regime
 
@@ -509,7 +541,7 @@ class TestDispatch:
         result = er_auto(ErRequest(params=params, a_exponent=a))
         assert result.method_used == "quadrature"
         assert dict(result.diagnostics)["closed_form_failed"].startswith("ConvergenceError")
-        assert result.expectation_j == expectation_quadrature(params, a)[0]
+        assert result.expectation_j == quadrature_j(params, a)[0]
         assert result.expectation_j == pytest.approx(j_quad, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("method", ["auto", "quadrature", "closed_form"])
@@ -526,6 +558,26 @@ class TestDispatch:
                 except FbrateError:
                     continue
             assert 0.0 < result.expectation_j <= 1.0
+
+    @pytest.mark.parametrize("a", [0.01, 0.1, 5.0])
+    def test_quadrature_rounding_above_one_is_one(self, a):
+        # far below 0 dB the quadrature rule rounds J up to ~1 + 1e-15; the
+        # dispatch returns 1 exactly, as it does for the closed form
+        p = ChannelParams(mu=1.5, m=1.0, kappa=1.0, eta=0.1, rho2=0.1)
+        gamma_bars = [db_to_linear(db) for db in range(-300, -59, 5)]
+        values = quadrature_sweep(p, gamma_bars, a)[0]
+        assert np.any(values > 1.0) and np.all(values < 1.0 + 1e-12)
+        for method in ("auto", "quadrature"):
+            results = er_sweep(ErRequest(params=p, a_exponent=a, method=method), gamma_bars)
+            assert [r.expectation_j for r in results] == np.minimum(values, 1.0).tolist()
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("j", [1.0 + 1e-9, 0.0, -1e-300])
+    def test_quadrature_value_outside_unit_interval_raises(self, monkeypatch, method, j):
+        monkeypatch.setattr(fbrate.rate, "quadrature_sweep",
+                            lambda *args: (np.array([j]), np.zeros(1), np.ones(1, dtype=int)))
+        with pytest.raises(ConvergenceError, match="quadrature expectation out of"):
+            er_auto(ErRequest(params=fig1_params(), a_exponent=2.0, method=method))
 
     def test_closed_form_applies_predicate(self):
         assert closed_form_applies(fig1_params())
@@ -624,9 +676,9 @@ class TestUnitEtaReduction:
                     p = ChannelParams(mu=mu, m=m, kappa=kappa, eta=1.0, rho2=1.0,
                                       gamma_bar=gbar)
                     if mu == round(mu) and round(mu) % 2 == 0:
-                        mine = expectation_closed_form(p, a)
+                        mine = closed_form_j(p, a)
                     else:
-                        mine = expectation_quadrature(p, a, 1e-10)[0]
+                        mine = quadrature_j(p, a, 1e-10)[0]
                     oracle = unit_eta_shadowed_j(kappa, mu, m, gbar, a)
                     assert mine == pytest.approx(oracle, rel=1e-8)
                     points += 1
