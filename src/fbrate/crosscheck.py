@@ -89,8 +89,8 @@ def run_cross_check(grid=None) -> CrossCheckReport:
         results = er_sweep(ErRequest(*run[0]), [params.gamma_bar for params, _ in run],
                            a_exponents=[a for _, a in run])
         for point, result in zip(run, results):
-            diff = (float(dict(result.diagnostics)["cross_check_rel_diff"])
-                    if result.method_used == "closed_form" else math.inf)
+            diff = (result.cross_check_rel_diff if result.method_used == "closed_form"
+                    else math.inf)
             if diff > max_diff:
                 max_diff, worst = diff, point
     return CrossCheckReport(n_configs=len(grid), max_rel_diff=max_diff, worst=worst)

@@ -63,8 +63,6 @@ class McEstimate:
 
     j_hat: float
     j_stderr: float
-    n_samples: int
-    seed: int
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -209,4 +207,4 @@ def estimate_er(params: ChannelParams, a_exponent: float, config: McConfig) -> M
     j_hat = s1 / n
     variance = max(s2 / n - j_hat * j_hat, 0.0) * n / max(n - 1, 1)
     j_stderr = math.sqrt(variance / n)
-    return McEstimate(j_hat=j_hat, j_stderr=j_stderr, n_samples=n, seed=config.seed)
+    return McEstimate(j_hat=j_hat, j_stderr=j_stderr)

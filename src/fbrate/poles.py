@@ -202,27 +202,35 @@ def pdf(params: ChannelParams, gamma) -> np.ndarray | float:
     """SNR density f(gamma) from the partial-fraction expansion.
 
     f(g) = sum_ij A_ij (theta_i/gbar)^j g^{j-1} e^{-theta_i g/gbar} / (j-1)!
-    and f(inf) = 0, its limit.  A tiny negative excursion is clipped; anything
-    beyond -1e-12 signals an inconsistent residue table and raises
+    with its limits f(0) = 0 (every closed-form shape has mu >= 2, and
+    f ~ g^(mu-1)) and f(inf) = 0.  A negative sum within its rounding bound,
+    n eps times the sum of the n terms' magnitudes, is clipped to 0; one
+    beyond it signals an inconsistent residue table and raises
     :class:`ConvergenceError`.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma >= 0):  # also rejects NaN
         raise ParameterError("gamma must be >= 0")
-    at_inf = np.isinf(gamma)
-    g = np.where(at_inf, 0.0, gamma)
+    g = np.where(np.isinf(gamma), 0.0, gamma)  # both limits are 0, set below
     gbar = params.gamma_bar
-    total = np.zeros(g.shape)
+    total = magnitude = np.zeros(g.shape)
+    n_terms = 0
     for theta, _, coeffs in decompose(params).terms:
         z = theta / gbar
         decay = np.exp(-z * g)
-        poly = np.zeros(g.shape)
-        for j in range(len(coeffs), 0, -1):  # Horner in g
+        poly = poly_abs = np.zeros(g.shape)
+        for j in range(len(coeffs), 0, -1):  # Horner in g >= 0
             a_ij = coeffs[j - 1] * z**j / math.factorial(j - 1)
             poly = poly * g + a_ij
+            poly_abs = poly_abs * g + abs(a_ij)
         total = total + decay * poly
-    if np.any(total < -1e-12):
+        magnitude = magnitude + decay * poly_abs
+        n_terms += len(coeffs)
+    inside = g > 0.0
+    negative = inside & (total < -n_terms * np.finfo(float).eps * magnitude)
+    if np.any(negative):
         raise ConvergenceError(
-            f"density went negative ({total.min():.3e}); residue table is inconsistent")
-    result = np.where(at_inf, 0.0, np.maximum(total, 0.0))
+            f"density went negative ({total[negative].min():.3e}) beyond its rounding; "
+            f"residue table is inconsistent")
+    result = np.where(inside, np.maximum(total, 0.0), 0.0)
     return result if result.shape else float(result)

@@ -18,7 +18,7 @@ and ``er_auto`` is its one-SNR case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,13 +62,22 @@ class ErRequest:
 
 @dataclass(frozen=True)
 class ErResult:
-    """Computed expectation and rate, plus how they were obtained."""
+    """Computed expectation and rate, plus how they were obtained.
+
+    The fields after ``error_estimate`` are None where their step did not
+    run.  ``series`` is :func:`_closed_form`'s; ``cross_check_rel_diff`` is
+    unrounded; ``closed_form_error`` is "Type: message" of the closed form's
+    exception, where ``auto`` fell back to quadrature for it.
+    """
 
     expectation_j: float
     rate: float
     method_used: str
     error_estimate: float
-    diagnostics: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    quadrature_level: int | None = None
+    cross_check_rel_diff: float | None = None
+    series: tuple[str, int, float] | None = None
+    closed_form_error: str | None = None
 
 
 def effective_rate(j: float, a_exponent: float) -> float:
@@ -260,7 +269,7 @@ def er_sweep(request: ErRequest, gamma_bars, mc_config=None,
     ``quadrature`` one :func:`quadrature_sweep` over every (mean SNR, A) row,
     each of which gets the value it gets on its own.  Per row run only the
     closed form's U terms (and the series, where its sum cancels), the
-    cross-check, the diagnostics and Monte Carlo.
+    cross-check and Monte Carlo.
     """
     _check_gamma_bars(gamma_bars)
     a_rows = _a_rows(request.a_exponent if a_exponents is None else a_exponents,
@@ -280,15 +289,15 @@ def er_auto(request: ErRequest, mc_config=None) -> ErResult:
 
     ``method="auto"`` runs the closed form whenever the parameters admit it
     and cross-evaluates the quadrature route, recording the relative
-    discrepancy under the ``cross_check_rel_diff`` diagnostic.  It returns
-    the quadrature value instead when the closed form raises (recorded as
-    ``closed_form_failed``) or when the engines differ by more than
-    ``CROSS_REL_TOL`` (recorded as ``engines_disagree``, with the difference
-    folded into the error estimate).  The explicit methods run exactly what
-    was asked for (raising if unavailable); ``monte_carlo`` delegates to the
-    sampling engine.  An exact route's J less than 1e-12 above 1 is rounding
-    and returns as 1; a J beyond (0, 1] raises :class:`ConvergenceError`.  A
-    one-SNR :func:`er_sweep`.
+    discrepancy as ``cross_check_rel_diff``.  It returns the quadrature
+    value instead when the closed form raises (recorded as
+    ``closed_form_error``) or when the engines differ by more than
+    ``CROSS_REL_TOL`` (with the difference folded into the error estimate).
+    The explicit methods run exactly what was asked for (raising if
+    unavailable); ``monte_carlo`` delegates to the sampling engine.  An exact
+    route's J less than 1e-12 above 1 is rounding and returns as 1; a J
+    beyond (0, 1] raises :class:`ConvergenceError`.  A one-SNR
+    :func:`er_sweep`.
     """
     return er_sweep(request, [request.params.gamma_bar], mc_config)[0]
 
@@ -300,51 +309,34 @@ def _evaluate(request: ErRequest, gamma_bar: float, a: float,
 
     ``cross``: ``auto`` runs the closed form too, as it applies to the shape.
     """
-    diagnostics: list[tuple[str, str]] = []
-
-    def result(j: float, method: str, err: float) -> ErResult:
+    def result(j: float, method: str, err: float, **provenance) -> ErResult:
         return ErResult(expectation_j=j, rate=effective_rate(j, a), method_used=method,
-                        error_estimate=err, diagnostics=tuple(diagnostics))
-
-    def closed_form() -> tuple[float, float]:
-        """(J, error estimate): the series' bound, or ``U_SUM_TOL`` for the sum."""
-        j, series = _closed_form(request.params, gamma_bar, a)
-        if series is None:
-            return j, U_SUM_TOL
-        reason, n_terms, bound = series
-        diagnostics.append(("closed_form_series",
-                            f"{reason}; {n_terms} terms; bound {bound:.1e}"))
-        return j, bound
+                        error_estimate=err, **provenance)
 
     if request.method == "monte_carlo":
         estimate = estimate_er(replace(request.params, gamma_bar=gamma_bar), a,
                                mc_config or McConfig())
-        diagnostics.extend([("n_samples", str(estimate.n_samples)),
-                            ("seed", str(estimate.seed))])
         return result(estimate.j_hat, "monte_carlo", estimate.j_stderr)
 
     if request.method == "closed_form":
-        j, err = closed_form()
-        return result(j, "closed_form", err)
+        j, series = _closed_form(request.params, gamma_bar, a)
+        return result(j, "closed_form", series[2] if series else U_SUM_TOL, series=series)
 
-    j_closed = None
+    j_closed = series = failure = None
     if cross:
         try:
-            j_closed, err_closed = closed_form()
+            j_closed, series = _closed_form(request.params, gamma_bar, a)
         except (ConvergenceError, ClosedFormUnavailableError, ArithmeticError) as exc:
-            diagnostics.append(("closed_form_failed", f"{type(exc).__name__}: {exc}"))
+            failure = f"{type(exc).__name__}: {exc}"
 
     j_quad, err, level = quadrature
     j_quad = _unit_j(j_quad, "quadrature")
-    diagnostics.append(("quadrature_level", str(level)))
-    if j_closed is not None:
-        diff = abs(j_quad - j_closed) / j_closed
-        # unrounded, so that the error estimate below bounds the reported value
-        diagnostics.append(("cross_check_rel_diff", repr(diff)))
-        if diff <= CROSS_REL_TOL:
-            return result(j_closed, "closed_form", max(err_closed, diff))
-        diagnostics.append(("engines_disagree",
-                            f"closed form {j_closed:.9e} rejected "
-                            f"(limit {CROSS_REL_TOL:.0e})"))
-        err = max(err, diff)
-    return result(j_quad, "quadrature", err)
+    if j_closed is None:
+        return result(j_quad, "quadrature", err, quadrature_level=level,
+                      closed_form_error=failure)
+    diff = abs(j_quad - j_closed) / j_closed
+    provenance = dict(quadrature_level=level, cross_check_rel_diff=diff, series=series)
+    if diff <= CROSS_REL_TOL:
+        return result(j_closed, "closed_form",
+                      max(series[2] if series else U_SUM_TOL, diff), **provenance)
+    return result(j_quad, "quadrature", max(err, diff), **provenance)

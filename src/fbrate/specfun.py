@@ -167,23 +167,24 @@ def _w1(a: float, z: float) -> tuple[float, float]:
     k = A-1 term near integer A shows in the bound.
     """
     if z >= 1:
+        a_minus_1, tiny, unit = a - 1, _TINY, _UNIT  # bound once, read at every step
         b = z + a
-        c = 1 / _TINY
+        c = 1 / tiny
         d = 1 / b
         h = d
         for i in range(1, _MAX_CF_TERMS):
-            an = -i * (a - 1 + i)
+            an = -i * (a_minus_1 + i)
             b += 2
             d = an * d + b
-            d = 1 / (d if d != 0 else _TINY)
+            d = 1 / (d if d != 0 else tiny)
             c = b + an / c
             if c == 0:
-                c = _TINY
+                c = tiny
             delta = c * d
             h *= delta
-            if abs(delta - 1) <= _UNIT:
+            if abs(delta - 1) <= unit:
                 w = z * h
-                return w, (4 * i + 8) * _UNIT * abs(w)
+                return w, (4 * i + 8) * unit * abs(w)
         raise ConvergenceError(
             f"continued fraction for E_A(z) did not converge (A={a}, z={z})")
 

@@ -149,8 +149,7 @@ def test_auto_falls_back_when_extended_u_fails(monkeypatch, fresh_series):
     monkeypatch.setattr(_extended, "u_terms", _uncertified_terms)
     result = er_auto(ErRequest(params=M40, a_exponent=5.0))
     assert result.method_used == "quadrature"
-    diagnostics = dict(result.diagnostics)
-    assert diagnostics["closed_form_failed"].startswith("ConvergenceError: U(j; j-A+1; z)")
+    assert result.closed_form_error.startswith("ConvergenceError: U(j; j-A+1; z)")
     assert result.expectation_j == pytest.approx(cluster_model_j(M40, 5.0),
                                                  rel=1e-8, abs=0.0)
 

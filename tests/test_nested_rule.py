@@ -69,7 +69,7 @@ def _series_bits(block) -> dict:
         for gamma_bar, a in block:
             params = replace(shape, gamma_bar=gamma_bar)
             result = er_auto(ErRequest(params=params, a_exponent=a, method="closed_form"))
-            if "closed_form_series" in dict(result.diagnostics):
+            if result.series is not None:
                 value, bound, n_terms = mixture_series(params, a)
                 bits[f"{shape.shape!r},{gamma_bar!r},{a!r}"] = [*_hex((value, bound)), n_terms]
     return bits

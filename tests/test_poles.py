@@ -364,6 +364,28 @@ class TestPdf:
         values = pdf(p, [0.5, math.inf])
         assert values.tolist() == [pdf(p, 0.5), 0.0]
 
+    @pytest.mark.parametrize("rho2", [0.1, 1.0])
+    def test_zero_is_the_exact_limit(self, rho2):
+        # f ~ g^(mu-1): the sum's rounding dips below 0 near g = 0, within
+        # its own bound, where a flat -1e-12 raised at 523 of these points
+        p = ChannelParams(mu=6.0, m=2.0, kappa=0.5, eta=0.5, rho2=rho2, gamma_bar=0.1)
+        g = np.concatenate(([0.0], p.gamma_bar * np.exp(np.arange(-40.0, 6.0, 1 / 16))))
+        values = pdf(p, g)
+        assert pdf(p, 0.0) == values[0] == 0.0
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+    def test_negative_beyond_rounding_raises(self, monkeypatch):
+        # 4 g e^-2g with A_11 = -1e-13 in place of 0: f dips to -2e-13 near
+        # g = 0, inside the old flat clip but far beyond the sum's rounding
+        p = ChannelParams(mu=2.0, m=1.0, kappa=0.0, eta=1.0, rho2=1.0, gamma_bar=1.0)
+        (theta, order, (_, a12)), = decompose(p).terms
+        table = poles.PartialFractionExpansion(terms=((theta, order, (-1e-13, a12)),),
+                                               majorants=decompose(p).majorants)
+        monkeypatch.setattr(poles, "decompose", lambda params: table)
+        assert pdf(p, 0.0) == 0.0
+        with pytest.raises(ConvergenceError, match="density went negative"):
+            pdf(p, [1e-20, 1.0])
+
     def test_cdf_helper_consistency(self):
         # the test-side CDF matches numeric integration of the density
         p = fig1_params()

@@ -392,8 +392,9 @@ class TestClosedForm:
         # put J 3.4e-9 off, so the U share sends J to the series
         p = ChannelParams(mu=6.0, m=3.0, kappa=2.0, eta=0.1, rho2=1.0, gamma_bar=100.0)
         result = er_auto(ErRequest(params=p, a_exponent=5.0, method="closed_form"))
-        (name, note), = result.diagnostics
-        assert name == "closed_form_series" and note.startswith("U share ")
+        assert result.series[0].startswith("U share ")
+        assert (result.quadrature_level, result.cross_check_rel_diff,
+                result.closed_form_error) == (None, None, None)
         assert result.expectation_j == closed_form_j(p, 5.0)
         assert result.expectation_j == pytest.approx(cluster_model_j(p, 5.0), rel=5e-10, abs=0.0)
 
@@ -403,7 +404,7 @@ class TestClosedForm:
         p = ChannelParams(mu=6.0, m=1.0, kappa=1.0, eta=1.0, rho2=0.1,
                           gamma_bar=1000.0)
         result = er_auto(ErRequest(params=p, a_exponent=5.0, method="closed_form"))
-        assert "closed_form_series" in dict(result.diagnostics)
+        assert result.series is not None
         j_closed = closed_form_j(p, 5.0)
         assert j_closed == result.expectation_j
         j_quad, _ = quadrature_j(p, 5.0, 1e-10)
@@ -415,8 +416,7 @@ class TestDispatch:
     def test_auto_prefers_closed_form_and_cross_checks(self):
         result = er_auto(ErRequest(params=fig1_params(), a_exponent=2.0))
         assert result.method_used == "closed_form"
-        diag = dict(result.diagnostics)
-        assert float(diag["cross_check_rel_diff"]) < 1e-6
+        assert result.cross_check_rel_diff < 1e-6
         assert result.expectation_j == pytest.approx(FIG1_J_A2, rel=1e-9)
         assert result.rate == pytest.approx(-math.log2(result.expectation_j) / 2.0)
 
@@ -455,7 +455,7 @@ class TestDispatch:
         assert result.expectation_j == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("mu, m, snr_db, a, reason", [
-        (20.0, 200.0, 20.0, 5.0, "closed_form_failed"),
+        (20.0, 200.0, 20.0, 5.0, "closed_form_error"),
     ])
     def test_auto_falls_back_to_quadrature_at_high_multiplicity(
             self, mu, m, snr_db, a, reason, monkeypatch, fresh_series):
@@ -467,7 +467,7 @@ class TestDispatch:
         assert closed_form_applies(p)
         result = er_auto(ErRequest(params=p, a_exponent=a))
         assert result.method_used == "quadrature"
-        assert reason in dict(result.diagnostics)
+        assert getattr(result, reason) is not None
         assert result.expectation_j == pytest.approx(HIGH_MULT_J[mu, m, snr_db, a],
                                                      rel=1e-8, abs=0.0)
 
@@ -479,7 +479,7 @@ class TestDispatch:
         p = ChannelParams(mu=2.0, m=40.0, gamma_bar=10.0 ** (snr_db / 10.0), **HIGH_MULT)
         result = er_auto(ErRequest(params=p, a_exponent=a, method=method))
         assert result.method_used == "closed_form"
-        assert "closed_form_series" in dict(result.diagnostics)
+        assert result.series is not None
         assert result.expectation_j == pytest.approx(HIGH_MULT_J[2.0, 40.0, snr_db, a],
                                                      rel=1e-9, abs=0.0)
 
@@ -490,13 +490,12 @@ class TestDispatch:
         # raises it to the cross-check difference where that is larger)
         p = ChannelParams(mu=2.0, m=40.0, gamma_bar=1000.0, **HIGH_MULT)
         result = er_auto(ErRequest(params=p, a_exponent=2.0, method=method))
-        diagnostics = dict(result.diagnostics)
-        assert diagnostics["closed_form_series"].endswith(f"bound {result.error_estimate:.1e}")
+        assert result.error_estimate == result.series[2]
         assert result.error_estimate < U_SUM_TOL
-        assert result.error_estimate >= float(diagnostics.get("cross_check_rel_diff", 0.0))
+        assert result.error_estimate >= (result.cross_check_rel_diff or 0.0)
         # the partial-fraction sum reports U_SUM_TOL
         result = er_auto(ErRequest(params=fig1_params(), a_exponent=2.0, method=method))
-        assert "closed_form_series" not in dict(result.diagnostics)
+        assert result.series is None
         assert result.error_estimate == U_SUM_TOL
 
     def test_multiplicity_400_certifies(self):
@@ -505,8 +504,9 @@ class TestDispatch:
         p = ChannelParams(mu=20.0, m=200.0, gamma_bar=100.0, **HIGH_MULT)
         result = er_auto(ErRequest(params=p, a_exponent=5.0))
         assert result.method_used == "closed_form"
-        assert re.fullmatch(r"residue majorant \S+; \d+ terms; bound \S+",
-                            dict(result.diagnostics)["closed_form_series"])
+        reason, n_terms, bound = result.series
+        assert re.fullmatch(r"residue majorant \S+", reason)
+        assert isinstance(n_terms, int) and n_terms > 0 and bound > 0.0
         assert result.expectation_j == pytest.approx(HIGH_MULT_J[20.0, 200.0, 20.0, 5.0],
                                                      rel=1e-9, abs=0.0)
 
@@ -540,7 +540,7 @@ class TestDispatch:
             er_auto(ErRequest(params=params, a_exponent=a, method="closed_form"))
         result = er_auto(ErRequest(params=params, a_exponent=a))
         assert result.method_used == "quadrature"
-        assert dict(result.diagnostics)["closed_form_failed"].startswith("ConvergenceError")
+        assert result.closed_form_error.startswith("ConvergenceError")
         assert result.expectation_j == quadrature_j(params, a)[0]
         assert result.expectation_j == pytest.approx(j_quad, rel=1e-12, abs=0.0)
 
